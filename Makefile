@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check race bench benchcmp test build vet chaos slo slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
+.PHONY: check race bench benchcmp test build vet chaos fuzz-smoke slo slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
 
 ## check: vet + build + full test suite (the tier-1 gate)
 check: vet build test
@@ -25,6 +25,13 @@ race:
 ## coalescing/recovery fault tests
 chaos:
 	CHAOS_SEEDS=7 $(GO) test -race -count=1 ./internal/chaos
+
+## fuzz-smoke: fuzz the replication wire decoder (every message kind,
+## including a checkpoint's executed-key window) for 15 s; minimization is
+## capped because shrinking inputs grown from the 12 KB window seed would
+## otherwise take the whole budget
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/replication
 
 ## bench: snapshot the PR2 hot-path + PR5 sharded-transport benchmarks,
 ## the full-profile SLO workload percentiles (~10^6-client population over

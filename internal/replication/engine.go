@@ -443,8 +443,8 @@ func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.L
 		r.lfApplied = lastMsgID & lfSeqMask
 	}
 	for _, k := range replayed {
-		r.dedup[k] = &opRecord{deliveredInv: true, answered: true, executedLocal: true}
-		r.dedupFIFO = append(r.dedupFIFO, k)
+		rec := r.dedupRecordLocked(k)
+		rec.deliveredInv, rec.answered, rec.executedLocal = true, true, true
 	}
 	if err := e.addHosted(def, r); err != nil {
 		return err
@@ -468,9 +468,8 @@ func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state [
 	def.fill()
 	r := newReplica(e, def, servant, false, e.cfg.LogFactory(def))
 	for _, ref := range covered {
-		k := opKey{ClientID: ref.ClientID, ParentSeq: ref.ParentSeq, OpSeq: ref.OpSeq}
-		r.dedup[k] = &opRecord{deliveredInv: true, answered: true, executedLocal: true}
-		r.dedupFIFO = append(r.dedupFIFO, k)
+		rec := r.dedupRecordLocked(opKey{ClientID: ref.ClientID, ParentSeq: ref.ParentSeq, OpSeq: ref.OpSeq})
+		rec.deliveredInv, rec.answered, rec.executedLocal = true, true, true
 	}
 	if len(state) > 0 {
 		// Anchor the new local log so a crash of the promoted replica

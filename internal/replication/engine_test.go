@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/totem"
+	"repro/internal/wal"
 )
 
 // account is a deterministic, checkpointable test servant: a balance plus
@@ -507,6 +509,92 @@ func TestJoinerStateTransfer(t *testing.T) {
 	}
 	if out[0].AsLongLong() != 100 {
 		t.Fatalf("joiner state = %d, want 100", out[0].AsLongLong())
+	}
+}
+
+// A member that adopts a checkpoint through gap repair (a snapshot whose
+// horizon is past its own) must not re-execute an operation the snapshot's
+// window covers when recovery re-delivers it: adoption seeds the dedup
+// table from the window.
+func TestGapRepairAdoptionKeepsExactlyOnce(t *testing.T) {
+	c := newCluster(t, 1)
+	def := GroupDef{ID: 17, Name: "gap", Style: Active}
+	c.host(def, "n1")
+	eng := c.engines["n1"]
+	if _, err := eng.Proxy(GroupRef{ID: 17}).Invoke("add", cdr.Long(1)); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := eng.GroupStatus(17)
+	r := eng.replicaFor(17)
+
+	// The snapshot comes from a lineage n1 missed: it already includes the
+	// effect of operation k, which n1 never saw.
+	k := opKey{ClientID: "c:elsewhere", OpSeq: 7}
+	state, _ := (&account{balance: 40, ops: 3}).GetState()
+	upTo := st.LastExec + 100
+	raw, err := encodeWire(&msgCheckpoint{
+		GroupID: 17, Reason: ckptPeriodic, UpToMsgID: upTo, State: state,
+		Covered: encodeWindow([]opKey{k}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeWire(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	r.q.push(taskCheckpoint{msgID: upTo, m: m.(*msgCheckpoint)})
+	waitFor(t, 5*time.Second, "gap-repair adoption", func() bool {
+		return eng.Stats().StateTransfers > before.StateTransfers
+	})
+
+	r.q.push(taskInvoke{msgID: upTo + 1, m: &msgInvocation{
+		GroupID: 17, Key: k, Operation: "add",
+		Args: orb.EncodeRequestBody([]cdr.Value{cdr.Long(5)}),
+	}})
+	waitFor(t, 5*time.Second, "re-delivered invocation handled", func() bool {
+		s := eng.Stats()
+		return s.DupInvocations > before.DupInvocations || s.Executions > before.Executions
+	})
+	if got := eng.Stats().Executions; got != before.Executions {
+		t.Fatalf("covered operation re-executed after adoption: executions %d → %d", before.Executions, got)
+	}
+	if bal, ops := c.servants["n1"][17].snapshot(); bal != 40 || ops != 3 {
+		t.Fatalf("state after re-delivery = (%d, %d), want the adopted (40, 3)", bal, ops)
+	}
+}
+
+// The dedup table holds the newest dedupRetain keys, and a checkpoint's
+// window lists the executed ones oldest first, also after the FIFO has
+// wrapped.
+func TestDedupBoundAndWindowOrder(t *testing.T) {
+	r := newReplica(nil, GroupDef{ID: 1, Style: WarmPassive}, &account{}, false, &wal.MemLog{})
+	total := dedupRetain + 100
+	var want []opKey
+	for i := 0; i < total; i++ {
+		k := opKey{ClientID: "c:n1", OpSeq: uint64(i + 1)}
+		rec := r.dedupRecordLocked(k)
+		if i%3 != 0 { // executed here; the rest were only answered
+			rec.executedLocal = true
+			if i >= total-dedupRetain {
+				want = append(want, k)
+			}
+		}
+	}
+	if len(r.dedup) != dedupRetain || len(r.dedupFIFO) != dedupRetain {
+		t.Fatalf("table holds %d records in a %d-slot FIFO, want %d", len(r.dedup), len(r.dedupFIFO), dedupRetain)
+	}
+	if _, ok := r.dedup[opKey{ClientID: "c:n1", OpSeq: 100}]; ok {
+		t.Error("an evicted key is still in the table")
+	}
+	_, window := r.coveredWindow()
+	got, err := decodeWindow(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("window has %d keys (first %v), want %d (first %v)", len(got), got[0], len(want), want[0])
 	}
 }
 

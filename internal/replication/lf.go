@@ -174,9 +174,7 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 
 	r.mu.lock()
 	if rec == nil {
-		rec = &opRecord{}
-		r.dedup[m.Key] = rec
-		r.dedupGCLocked(m.Key)
+		rec = r.dedupRecordLocked(m.Key)
 	}
 	rec.deliveredInv = true
 	r.mu.unlock()
@@ -371,12 +369,7 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 	}
 
 	r.mu.lock()
-	rec, ok := r.dedup[m.Key]
-	if !ok {
-		rec = &opRecord{}
-		r.dedup[m.Key] = rec
-		r.dedupGCLocked(m.Key)
-	}
+	rec := r.dedupRecordLocked(m.Key)
 	rec.deliveredInv = true
 	executed := rec.executedLocal
 	id := lfMsgID(m.Epoch, m.Seq)

@@ -56,6 +56,14 @@ type opRecord struct {
 	reply         *msgReply
 }
 
+// dedupEntry is one slot of the duplicate-detection FIFO. It keeps the
+// record beside its key so a window snapshot walks the FIFO without a map
+// lookup per key.
+type dedupEntry struct {
+	key opKey
+	rec *opRecord
+}
+
 type fulfillRec struct {
 	op   string
 	args []byte
@@ -73,7 +81,8 @@ type replica struct {
 
 	mu        chanMutex
 	dedup     map[opKey]*opRecord
-	dedupFIFO []opKey
+	dedupFIFO []dedupEntry // insertion order of dedup; a ring once full
+	dedupHead int          // oldest dedupFIFO slot once the ring is full
 	members   []string
 	secondary bool
 	syncing   bool
@@ -166,12 +175,7 @@ func (r *replica) status() GroupStatus {
 // own).
 func (r *replica) markAnswered(m *msgReply) {
 	r.mu.lock()
-	rec, ok := r.dedup[m.Key]
-	if !ok {
-		rec = &opRecord{}
-		r.dedup[m.Key] = rec
-		r.dedupGCLocked(m.Key)
-	}
+	rec := r.dedupRecordLocked(m.Key)
 	if !rec.answered {
 		rec.answered = true
 		rec.reply = m
@@ -179,14 +183,26 @@ func (r *replica) markAnswered(m *msgReply) {
 	r.mu.unlock()
 }
 
-// dedupGCLocked bounds the duplicate-detection table.
-func (r *replica) dedupGCLocked(k opKey) {
-	r.dedupFIFO = append(r.dedupFIFO, k)
-	for len(r.dedupFIFO) > dedupRetain {
-		old := r.dedupFIFO[0]
-		r.dedupFIFO = r.dedupFIFO[1:]
-		delete(r.dedup, old)
+// dedupRecordLocked returns k's duplicate-detection record, creating it on
+// first sight. Every insertion goes through here, so each key sits in the
+// FIFO exactly once and the table stays bounded by dedupRetain: once the
+// FIFO is full it is a ring, and a new key overwrites (and evicts) the
+// oldest instead of reallocating the FIFO.
+func (r *replica) dedupRecordLocked(k opKey) *opRecord {
+	if rec, ok := r.dedup[k]; ok {
+		return rec
 	}
+	rec := &opRecord{}
+	r.dedup[k] = rec
+	e := dedupEntry{key: k, rec: rec}
+	if len(r.dedupFIFO) < dedupRetain {
+		r.dedupFIFO = append(r.dedupFIFO, e)
+		return rec
+	}
+	delete(r.dedup, r.dedupFIFO[r.dedupHead].key)
+	r.dedupFIFO[r.dedupHead] = e
+	r.dedupHead = (r.dedupHead + 1) % dedupRetain
+	return rec
 }
 
 func (r *replica) executorLoop() {
@@ -274,9 +290,13 @@ func (r *replica) logUpdate(rec wal.Record) {
 
 // shipCheckpoint sends a full-state snapshot plus the covered dedup window
 // to the DR store.
-func (r *replica) shipCheckpoint(upTo uint64, state []byte, covered []opKey) {
+func (r *replica) shipCheckpoint(upTo uint64, state []byte, window []byte) {
 	if !r.shipsDR() {
 		return
+	}
+	covered, err := decodeWindow(window)
+	if err != nil {
+		return // unreachable: window is this replica's own encoding
 	}
 	refs := make([]drstore.OpRef, len(covered))
 	for i, k := range covered {
@@ -312,12 +332,7 @@ func (r *replica) onInvoke(t taskInvoke) {
 // operation.
 func (r *replica) process(t taskInvoke, replay bool) {
 	r.mu.lock()
-	rec, ok := r.dedup[t.m.Key]
-	if !ok {
-		rec = &opRecord{}
-		r.dedup[t.m.Key] = rec
-		r.dedupGCLocked(t.m.Key)
-	}
+	rec := r.dedupRecordLocked(t.m.Key)
 	duplicate := rec.deliveredInv
 	rec.deliveredInv = true
 	answered := rec.answered
@@ -515,18 +530,19 @@ func (r *replica) maybeCheckpoint() {
 }
 
 // coveredWindow snapshots the replica's executed-operation dedup window —
-// the exactly-once metadata every checkpoint must carry.
-func (r *replica) coveredWindow() (upTo uint64, covered []opKey) {
+// the exactly-once metadata every checkpoint must carry — in its wire
+// encoding, in one pass over the FIFO.
+func (r *replica) coveredWindow() (upTo uint64, window []byte) {
 	r.mu.lock()
 	defer r.mu.unlock()
-	upTo = r.lastExec
-	covered = make([]opKey, 0, len(r.dedupFIFO))
-	for _, k := range r.dedupFIFO {
-		if rec, ok := r.dedup[k]; ok && rec.executedLocal {
-			covered = append(covered, k)
+	n := len(r.dedupFIFO)
+	w := windowEncoder{keys: make([]byte, 0, 4*n)}
+	for i := 0; i < n; i++ {
+		if e := r.dedupFIFO[(r.dedupHead+i)%n]; e.rec.executedLocal {
+			w.add(e.key)
 		}
 	}
-	return upTo, covered
+	return r.lastExec, w.bytes()
 }
 
 func (r *replica) sendCheckpoint(reason uint8) {
@@ -706,6 +722,12 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 		}
 		return
 	}
+	// A window that does not parse fails adoption like a state that does
+	// not install: the replica stays as it was and keeps waiting.
+	covered, err := decodeWindow(m.Covered)
+	if err != nil {
+		return
+	}
 	ck, ok := r.servant.(orb.Checkpointable)
 	if ok {
 		if err := ck.SetState(m.State); err != nil {
@@ -728,13 +750,8 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	// records are marked executed but not answered, so duplicate answers
 	// still come from the member that logged them.
 	r.mu.lock()
-	for _, k := range m.Covered {
-		rec, ok := r.dedup[k]
-		if !ok {
-			rec = &opRecord{}
-			r.dedup[k] = rec
-			r.dedupGCLocked(k)
-		}
+	for _, k := range covered {
+		rec := r.dedupRecordLocked(k)
 		rec.deliveredInv = true
 		rec.executedLocal = true
 	}
@@ -1106,12 +1123,7 @@ func (r *replica) failover() {
 // passive) without re-sending the logged reply.
 func (r *replica) replayOne(t taskInvoke) {
 	r.mu.lock()
-	rec, ok := r.dedup[t.m.Key]
-	if !ok {
-		rec = &opRecord{}
-		r.dedup[t.m.Key] = rec
-		r.dedupGCLocked(t.m.Key)
-	}
+	rec := r.dedupRecordLocked(t.m.Key)
 	executed := rec.executedLocal
 	r.mu.unlock()
 	if executed {

@@ -236,8 +236,10 @@ type msgCheckpoint struct {
 	// snapshot cannot re-execute on top of it if the recovery machinery
 	// re-delivers it — state transfer must carry this infrastructure
 	// state along with the application state, or exactly-once breaks for
-	// members that adopted across a delivery gap.
-	Covered []opKey
+	// members that adopted across a delivery gap. It holds the compact
+	// window encoding (window.go); a decoded message aliases the delivery
+	// buffer like Args, and only adoption parses it (decodeWindow).
+	Covered []byte
 	// LfSeq is the leader sequence State reflects (LEADER_FOLLOWER only):
 	// an adopter resumes serving session-token-gated reads — and, on
 	// promotion, numbering — from here.
@@ -370,10 +372,7 @@ func encodeWire(m any) ([]byte, error) {
 		e.WriteOctet(v.Reason)
 		e.WriteULongLong(v.UpToMsgID)
 		e.WriteOctetSeq(v.State)
-		e.WriteULong(uint32(len(v.Covered)))
-		for _, k := range v.Covered {
-			encodeOpKey(e, k)
-		}
+		e.WriteOctetSeq(v.Covered)
 		e.WriteULongLong(v.LfSeq)
 	case *msgStateReq:
 		e.WriteOctet(byte(wireStateReq))
@@ -426,7 +425,7 @@ func encodeWire(m any) ([]byte, error) {
 func decodeWire(b []byte) (any, error) {
 	// Callers hand decodeWire buffers they own and never modify — a totem
 	// delivery (copied off the transport once by the ring) or a WAL
-	// record — so Args/Body may alias b instead of copying. The servant
+	// record — so Args/Body/Covered may alias b instead of copying. The servant
 	// boundary still copies: DecodeValues materializes argument values.
 	d := cdr.NewDecoder(b, cdr.BigEndian)
 	d.SetZeroCopy(true)
@@ -497,17 +496,8 @@ func decodeWire(b []byte) (any, error) {
 		if v.State, err = d.ReadOctetSeq(); err != nil {
 			return nil, err
 		}
-		var n uint32
-		if n, err = d.ReadULong(); err != nil {
+		if v.Covered, err = d.ReadOctetSeq(); err != nil {
 			return nil, err
-		}
-		if n > 0 {
-			v.Covered = make([]opKey, n)
-			for i := range v.Covered {
-				if v.Covered[i], err = decodeOpKey(d); err != nil {
-					return nil, err
-				}
-			}
 		}
 		if v.LfSeq, err = d.ReadULongLong(); err != nil {
 			return nil, err
