@@ -15,9 +15,14 @@ test:
 	$(GO) test ./...
 
 ## race: race-detect the concurrency-heavy layers, including the transport
-## conformance suite on both backends (netsim and loopback UDP)
+## conformance suite on both backends (netsim and loopback UDP), then the
+## fault notifier and suspicion machine, the Replication Manager, domain
+## assembly and the SLO harness. The second set runs after the first: the
+## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
+## pushes those past their delivery deadlines.
 race:
 	$(GO) test -race ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/...
+	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
 
 ## chaos: the full seeded fault-injection sweep under the race detector —
 ## single-ring (7 seeds x 3 replication styles = 21 schedules) plus the

@@ -68,27 +68,3 @@ func TestTokenHolderCrash(t *testing.T) {
 	h.CheckAll()
 	h.CheckGoroutines()
 }
-
-// TestMixedNoCoalescePartition partitions a ring whose members disagree on
-// coalescing (one node ships bare data packets, the rest batch frames) and
-// heals it: the mixed encodings must interoperate through EVS recovery with
-// identical delivery everywhere.
-func TestMixedNoCoalescePartition(t *testing.T) {
-	h := New(t, Options{Style: replication.Active, Seed: 13, NoCoalesceOn: []string{"n2"}})
-	victim := h.Nodes[2]
-	rest := []string{h.Client}
-	for _, n := range h.Nodes {
-		if n != victim {
-			rest = append(rest, n)
-		}
-	}
-	h.drive(2)
-	h.Fabric.Partition(rest, []string{victim})
-	h.WaitMembers(h.LiveMajority(victim))
-	h.drive(4)
-	h.Fabric.Heal()
-	h.WaitMembers(h.Nodes)
-	h.drive(3)
-	h.CheckAll()
-	h.CheckGoroutines()
-}

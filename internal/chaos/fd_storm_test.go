@@ -11,16 +11,16 @@ import (
 	"repro/internal/totem"
 )
 
-// The fd storm episode reproduces PR 6's failure mode in miniature and
-// A/B-tests the detector against it: four ring members under a sustained
-// multicast storm, one of which is repeatedly slowed (all its datagrams
-// delayed, both directions) but never actually dies. The fixed-window
-// detector reads the first long pause as a death and reforms the ring
-// without the node — a false eviction, paid again on re-admission. The
-// adaptive phi-accrual detector must instead suspect the node, hold it
-// through the confirm grace, and retract when its heartbeats resume:
-// zero evictions, with the suspect/recover lifecycle visible on the
-// fault notifier and no report lost to subscriber overflow.
+// The fd storm episode reproduces a provisioning storm's false-eviction
+// risk in miniature: four ring members under a sustained multicast storm,
+// one of which is repeatedly slowed (all its datagrams delayed, both
+// directions) but never actually dies. A silence-for-FailTimeout check
+// would read the first long pause as a death and reform the ring without
+// the node — a false eviction, paid again on re-admission. The
+// phi-accrual detector must instead suspect the node, hold it through the
+// confirm grace, and retract when its heartbeats resume: zero evictions,
+// with the suspect/recover lifecycle visible on the fault notifier and no
+// report lost to subscriber overflow.
 
 // fdStormPort keeps this episode's rings off the harness's ringPort.
 const fdStormPort = 4400
@@ -32,15 +32,13 @@ type fdStormResult struct {
 	dropped   uint64 // notifier reports lost to subscriber overflow
 }
 
-// fdStormRun drives the episode with the chosen detector and reports what
-// the healthy members observed. Timing: heartbeat 4ms, fixed/floor window
-// 24ms, confirm grace 90ms. The slow-node pulses delay the victim's
-// traffic for 30ms (primes the adaptive estimator with one flap), then
-// 3×55ms — long enough for the fixed window to evict and install a view
-// (~24ms detect + 12ms settle + formation), comfortably short of the
-// adaptive dead point (suspect at roughly the window, plus the 90ms
-// dwell).
-func fdStormRun(t *testing.T, fixed bool) fdStormResult {
+// fdStormRun drives the episode and reports what the healthy members
+// observed. Timing: heartbeat 4ms, floor window 24ms, confirm grace 90ms.
+// The slow-node pulses delay the victim's traffic for 30ms (primes the
+// estimator with one flap), then 3×55ms — more than twice the 24ms floor
+// window, yet comfortably short of the dead point (suspect at roughly
+// the window, plus the 90ms dwell).
+func fdStormRun(t *testing.T) fdStormResult {
 	t.Helper()
 	nodes := []string{"a", "b", "c", "d"}
 	const victim = "d" // sorts last, so a healthy node always coordinates
@@ -85,7 +83,6 @@ func fdStormRun(t *testing.T, fixed bool) fdStormResult {
 			FailTimeout:       24 * time.Millisecond,
 			MaxFailTimeout:    96 * time.Millisecond,
 			ConfirmGrace:      90 * time.Millisecond,
-			FixedFailDetect:   fixed,
 			StrictInvariants:  true,
 			Faults:            notifier,
 		})
@@ -217,7 +214,7 @@ func waitFullViews(t *testing.T, rings []*totem.Ring, n int) {
 // pulse: suspicions raised and retracted, no view ever excluding it, and
 // no fault report lost.
 func TestFDStormAdaptiveHoldsSlowNode(t *testing.T) {
-	res := fdStormRun(t, false)
+	res := fdStormRun(t)
 	if res.evictions != 0 {
 		t.Fatalf("adaptive detector evicted the slow-but-alive node %d time(s)", res.evictions)
 	}
@@ -226,19 +223,6 @@ func TestFDStormAdaptiveHoldsSlowNode(t *testing.T) {
 	}
 	if res.recovers == 0 {
 		t.Fatal("suspicions raised but never retracted for the slow node")
-	}
-	if res.dropped != 0 {
-		t.Fatalf("notifier dropped %d fault reports (subscriber overflow)", res.dropped)
-	}
-}
-
-// The same episode with the legacy fixed window demonstrates the failure
-// mode the adaptive detector removes: the pause reads as a death, the
-// ring reforms without the node, and membership churns on re-admission.
-func TestFDStormFixedWindowFlaps(t *testing.T) {
-	res := fdStormRun(t, true)
-	if res.evictions == 0 {
-		t.Fatal("fixed-window detector never evicted the slow node — the episode lost its teeth")
 	}
 	if res.dropped != 0 {
 		t.Fatalf("notifier dropped %d fault reports (subscriber overflow)", res.dropped)

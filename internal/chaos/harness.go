@@ -36,9 +36,6 @@ type Options struct {
 	FileLogs bool
 	// CheckpointEvery overrides the group's checkpoint period.
 	CheckpointEvery int
-	// NoCoalesceOn lists nodes whose rings run with coalescing disabled
-	// (mixed-ring fault tests).
-	NoCoalesceOn []string
 	// Shards is the number of transport rings per node (default 1). The
 	// group hash-routes onto one of them; the others run alongside so pool
 	// lifecycle (crash, restart, teardown) is exercised under faults.
@@ -232,15 +229,6 @@ func (h *Harness) openLogForRead(node string) (wal.Log, func()) {
 	return h.logs[node], func() {}
 }
 
-func (h *Harness) noCoalesce(node string) bool {
-	for _, n := range h.opts.NoCoalesceOn {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
 // startNode boots one node: ring + engine, and (for replica nodes) a hosted
 // servant — fresh for the initial boot, recovered from the node's WAL on
 // restart.
@@ -266,7 +254,6 @@ func (h *Harness) startNode(node string, fromLog bool) {
 			StrictInvariants:  true,
 			Faults:            h.Faults,
 			Observer:          rec.observe,
-			NoCoalesce:        h.noCoalesce(node),
 		})
 		if err != nil {
 			totem.StopPool(rings)

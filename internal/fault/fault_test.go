@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"errors"
-	"sync/atomic"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestNotifierFanOutAndFilter(t *testing.T) {
 	var n Notifier
@@ -53,162 +48,6 @@ func TestNotifierStampsDetectedTime(t *testing.T) {
 	if r.Detected.IsZero() {
 		t.Error("Detected not stamped")
 	}
-}
-
-func TestPullDetectionDeclaresFault(t *testing.T) {
-	var n Notifier
-	ch, cancel := n.Subscribe(nil)
-	defer cancel()
-	d := NewDetector(Config{Interval: 5 * time.Millisecond, Retries: 2}, &n)
-	defer d.Stop()
-
-	var alive atomic.Bool
-	alive.Store(true)
-	d.Watch("t1", Target{
-		Report: Report{Kind: ObjectCrash, Node: "n1", GroupID: 7, Member: "r1"},
-		Probe: func() error {
-			if alive.Load() {
-				return nil
-			}
-			return errors.New("dead")
-		},
-	})
-
-	time.Sleep(25 * time.Millisecond) // several healthy probes
-	select {
-	case r := <-ch:
-		t.Fatalf("fault while alive: %+v", r)
-	default:
-	}
-
-	start := time.Now()
-	alive.Store(false)
-	select {
-	case r := <-ch:
-		if r.GroupID != 7 || r.Member != "r1" || r.Kind != ObjectCrash {
-			t.Errorf("report = %+v", r)
-		}
-		// Detection should take roughly Retries*Interval.
-		if d := time.Since(start); d > 500*time.Millisecond {
-			t.Errorf("detection took %v", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("fault never declared")
-	}
-
-	// Exactly one report per fault (no repeat storm).
-	time.Sleep(30 * time.Millisecond)
-	select {
-	case r := <-ch:
-		t.Errorf("duplicate report %+v", r)
-	default:
-	}
-
-	// Recovery re-arms detection.
-	alive.Store(true)
-	time.Sleep(25 * time.Millisecond)
-	alive.Store(false)
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("fault not re-declared after recovery")
-	}
-}
-
-func TestPullProbeTimeoutCountsAsMiss(t *testing.T) {
-	var n Notifier
-	ch, cancel := n.Subscribe(nil)
-	defer cancel()
-	d := NewDetector(Config{Interval: 5 * time.Millisecond, Timeout: 3 * time.Millisecond, Retries: 2}, &n)
-	defer d.Stop()
-
-	block := make(chan struct{})
-	defer close(block)
-	d.Watch("hang", Target{
-		Report: Report{Kind: ProcessCrash, Node: "n1", Member: "p"},
-		Probe: func() error {
-			<-block
-			return nil
-		},
-	})
-	select {
-	case r := <-ch:
-		if r.Kind != ProcessCrash {
-			t.Errorf("got %+v", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("hanging probe not detected")
-	}
-}
-
-func TestPushMonitoring(t *testing.T) {
-	var n Notifier
-	ch, cancel := n.Subscribe(nil)
-	defer cancel()
-	d := NewDetector(Config{Interval: 5 * time.Millisecond, Retries: 3}, &n)
-	defer d.Stop()
-
-	d.Watch("hb", Target{Report: Report{Kind: NodeCrash, Node: "n9"}})
-	stopBeats := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(4 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopBeats:
-				return
-			case <-ticker.C:
-				d.Heartbeat("hb")
-			}
-		}
-	}()
-	time.Sleep(40 * time.Millisecond)
-	select {
-	case r := <-ch:
-		t.Fatalf("fault while heartbeating: %+v", r)
-	default:
-	}
-	close(stopBeats)
-	select {
-	case r := <-ch:
-		if r.Node != "n9" {
-			t.Errorf("got %+v", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("missed heartbeats not detected")
-	}
-}
-
-func TestUnwatchStopsReports(t *testing.T) {
-	var n Notifier
-	ch, cancel := n.Subscribe(nil)
-	defer cancel()
-	d := NewDetector(Config{Interval: 5 * time.Millisecond, Retries: 1}, &n)
-	defer d.Stop()
-	d.Watch("x", Target{
-		Report: Report{Kind: ObjectCrash, Member: "x"},
-		Probe:  func() error { return errors.New("always dead") },
-	})
-	d.Unwatch("x")
-	time.Sleep(25 * time.Millisecond)
-	select {
-	case r := <-ch:
-		// A single in-flight report can race Unwatch; more than one is a bug.
-		select {
-		case r2 := <-ch:
-			t.Errorf("reports after Unwatch: %+v then %+v", r, r2)
-		default:
-		}
-	default:
-	}
-}
-
-func TestWatchAfterStopIgnored(t *testing.T) {
-	var n Notifier
-	d := NewDetector(Config{}, &n)
-	d.Stop()
-	d.Watch("late", Target{Probe: func() error { return nil }})
-	d.Stop() // idempotent
 }
 
 func TestKindString(t *testing.T) {

@@ -205,7 +205,7 @@ const (
 
 // SuspicionConfig parameterizes one target's machine. MinWindow is the only
 // required field: it is both the floor of the adaptive fail window (so a
-// calm network behaves like the legacy fixed detector) and the unit the
+// calm network behaves like a fixed-timeout detector) and the unit the
 // other defaults scale from.
 type SuspicionConfig struct {
 	// Window is the inter-arrival history length (default 64).
@@ -355,37 +355,6 @@ func (s *Suspicion) Eval(now time.Time) Transition {
 	return TransNone
 }
 
-// ProbeSpacing recommends the delay before the next liveness probe of this
-// target: the current fail window, clamped to [base, max]. For a healthy
-// target the fail window floors at Retries*Interval and then tracks the
-// observed inter-arrival mean, so a steady target is probed progressively
-// less often; the worst-case extra detection latency for a silent crash is
-// one fail window, still bounded by the estimator's MaxWindow clamp. While
-// the target is suspect or dead — or the arrival history is still too thin
-// to trust — the base cadence applies, so detection latency under
-// suspicion is unchanged from the fixed scheduler.
-//
-// The feedback is intentionally self-limiting: relaxing the cadence
-// stretches the observed inter-arrival mean, which widens the fail
-// window, which relaxes the cadence further — until the estimator's
-// MaxWindow (and the max clamp here) stops the drift. A jitter burst
-// widens the variance but also trips the suspect threshold sooner,
-// snapping the spacing back to base.
-func (s *Suspicion) ProbeSpacing(now time.Time, base, max time.Duration) time.Duration {
-	if s.state != StateAlive || s.est.Samples() < s.cfg.Window/4 {
-		return base
-	}
-	_, failW := s.windows(now)
-	d := failW
-	if d < base {
-		d = base
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
-}
-
 // Windows reports the effective suspect and fail windows at now, after
 // clamping and flap widening (diagnostics and tests).
 func (s *Suspicion) Windows(now time.Time) (suspect, fail time.Duration) {
@@ -436,4 +405,3 @@ func (s *Suspicion) recentFlaps(now time.Time) int {
 	}
 	return n
 }
-

@@ -1,10 +1,7 @@
 package fault
 
 import (
-	"errors"
 	"math"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -225,89 +222,6 @@ func TestSuspicionWindowsClamp(t *testing.T) {
 	}
 }
 
-// TestDetectorAdaptiveSuspectFaultRecover exercises the Detector wiring:
-// PUSH monitoring in adaptive mode must publish suspect → fault on silence
-// and recover once heartbeats resume.
-func TestDetectorAdaptiveSuspectFaultRecover(t *testing.T) {
-	var n Notifier
-	ch, cancel := n.Subscribe(nil)
-	defer cancel()
-	d := NewDetector(Config{Interval: 5 * time.Millisecond, Retries: 2, Adaptive: true}, &n)
-	defer d.Stop()
-
-	d.Watch("hb", Target{Report: Report{Kind: NodeCrash, Node: "n1"}})
-	stop := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				d.Heartbeat("hb")
-			}
-		}
-	}()
-	time.Sleep(30 * time.Millisecond)
-	select {
-	case r := <-ch:
-		t.Fatalf("report while heartbeating: %+v", r)
-	default:
-	}
-	close(stop)
-
-	wait := func(want Event) Report {
-		t.Helper()
-		for {
-			select {
-			case r := <-ch:
-				if r.Event == want {
-					return r
-				}
-				t.Fatalf("got %v report %+v, want %v", r.Event, r, want)
-			case <-time.After(2 * time.Second):
-				t.Fatalf("no %v report", want)
-			}
-		}
-	}
-	if r := wait(EventSuspect); r.Node != "n1" {
-		t.Errorf("suspect report %+v", r)
-	}
-	wait(EventFault)
-	if q := d.Quality(); q.Raised != 1 || q.Confirmed != 1 {
-		t.Errorf("quality counters = %+v", q)
-	}
-
-	// Heartbeats resume: the fault is followed by a recovery report.
-	d.Heartbeat("hb")
-	wait(EventRecover)
-}
-
-// TestPullProbeSerialized is the regression test for the per-tick goroutine
-// leak: a stuck probe must pin exactly one goroutine no matter how many
-// intervals elapse.
-func TestPullProbeSerialized(t *testing.T) {
-	var n Notifier
-	d := NewDetector(Config{Interval: 2 * time.Millisecond, Timeout: time.Millisecond, Retries: 3}, &n)
-	defer d.Stop()
-
-	block := make(chan struct{})
-	defer close(block)
-	before := runtime.NumGoroutine()
-	d.Watch("stuck", Target{
-		Report: Report{Kind: ProcessCrash, Node: "n1"},
-		Probe: func() error {
-			<-block
-			return nil
-		},
-	})
-	time.Sleep(100 * time.Millisecond) // ~50 ticks; the old code leaked one goroutine per tick
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Fatalf("goroutines %d -> %d: probes not serialized", before, after)
-	}
-}
-
 func TestNotifierDroppedCount(t *testing.T) {
 	var n Notifier
 	_, cancel := n.Subscribe(nil) // never consumed
@@ -325,104 +239,4 @@ func TestEventString(t *testing.T) {
 		EventRecover.String() != "recover" || Event(9).String() != "unknown" {
 		t.Error("Event.String broken")
 	}
-}
-
-func TestProbeSpacingRelaxesAndClamps(t *testing.T) {
-	s := NewSuspicion(SuspicionConfig{Window: 16, MinWindow: 20 * time.Millisecond})
-	base := 5 * time.Millisecond
-	max := 40 * time.Millisecond
-
-	// Thin history: base cadence.
-	s.Observe(t0)
-	if got := s.ProbeSpacing(t0, base, max); got != base {
-		t.Fatalf("spacing with thin history = %v, want base %v", got, base)
-	}
-
-	// A regular history relaxes the spacing above base (half the suspect
-	// window) without exceeding the cap.
-	last := feedRegularSusp(s, t0, 5*time.Millisecond, 16)
-	got := s.ProbeSpacing(last, base, max)
-	if got <= base {
-		t.Fatalf("spacing with regular history = %v, want > base %v", got, base)
-	}
-	if got > max {
-		t.Fatalf("spacing %v exceeds cap %v", got, max)
-	}
-
-	// A tiny cap clamps.
-	if c := s.ProbeSpacing(last, base, 6*time.Millisecond); c != 6*time.Millisecond {
-		t.Fatalf("spacing under cap 6ms = %v", c)
-	}
-
-	// Once suspect, the base cadence returns so confirmation is not delayed.
-	late := last.Add(200 * time.Millisecond)
-	if tr := s.Eval(late); tr != TransSuspect {
-		t.Fatalf("Eval at +200ms = %v, want suspect", tr)
-	}
-	if got := s.ProbeSpacing(late, base, max); got != base {
-		t.Fatalf("spacing while suspect = %v, want base %v", got, base)
-	}
-}
-
-// TestAdaptiveProbeSchedulingReducesTraffic runs two PULL detectors against
-// an always-alive target — one fixed, one with AdaptiveProbe — and checks
-// that the adaptive one issues measurably fewer probes while still
-// detecting a subsequent crash.
-func TestAdaptiveProbeSchedulingReducesTraffic(t *testing.T) {
-	run := func(adaptive bool) (probes int64, det *Detector, n *Notifier, count *atomicCounter) {
-		n = &Notifier{}
-		count = &atomicCounter{}
-		det = NewDetector(Config{
-			Interval:      2 * time.Millisecond,
-			Retries:       2,
-			AdaptiveProbe: adaptive,
-		}, n)
-		det.Watch("t", Target{
-			Report: Report{Kind: ObjectCrash, Node: "n1", Member: "t"},
-			Probe:  count.probe,
-		})
-		time.Sleep(300 * time.Millisecond)
-		return count.n.Load(), det, n, count
-	}
-
-	fixedProbes, fixedDet, _, _ := run(false)
-	fixedDet.Stop()
-	adaptiveProbes, adaptiveDet, notifier, count := run(true)
-	defer adaptiveDet.Stop()
-
-	if adaptiveProbes >= fixedProbes*3/4 {
-		t.Fatalf("adaptive scheduling did not thin probes: fixed=%d adaptive=%d",
-			fixedProbes, adaptiveProbes)
-	}
-
-	// The relaxed cadence must not cost detection: kill the target and
-	// expect suspicion then a confirmed fault.
-	ch, cancel := notifier.Subscribe(nil)
-	defer cancel()
-	count.dead.Store(true)
-	sawFault := false
-	deadline := time.After(2 * time.Second)
-	for !sawFault {
-		select {
-		case r := <-ch:
-			if r.Event == EventFault {
-				sawFault = true
-			}
-		case <-deadline:
-			t.Fatal("no fault detected after target died under adaptive probing")
-		}
-	}
-}
-
-type atomicCounter struct {
-	n    atomic.Int64
-	dead atomic.Bool
-}
-
-func (c *atomicCounter) probe() error {
-	c.n.Add(1)
-	if c.dead.Load() {
-		return errors.New("probe: target dead")
-	}
-	return nil
 }

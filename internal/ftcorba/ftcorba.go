@@ -36,20 +36,10 @@ const (
 	MembershipApplication
 )
 
-// MonitoringStyle selects the fault-monitoring mechanism.
-type MonitoringStyle uint8
-
-// Monitoring styles.
-const (
-	MonitorPull MonitoringStyle = iota + 1
-	MonitorPush
-)
-
 // Properties are the FT-CORBA replication properties of an object group.
 type Properties struct {
 	ReplicationStyle replication.Style
 	MembershipStyle  MembershipStyle
-	MonitoringStyle  MonitoringStyle
 	// InitialNumberReplicas is how many replicas to create (default 2).
 	InitialNumberReplicas int
 	// MinimumNumberReplicas triggers automatic recovery when membership
@@ -62,9 +52,6 @@ type Properties struct {
 	// update-record bytes accumulated since the last one (log-compaction
 	// byte policy; 0 disables).
 	CheckpointBytes int
-	// FaultMonitoringInterval parameterizes detectors created for the
-	// group (default 50ms).
-	FaultMonitoringInterval time.Duration
 	// Shard explicitly places the group on one transport shard of the
 	// engines' ring pool. 1-based so the zero value means "route by hash"
 	// (replication.ShardFor): Shard=N pins the group to ring N-1. The
@@ -86,9 +73,6 @@ func (p *Properties) fill() {
 	if p.MembershipStyle == 0 {
 		p.MembershipStyle = MembershipInfrastructure
 	}
-	if p.MonitoringStyle == 0 {
-		p.MonitoringStyle = MonitorPull
-	}
 	if p.InitialNumberReplicas <= 0 {
 		p.InitialNumberReplicas = 2
 	}
@@ -97,9 +81,6 @@ func (p *Properties) fill() {
 	}
 	if p.CheckpointInterval <= 0 {
 		p.CheckpointInterval = 16
-	}
-	if p.FaultMonitoringInterval <= 0 {
-		p.FaultMonitoringInterval = 50 * time.Millisecond
 	}
 }
 

@@ -211,7 +211,9 @@ func (h *orbHandler) dispatch(req *giop.Request, inv *Invocation) *giop.Reply {
 			}.Encode(),
 		}
 	} else if req.Operation == "_is_alive" {
-		// Built-in liveness probe used by PULL fault detectors.
+		// Built-in liveness operation: any client may ping an object
+		// with it (IsAlive). Fault detection in the running system does
+		// not use it; totem hello gossip does.
 		rep = BuildReply(req.RequestID, nil, nil)
 	} else {
 		if inv == nil {

@@ -46,8 +46,9 @@ func (p *ObjectRef) InvokeOneway(op string, args ...cdr.Value) error {
 	return err
 }
 
-// IsAlive probes the target with the built-in liveness operation — the
-// PULL-style fault monitoring hook.
+// IsAlive probes the target with the built-in liveness operation, the
+// FT-CORBA is_alive ping. It is a client-side check only: the stack's own
+// fault detection runs on totem hello gossip.
 func (p *ObjectRef) IsAlive() error {
 	_, err := p.invoke("_is_alive", nil, true)
 	return err

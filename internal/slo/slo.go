@@ -59,15 +59,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// RetryInterval is the client retransmission base (default 400ms).
 	RetryInterval time.Duration
-	// LegacyAbsorbers selects the pre-adaptive provisioning-storm
-	// absorbers: group creation paced in small batches with eager
-	// membership healing between readiness polls, sized for the old
-	// fixed-window fail detector that a creation storm could push into
-	// false evictions. The default (false) leans on the adaptive
-	// detector (phi-accrual windows + control-plane priority lane):
-	// creation runs in much larger batches and healing becomes a
-	// low-frequency last resort. Kept selectable for A/B comparison.
-	LegacyAbsorbers bool
 	// Chaos, when set, applies a fault schedule while the load runs.
 	Chaos *ChaosPlan
 	// Stall, when set, is wired into every scenario servant (the
@@ -161,10 +152,10 @@ type Result struct {
 	Issued, Acked, Errors int64
 	// Mutations is how many arrivals carried a mutating operation (the
 	// read-share workloads assert their mix against it).
-	Mutations int64
-	Wall                  time.Duration // run start → last completion
-	OfferedRate           float64       // arrivals / schedule horizon
-	Goodput               float64       // acked / wall
+	Mutations   int64
+	Wall        time.Duration // run start → last completion
+	OfferedRate float64       // arrivals / schedule horizon
+	Goodput     float64       // acked / wall
 
 	All *Hist // every completion, from intended start (the open-loop view)
 	// Service measures the same completions from the instant a worker
@@ -201,25 +192,13 @@ type groupInfo struct {
 // slotWidth is the completion-timeline resolution for blackout detection.
 const slotWidth = 10 * time.Millisecond
 
-// Provisioning-storm absorber profiles (see Config.LegacyAbsorbers).
-// Legacy pairs small creation batches with eager healing; the thinned
-// default trusts the adaptive detector to ride out the join storm, so
-// batches are 4× larger and the heal cadence drops to a last resort.
+// Provisioning-storm absorbers. The adaptive fail detector rides out the
+// join storm, so groups are created in large batches and membership
+// healing is a last resort.
 const (
-	legacyCreateBatch = 128
-	legacyHealEvery   = 50 // polls; ~250ms
-	thinCreateBatch   = 512
-	thinHealEvery     = 400 // polls; ~2s
+	createBatch = 512
+	healEvery   = 400 // readiness polls; ~2s
 )
-
-// absorberProfile returns the creation batch size and readiness-poll heal
-// period for the configured absorber regime.
-func (c *Config) absorberProfile() (createBatch, healEvery int) {
-	if c.LegacyAbsorbers {
-		return legacyCreateBatch, legacyHealEvery
-	}
-	return thinCreateBatch, thinHealEvery
-}
 
 // sloCheckpointEvery is the checkpoint period every SLO group runs with
 // (the stack default, set explicitly because the WAL-bound invariant below
@@ -432,12 +411,8 @@ func (r *runner) setup() error {
 	// Groups are created in bounded batches with a readiness wait between
 	// them. Each creation multicasts control joins for the invocation and
 	// reply groups; an unpaced thousand-group storm floods the rings
-	// faster than the token drains them. With the adaptive detector the
-	// control lane and phi windows absorb that storm, so the default
-	// profile uses large batches and rare healing; the legacy profile
-	// keeps the small-batch/eager-heal pacing the fixed-window detector
-	// needed (see Config.LegacyAbsorbers).
-	createBatch, _ := cfg.absorberProfile()
+	// faster than the token drains them. The control lane and the
+	// detector's phi windows absorb that storm, so batches are large.
 	r.progress("slo: creating %d groups (%d replicas, %d shards, batch %d)", cfg.Groups, cfg.Replicas, cfg.Shards, createBatch)
 	r.groups = make([]groupInfo, cfg.Groups)
 	for lo := 0; lo < cfg.Groups; lo += createBatch {
@@ -523,7 +498,6 @@ func (r *runner) waitGroupsReady(lo, hi int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	ready := make([]bool, hi-lo)
 	remaining := hi - lo
-	_, healEvery := r.cfg.absorberProfile()
 	for poll := 1; time.Now().Before(deadline) && remaining > 0; poll++ {
 		for i := lo; i < hi; i++ {
 			if ready[i-lo] {

@@ -183,27 +183,6 @@ func TestSLOWALBounded(t *testing.T) {
 	}
 }
 
-// TestSLOLegacyAbsorbers keeps the pre-adaptive provisioning profile
-// selectable: the A/B flag must still provision and run invariant-clean.
-func TestSLOLegacyAbsorbers(t *testing.T) {
-	res, err := Run(Config{
-		Seed:            23,
-		Groups:          6,
-		Clients:         8000,
-		Workers:         32,
-		Rate:            200,
-		Duration:        time.Second,
-		LegacyAbsorbers: true,
-		Progress:        t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors in a calm legacy-absorber run", res.Errors)
-	}
-}
-
 // TestSLOLeaderFollowerReadHeavy drives the LEADER_FOLLOWER style through
 // the harness with an explicit 90% read mix: reads ride the leased local
 // path, writes the direct leader path, and the exactly-once + WAL-bound

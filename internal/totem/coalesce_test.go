@@ -134,52 +134,6 @@ func TestCoalescedDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestMixedCoalescingInterop runs a ring where one node is configured with
-// NoCoalesce (an "old" node emitting only per-message data packets) next to
-// coalescing peers. Every node must still decode everything and agree on
-// the total order — the compatibility story for rolling upgrades.
-func TestMixedCoalescingInterop(t *testing.T) {
-	c := &cluster{
-		t:       t,
-		fabric:  netsim.NewFabric(netsim.Config{Latency: 50 * time.Microsecond}),
-		rings:   make(map[string]*Ring),
-		collect: make(map[string]*collector),
-		nodes:   []string{"n1", "n2", "n3"},
-	}
-	for _, node := range c.nodes {
-		c.fabric.AddNode(node)
-	}
-	for _, node := range c.nodes {
-		cfg := testConfig(node, c.nodes)
-		if node == "n2" {
-			cfg.NoCoalesce = true // the legacy sender
-		}
-		r, err := NewRing(c.fabric, cfg)
-		if err != nil {
-			t.Fatalf("NewRing(%s): %v", node, err)
-		}
-		c.rings[node] = r
-		c.collect[node] = collect(r)
-	}
-	t.Cleanup(func() {
-		for _, r := range c.rings {
-			r.Stop()
-		}
-	})
-	for _, n := range c.nodes {
-		if err := c.rings[n].JoinGroup("g"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.startAll()
-	c.waitStableRing(3*time.Second, c.nodes)
-	burstAndVerify(t, c, 60)
-
-	if got := c.rings["n2"].Stats().Batches; got != 0 {
-		t.Fatalf("NoCoalesce node emitted %d batch frames", got)
-	}
-}
-
 // TestCoalescedRetransmission drops a significant fraction of datagrams —
 // including whole coalesced frames — and checks that every sub-message is
 // recovered. Retransmissions are served per sequence number as single data

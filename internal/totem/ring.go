@@ -72,45 +72,23 @@ type Config struct {
 
 	// HeartbeatInterval is the gossip period (default 10ms).
 	HeartbeatInterval time.Duration
-	// FailTimeout declares a node dead when no heartbeat arrives for this
-	// long (default 6 heartbeats). Under the adaptive detector (the
-	// default) it is the floor of the failure window, not the window
-	// itself: observed heartbeat jitter widens the window up to
-	// MaxFailTimeout before a peer is declared dead.
+	// FailTimeout is the floor of a peer's failure window (default 6
+	// heartbeats). Each peer's liveness is a phi-accrual suspicion machine
+	// fed by its hellos (thresholds phi 1 to suspect, phi 8 to fail):
+	// observed heartbeat jitter widens the window up to MaxFailTimeout
+	// before a peer is declared dead.
 	FailTimeout time.Duration
-	// FixedFailDetect reverts peer liveness to the legacy fixed-window
-	// check (silence for FailTimeout ⇒ dead) instead of the adaptive
-	// phi-accrual suspicion machine. Escape hatch and A/B lever: the chaos
-	// storm test shows the fixed window evicting a paused-but-healthy node
-	// where the adaptive one retracts the suspicion.
-	FixedFailDetect bool
 	// MaxFailTimeout caps how far observed jitter may widen the adaptive
 	// failure window (default 3×FailTimeout).
 	MaxFailTimeout time.Duration
-	// PhiSuspect and PhiFail are the phi-accrual thresholds at which a
-	// silent peer becomes suspected and fail-eligible (defaults 1 and 8).
-	PhiSuspect float64
-	PhiFail    float64
 	// ConfirmGrace is the minimum dwell in the suspect state before a peer
 	// may be declared dead (default FailTimeout). A heartbeat arriving
 	// during the grace retracts the suspicion instead of evicting — the
 	// hysteresis that keeps a provisioning storm from reforming the ring.
 	ConfirmGrace time.Duration
-	// TokenTimeout triggers ring re-formation when the token stays away
-	// this long (default 12 heartbeats).
-	TokenTimeout time.Duration
-	// SettleDelay is how long a would-be coordinator waits for the live
-	// set to stabilize before proposing (default 3 heartbeats).
-	SettleDelay time.Duration
 	// AcceptTimeout bounds the coordinator's wait for accepts (default 10
 	// heartbeats).
 	AcceptTimeout time.Duration
-	// MaxBatch bounds messages multicast per token visit (default 64).
-	MaxBatch int
-	// MaxBatchBytes bounds payload bytes multicast per token visit
-	// (default 256KiB) — the token-driven flow control that keeps one
-	// node's large transfers from stalling token circulation.
-	MaxBatchBytes int
 	// IdleTokenDelay paces the token once the ring has been idle for two
 	// consecutive rounds: the coordinator withholds the forward for this
 	// long so an idle ring does not spin the CPU (default 1ms). Under load
@@ -127,25 +105,6 @@ type Config struct {
 	// where timer granularity (often ~1ms on virtualized hosts) would
 	// otherwise put a millisecond floor under every idle-start invocation.
 	IdleTokenDelay time.Duration
-	// MaxFrameBytes bounds the payload bytes coalesced into one fabric
-	// datagram when the token holder drains its send queue (default
-	// 60KiB). A message larger than the bound still travels, alone in an
-	// oversized frame.
-	MaxFrameBytes int
-	// NoCoalesce makes this node emit one datagram per message (the
-	// pre-coalescing wire behavior) instead of packed dataBatch frames.
-	// Coalesced frames from other nodes are still accepted, so nodes with
-	// and without coalescing interoperate on one ring (conservative
-	// rollout; also exercised by tests).
-	NoCoalesce bool
-	// Promiscuous delivers every ordered message regardless of local group
-	// subscription (used by interceptors and tests).
-	Promiscuous bool
-	// MaxSendQueue bounds the number of locally queued multicasts; when the
-	// bound is reached Multicast blocks until the token drains the queue
-	// (backpressure), so overload degrades to throttling instead of
-	// unbounded memory growth (default 8192).
-	MaxSendQueue int
 	// StrictInvariants turns internal protocol invariant violations (e.g. a
 	// non-contiguous delivery) into panics. Tests run strict; production
 	// rings report the violation via Faults and recover by reformation.
@@ -173,31 +132,38 @@ func (c *Config) fill() {
 	if c.ConfirmGrace <= 0 {
 		c.ConfirmGrace = c.FailTimeout
 	}
-	if c.TokenTimeout <= 0 {
-		c.TokenTimeout = 12 * c.HeartbeatInterval
-	}
-	if c.SettleDelay <= 0 {
-		c.SettleDelay = 3 * c.HeartbeatInterval
-	}
 	if c.AcceptTimeout <= 0 {
 		c.AcceptTimeout = 10 * c.HeartbeatInterval
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 256 << 10
 	}
 	if c.IdleTokenDelay == 0 {
 		c.IdleTokenDelay = time.Millisecond
 	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 60 << 10
-	}
-	if c.MaxSendQueue <= 0 {
-		c.MaxSendQueue = 8192
-	}
 }
+
+// Protocol timing, in heartbeats, and per-visit bounds.
+const (
+	// tokenTimeoutBeats heartbeats without a token visit trigger ring
+	// re-formation.
+	tokenTimeoutBeats = 12
+	// settleBeats is how many heartbeats a would-be coordinator waits for
+	// the live set to stabilize before proposing.
+	settleBeats = 3
+	// maxBatch bounds messages multicast per token visit.
+	maxBatch = 64
+	// maxBatchBytes bounds payload bytes multicast per token visit — the
+	// token-driven flow control that keeps one node's large transfers
+	// from stalling token circulation.
+	maxBatchBytes = 256 << 10
+	// maxFrameBytes bounds the payload bytes coalesced into one fabric
+	// datagram when the token holder drains its send queue. A message
+	// larger than the bound still travels, alone in an oversized frame.
+	maxFrameBytes = 60 << 10
+	// maxSendQueue bounds the number of locally queued multicasts; when
+	// the bound is reached Multicast blocks until the token drains the
+	// queue (backpressure), so overload degrades to throttling instead of
+	// unbounded memory growth.
+	maxSendQueue = 8192
+)
 
 // ring states.
 const (
@@ -253,7 +219,6 @@ type Ring struct {
 	members     []string
 	state       int
 	maxEpoch    uint64
-	lastHello   map[string]time.Time
 	peerFD      map[string]*fault.Suspicion // adaptive per-peer liveness
 	formingFrom time.Time
 	formingRing RingID
@@ -326,7 +291,6 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 		events:       newEventQueue(),
 		evCh:         make(chan Event),
 		subs:         make(map[string]bool),
-		lastHello:    make(map[string]time.Time),
 		peerFD:       make(map[string]*fault.Suspicion),
 		store:        make(map[uint64]storedMsg),
 		groupMembers: make(map[string]map[string]bool),
@@ -384,12 +348,12 @@ func (r *Ring) Events() <-chan Event { return r.evCh }
 // after Multicast returns. Reusing the same immutable buffer across calls
 // (e.g. for retransmissions) is fine.
 //
-// When MaxSendQueue messages are already queued, Multicast blocks until the
+// When maxSendQueue messages are already queued, Multicast blocks until the
 // token drains the queue (or the ring stops): overload applies backpressure
 // to producers instead of growing memory without bound.
 func (r *Ring) Multicast(group string, payload []byte) error {
 	r.mu.Lock()
-	for !r.stopped && len(r.sendQ) >= r.cfg.MaxSendQueue {
+	for !r.stopped && len(r.sendQ) >= maxSendQueue {
 		r.sendCond.Wait()
 	}
 	if r.stopped {
@@ -625,7 +589,6 @@ func (r *Ring) run() {
 	defer r.wg.Done()
 	ticker := time.NewTicker(r.cfg.HeartbeatInterval)
 	defer ticker.Stop()
-	r.lastHello[r.cfg.Node] = time.Now()
 	for {
 		// Control-plane priority: drain pending control packets before
 		// considering data. Bounded so a saturated control stream cannot
@@ -765,24 +728,13 @@ func (r *Ring) broadcastMembers(pkt any, includeSelf bool) {
 }
 
 func (r *Ring) aliveSet(now time.Time) []string {
+	// A peer stays alive through the whole suspect phase — only a
+	// confirmed death (phi past the fail threshold AND the ConfirmGrace
+	// dwell elapsed) removes it and triggers reformation.
 	alive := []string{r.cfg.Node}
-	if r.cfg.FixedFailDetect {
-		for n, t := range r.lastHello {
-			if n == r.cfg.Node {
-				continue
-			}
-			if now.Sub(t) <= r.cfg.FailTimeout {
-				alive = append(alive, n)
-			}
-		}
-	} else {
-		// Adaptive: a peer stays alive through the whole suspect phase —
-		// only a confirmed death (phi past PhiFail AND the ConfirmGrace
-		// dwell elapsed) removes it and triggers reformation.
-		for n, s := range r.peerFD {
-			if s.State() != fault.StateDead {
-				alive = append(alive, n)
-			}
+	for n, s := range r.peerFD {
+		if s.State() != fault.StateDead {
+			alive = append(alive, n)
 		}
 	}
 	sort.Strings(alive)
@@ -834,20 +786,20 @@ func (r *Ring) tick() {
 			// Keepalive rotation: a parked token is deliberate silence, which
 			// the other members cannot tell apart from token loss. One forced
 			// rotation per heartbeat refreshes every member's lastToken (the
-			// tick interval is far below TokenTimeout), drains any queue the
-			// pre-park race left behind, and re-parks if the ring is still
-			// idle — a handful of datagrams per heartbeat instead of a
-			// continuous spin.
+			// tick interval is far below the token timeout), drains any
+			// queue the pre-park race left behind, and re-parks if the ring
+			// is still idle — a handful of datagrams per heartbeat instead
+			// of a continuous spin.
 			r.unpark()
 		}
-		if now.Sub(r.lastToken) > r.cfg.TokenTimeout {
+		if now.Sub(r.lastToken) > tokenTimeoutBeats*r.cfg.HeartbeatInterval {
 			r.enterForming(now)
 			return
 		}
 		// Token retransmission: if the token is overdue by half the
 		// timeout and we were the last holder, resend our retained copy.
 		if r.retained != nil && r.retained.Ring == r.ring &&
-			now.Sub(r.lastToken) > r.cfg.TokenTimeout/2 {
+			now.Sub(r.lastToken) > tokenTimeoutBeats*r.cfg.HeartbeatInterval/2 {
 			r.send(r.retainedNext, r.retained)
 		}
 		// Eager-mode nudge retry: queued work with no token visit for a
@@ -863,13 +815,14 @@ func (r *Ring) tick() {
 			}
 		}
 	case stForming:
-		if len(alive) > 0 && alive[0] == r.cfg.Node && now.Sub(r.formingFrom) >= r.cfg.SettleDelay {
+		if len(alive) > 0 && alive[0] == r.cfg.Node && now.Sub(r.formingFrom) >= settleBeats*r.cfg.HeartbeatInterval {
 			r.proposeRing(alive)
 		}
 	case stAwaitAccepts:
 		if now.Sub(r.formingFrom) > r.cfg.AcceptTimeout {
 			// Some member never answered; fall back and let the live set
-			// re-stabilize (dead members age out of lastHello).
+			// re-stabilize (a dead member's suspicion machine confirms its
+			// death and drops it from the alive set).
 			r.state = stForming
 			r.formingFrom = now
 		}
@@ -985,7 +938,6 @@ func (r *Ring) handleWake() {
 	// IdleTokenDelay on an idle ring.
 	if r.ring.Coord != r.cfg.Node && r.quietRounds >= 1 {
 		r.send(r.ring.Coord, &nudge{Ring: r.ring, From: r.cfg.Node})
-	} else {
 	}
 }
 
@@ -1008,13 +960,10 @@ func (r *Ring) unpark() {
 
 func (r *Ring) handleHello(h *hello) {
 	now := time.Now()
-	r.lastHello[h.From] = now
-	if !r.cfg.FixedFailDetect && h.From != r.cfg.Node {
+	if h.From != r.cfg.Node {
 		s := r.peerFD[h.From]
 		if s == nil {
 			s = fault.NewSuspicion(fault.SuspicionConfig{
-				PhiSuspect:   r.cfg.PhiSuspect,
-				PhiFail:      r.cfg.PhiFail,
 				MinWindow:    r.cfg.FailTimeout,
 				MaxWindow:    r.cfg.MaxFailTimeout,
 				ConfirmGrace: r.cfg.ConfirmGrace,
@@ -1031,16 +980,12 @@ func (r *Ring) handleHello(h *hello) {
 	}
 }
 
-// evalPeers advances every peer's suspicion machine to now (adaptive
-// detection only). Raised suspicions are reported via Faults so the
+// evalPeers advances every peer's suspicion machine to now. Raised suspicions are reported via Faults so the
 // replication tier can quarantine the peer; a confirmed death emits no
 // report from here — it only changes aliveSet, and the resulting
 // membership eviction is what the replication engine reports as the
 // confirmed NodeCrash fault.
 func (r *Ring) evalPeers(now time.Time) {
-	if r.cfg.FixedFailDetect {
-		return
-	}
 	for peer, s := range r.peerFD {
 		if s.Eval(now) == fault.TransSuspect {
 			r.pushPeerEvent(peer, fault.EventSuspect, now)
@@ -1346,10 +1291,10 @@ func (r *Ring) handleToken(t *token) {
 	// bytes (token-driven flow control).
 	r.mu.Lock()
 	take, bytes := 0, 0
-	for take < len(r.sendQ) && take < r.cfg.MaxBatch {
+	for take < len(r.sendQ) && take < maxBatch {
 		bytes += len(r.sendQ[take].payload)
 		take++
-		if bytes >= r.cfg.MaxBatchBytes {
+		if bytes >= maxBatchBytes {
 			break
 		}
 	}
@@ -1491,21 +1436,18 @@ func (r *Ring) handleToken(t *token) {
 
 // sendBatch assigns contiguous sequence numbers to one token visit's
 // batch, logs every message for retransmission, and multicasts the batch
-// packed into as few fabric datagrams as MaxFrameBytes allows (or as
-// legacy per-message data packets when coalescing is off or the ring is a
-// singleton with no one to send to).
+// packed into as few fabric datagrams as maxFrameBytes allows (or, on a
+// singleton ring with no one to send to, logs and delivers each message
+// in turn).
 func (r *Ring) sendBatch(t *token, batch []outMsg) {
 	r.statMu.Lock()
 	r.statSent += uint64(len(batch))
 	r.statMu.Unlock()
-	if r.cfg.NoCoalesce || len(r.members) == 1 {
+	if len(r.members) == 1 {
 		for _, om := range batch {
 			t.Seq++
 			m := storedMsg{Seq: t.Seq, Group: om.group, Sender: r.cfg.Node, Payload: om.payload}
 			r.store[m.Seq] = m
-			if len(r.members) > 1 {
-				r.broadcastMembers(&data{Ring: r.ring, Seq: m.Seq, Group: m.Group, Sender: m.Sender, Payload: m.Payload}, false)
-			}
 			r.advanceDelivery()
 		}
 		return
@@ -1518,7 +1460,7 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 		frameBytes := 0
 		for i < len(batch) {
 			sz := len(batch[i].payload)
-			if len(payloads) > 0 && frameBytes+sz > r.cfg.MaxFrameBytes {
+			if len(payloads) > 0 && frameBytes+sz > maxFrameBytes {
 				break // frame full; an oversized single still goes alone
 			}
 			t.Seq++
@@ -1706,7 +1648,7 @@ func (r *Ring) deliverMsg(rid RingID, m storedMsg) {
 	r.mu.Lock()
 	subscribed := r.subs[m.Group]
 	r.mu.Unlock()
-	if !subscribed && !r.cfg.Promiscuous {
+	if !subscribed {
 		return
 	}
 	r.events.push(Deliver{

@@ -79,10 +79,7 @@ func testConfig(node string, universe []string) Config {
 		Port:              4000,
 		HeartbeatInterval: 4 * time.Millisecond,
 		FailTimeout:       24 * time.Millisecond,
-		TokenTimeout:      48 * time.Millisecond,
-		SettleDelay:       12 * time.Millisecond,
 		AcceptTimeout:     60 * time.Millisecond,
-		MaxBatch:          64,
 		StrictInvariants:  true,
 	}
 }
@@ -461,6 +458,35 @@ func TestAPIAfterStop(t *testing.T) {
 		t.Errorf("LeaveGroup after stop: %v", err)
 	}
 	c.rings["n1"].Stop() // double stop is safe
+}
+
+// TestMulticastBackpressure pins the send-queue bound. The ring is never
+// started, so no token ever drains its queue: maxSendQueue multicasts
+// return, the next one blocks, and Stop releases it with ErrStopped.
+func TestMulticastBackpressure(t *testing.T) {
+	c := newCluster(t, netsim.Config{}, 1)
+	r := c.rings["n1"]
+	for i := 0; i < maxSendQueue; i++ {
+		if err := r.Multicast("g", nil); err != nil {
+			t.Fatalf("Multicast %d: %v", i, err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- r.Multicast("g", nil) }()
+	select {
+	case err := <-done:
+		t.Fatalf("Multicast past the bound returned %v instead of blocking", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	r.Stop()
+	select {
+	case err := <-done:
+		if err != ErrStopped {
+			t.Fatalf("blocked Multicast returned %v, want ErrStopped", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop did not release the blocked Multicast")
+	}
 }
 
 func TestRingIDOrdering(t *testing.T) {

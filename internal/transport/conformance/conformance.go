@@ -171,7 +171,7 @@ func testLargeDatagram(t *testing.T, newBackend Factory) {
 	tp := newBackend(t, []string{"a", "b"})
 	pa := open(t, tp, "a", 400)
 	pb := open(t, tp, "b", 400)
-	// The totem coalescer packs frames up to MaxFrameBytes (60KiB default);
+	// The totem coalescer packs frames up to 60KiB of payload;
 	// every backend must carry one intact.
 	payload := make([]byte, 60<<10)
 	for i := range payload {

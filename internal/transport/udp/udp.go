@@ -135,7 +135,7 @@ func (t *Transport) resolve(node string, lport uint16) (netip.AddrPort, error) {
 }
 
 // maxDatagram bounds one framed datagram: the UDP payload ceiling. The
-// totem layer's MaxFrameBytes default (60KiB) stays comfortably under it.
+// totem layer's coalesced-frame bound (60KiB) stays comfortably under it.
 const maxDatagram = 65507
 
 // Open binds the node's logical port on a real UDP socket. Only the local
