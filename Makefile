@@ -5,8 +5,10 @@ GO ?= go
 ## check: vet + build + full test suite (the tier-1 gate)
 check: vet build test
 
+## vet: go vet plus a gofmt gate (fails listing any unformatted file)
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -14,14 +16,15 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detect the concurrency-heavy layers, including the transport
-## conformance suite on both backends (netsim and loopback UDP), then the
+## race: race-detect the concurrency-heavy layers — the delivery hand-off
+## queue, totem, replication, and the transport
+## conformance suite on both backends (netsim and loopback UDP) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
 ## assembly and the SLO harness. The second set runs after the first: the
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
-	$(GO) test -race ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/...
+	$(GO) test -race ./internal/fifo ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/...
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
 
 ## chaos: the full seeded fault-injection sweep under the race detector —

@@ -162,13 +162,7 @@ func BenchmarkOrderedMulticast(b *testing.B) {
 	sender := rings[0]
 	sender.JoinGroup("g")
 	deliver := make(chan struct{}, 1024)
-	go func() {
-		for ev := range sender.Events() {
-			if _, ok := ev.(totem.Deliver); ok {
-				deliver <- struct{}{}
-			}
-		}
-	}()
+	go signalDeliveries(sender, deliver)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, m := sender.CurrentRing(); len(m) == 3 {
@@ -210,13 +204,7 @@ func BenchmarkSequencerMulticast(b *testing.B) {
 	})
 	sender := seqs[2]
 	deliver := make(chan struct{}, 1024)
-	go func() {
-		for ev := range sender.Events() {
-			if _, ok := ev.(totem.Deliver); ok {
-				deliver <- struct{}{}
-			}
-		}
-	}()
+	go signalDeliveries(sender, deliver)
 	payload := make([]byte, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,6 +212,33 @@ func BenchmarkSequencerMulticast(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-deliver
+	}
+}
+
+// deliveryStream is the consumer side of totem.Ring and totem.Sequencer.
+type deliveryStream interface {
+	Drain(prev []totem.Delivery) ([]totem.Delivery, bool)
+	Ready() <-chan struct{}
+}
+
+// signalDeliveries sends on ch once per message delivery of s until s
+// stops.
+func signalDeliveries(s deliveryStream, ch chan<- struct{}) {
+	var batch []totem.Delivery
+	for {
+		var closed bool
+		batch, closed = s.Drain(batch)
+		for i := range batch {
+			if batch[i].Event == nil {
+				ch <- struct{}{}
+			}
+		}
+		if closed {
+			return
+		}
+		if len(batch) == 0 {
+			<-s.Ready()
+		}
 	}
 }
 

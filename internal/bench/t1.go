@@ -84,13 +84,7 @@ func ringTrial(nodes, size int, scale Scale) (summary, float64, error) {
 		return summary{}, 0, err
 	}
 	var delivered atomic.Int64
-	go func() {
-		for ev := range sender.Events() {
-			if _, ok := ev.(totem.Deliver); ok {
-				delivered.Add(1)
-			}
-		}
-	}()
+	go countDeliveries(sender, &delivered)
 	// Wait for a stable full ring.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -156,13 +150,7 @@ func sequencerTrial(nodes, size int, scale Scale) (summary, float64, error) {
 	// Measure at a non-sequencer node (worst case: two hops).
 	sender := seqs[len(seqs)-1]
 	var delivered atomic.Int64
-	go func() {
-		for ev := range sender.Events() {
-			if _, ok := ev.(totem.Deliver); ok {
-				delivered.Add(1)
-			}
-		}
-	}()
+	go countDeliveries(sender, &delivered)
 
 	payload := payloadOf(size)
 	lat, err := measure(scale, func() error {
@@ -201,4 +189,30 @@ func waitDelivered(counter *atomic.Int64, target int64, timeout time.Duration) e
 		time.Sleep(20 * time.Microsecond)
 	}
 	return fmt.Errorf("delivery timeout (%d/%d)", counter.Load(), target)
+}
+
+// deliveryStream is the consumer side of totem.Ring and totem.Sequencer.
+type deliveryStream interface {
+	Drain(prev []totem.Delivery) ([]totem.Delivery, bool)
+	Ready() <-chan struct{}
+}
+
+// countDeliveries counts the message deliveries of s into n until s stops.
+func countDeliveries(s deliveryStream, n *atomic.Int64) {
+	var batch []totem.Delivery
+	for {
+		var closed bool
+		batch, closed = s.Drain(batch)
+		for i := range batch {
+			if batch[i].Event == nil {
+				n.Add(1)
+			}
+		}
+		if closed {
+			return
+		}
+		if len(batch) == 0 {
+			<-s.Ready()
+		}
+	}
 }

@@ -94,28 +94,22 @@ func fdStormRun(t *testing.T) fdStormResult {
 		// Drain every ring's events; on the healthy nodes, count views
 		// that exclude the victim after a full view was installed (the
 		// startup views grow toward full membership and must not count).
-		go func(r *totem.Ring, healthy bool) {
-			defer evWG.Done()
-			sawFull := false
-			for ev := range r.Events() {
-				vc, ok := ev.(totem.ViewChange)
-				if !ok {
-					continue
-				}
-				hasVictim := false
-				for _, m := range vc.Members {
-					if m == victim {
-						hasVictim = true
-					}
-				}
-				switch {
-				case len(vc.Members) == len(nodes) && hasVictim:
-					sawFull = true
-				case healthy && sawFull && !hasVictim:
-					evictions.Add(1)
+		healthy := n != victim
+		sawFull := false
+		go consumeViews(ring, func(vc totem.ViewChange) {
+			hasVictim := false
+			for _, m := range vc.Members {
+				if m == victim {
+					hasVictim = true
 				}
 			}
-		}(ring, n != victim)
+			switch {
+			case len(vc.Members) == len(nodes) && hasVictim:
+				sawFull = true
+			case healthy && sawFull && !hasVictim:
+				evictions.Add(1)
+			}
+		}, evWG.Done)
 		ring.Start()
 	}
 	defer func() {
@@ -226,5 +220,27 @@ func TestFDStormAdaptiveHoldsSlowNode(t *testing.T) {
 	}
 	if res.dropped != 0 {
 		t.Fatalf("notifier dropped %d fault reports (subscriber overflow)", res.dropped)
+	}
+}
+
+// consumeViews hands every ViewChange of s to fn, in order, and calls done
+// once s stops.
+func consumeViews(s *totem.Ring, fn func(totem.ViewChange), done func()) {
+	defer done()
+	var batch []totem.Delivery
+	for {
+		var closed bool
+		batch, closed = s.Drain(batch)
+		for i := range batch {
+			if vc, ok := batch[i].Event.(totem.ViewChange); ok {
+				fn(vc)
+			}
+		}
+		if closed {
+			return
+		}
+		if len(batch) == 0 {
+			<-s.Ready()
+		}
 	}
 }

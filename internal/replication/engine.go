@@ -270,7 +270,7 @@ func (e *Engine) onDirect(from, group string, payload []byte) {
 	switch v := m.(type) {
 	case *msgLfSubmit:
 		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.push(taskLfSubmit{m: v})
+			r.q.Push(task{m: v})
 		}
 	case *msgLfReply:
 		e.completeCall(&msgReply{
@@ -373,7 +373,7 @@ func (e *Engine) Stop() {
 	e.mu.Unlock()
 	close(e.stopCh)
 	for _, r := range reps {
-		r.q.close()
+		r.q.Close()
 	}
 	for _, p := range pend {
 		close(p.ch)
@@ -554,7 +554,7 @@ func (e *Engine) RemoveReplica(gid uint64) {
 	if !ok {
 		return
 	}
-	r.q.close()
+	r.q.Close()
 	_ = e.ringFor(gid).LeaveGroup(invGroupName(gid))
 	// Stay in the reply group: this node may still act as a client.
 }
@@ -605,83 +605,85 @@ func (e *Engine) ensureReplyJoined(gid uint64) {
 }
 
 // runRing is the per-shard delivery loop: it demultiplexes one ring's
-// totally ordered event stream to hosted replicas and pending client calls.
-// It must never block on servant execution — that happens in per-replica
+// totally ordered stream to hosted replicas and pending client calls. It
+// must never block on servant execution — that happens in per-replica
 // executor goroutines. With R shards, R of these loops run concurrently;
 // per-group order is safe because a group's traffic arrives on exactly one
-// ring and its replica executes from a single FIFO taskQueue.
+// ring and its replica executes from a single FIFO queue.
+//
+// Each wake-up drains every entry the ring has queued in one batch; the
+// loop parks on the ring (or Stop) only when a drain comes back empty.
 func (e *Engine) runRing(ring *totem.Ring, shard int) {
 	defer e.wg.Done()
+	var batch []totem.Delivery
 	for {
-		var ev totem.Event
-		var ok bool
-		// Fast path: poll the event stream without the two-way selectgo —
-		// under multicast load events arrive in bursts, and the engine loop
-		// is on the delivery hot path of every invocation and reply.
-		select {
-		case ev, ok = <-ring.Events():
-			if !ok {
-				return
-			}
-		default:
-			select {
-			case <-e.stopCh:
-				return
-			case ev, ok = <-ring.Events():
-				if !ok {
-					return
+		var closed bool
+		batch, closed = ring.Drain(batch)
+		for i := range batch {
+			switch v := batch[i].Event.(type) {
+			case nil:
+				e.onDeliver(&batch[i].Deliver)
+			case totem.GroupView:
+				e.onGroupView(v)
+			case totem.ViewChange:
+				// All shards share one fate domain (a node crash silences
+				// every ring it runs), so shard 0 alone feeds node-level
+				// fault reports — R near-simultaneous ViewChanges would
+				// otherwise push R duplicate crash reports per dead node.
+				if shard == 0 {
+					e.onRingView(v)
 				}
 			}
 		}
-		switch v := ev.(type) {
-		case totem.Deliver:
-			e.onDeliver(v)
-		case totem.GroupView:
-			e.onGroupView(v)
-		case totem.ViewChange:
-			// All shards share one fate domain (a node crash silences every
-			// ring it runs), so shard 0 alone feeds node-level fault
-			// reports — R near-simultaneous ViewChanges would otherwise
-			// push R duplicate crash reports per dead node.
-			if shard == 0 {
-				e.onRingView(v)
+		if closed {
+			return
+		}
+		if len(batch) > 0 {
+			// A busy ring may never drain empty: poll Stop between batches.
+			select {
+			case <-e.stopCh:
+				return
+			default:
 			}
+			continue
+		}
+		select {
+		case <-e.stopCh:
+			return
+		case <-ring.Ready():
 		}
 	}
 }
 
-func (e *Engine) onDeliver(d totem.Deliver) {
+func (e *Engine) onDeliver(d *totem.Deliver) {
 	m, err := decodeWire(d.Payload)
 	if err != nil {
 		return // foreign traffic on our groups: drop
 	}
+	var gid uint64
 	switch v := m.(type) {
 	case *msgInvocation:
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.push(taskInvoke{msgID: d.MsgID, m: v})
-		}
+		gid = v.GroupID
 	case *msgReply:
 		e.completeCall(v)
 		if r := e.replicaFor(v.GroupID); r != nil {
 			r.markAnswered(v)
-			r.q.push(taskReply{msgID: d.MsgID, m: v})
+			r.q.Push(task{msgID: d.MsgID, m: v})
 		}
+		return
 	case *msgCheckpoint:
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.push(taskCheckpoint{msgID: d.MsgID, m: v})
-		}
+		gid = v.GroupID
 	case *msgStateReq:
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.push(taskStateReq{m: v})
-		}
+		gid = v.GroupID
 	case *msgLfOrder:
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.push(taskLfOrder{msgID: d.MsgID, m: v})
-		}
+		gid = v.GroupID
 	case *msgLfLease:
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.push(taskLfLease{m: v})
-		}
+		gid = v.GroupID
+	default:
+		return
+	}
+	if r := e.replicaFor(gid); r != nil {
+		r.q.Push(task{msgID: d.MsgID, m: m})
 	}
 }
 
@@ -696,7 +698,7 @@ func (e *Engine) onGroupView(gv totem.GroupView) {
 	}
 	e.mu.RUnlock()
 	if target != nil {
-		target.q.push(taskView{members: gv.Members, epoch: gv.Ring.Epoch})
+		target.q.Push(task{m: &taskView{members: gv.Members, epoch: gv.Ring.Epoch}})
 	}
 }
 

@@ -544,12 +544,12 @@ func TestGapRepairAdoptionKeepsExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := eng.Stats()
-	r.q.push(taskCheckpoint{msgID: upTo, m: m.(*msgCheckpoint)})
+	r.q.Push(task{msgID: upTo, m: m})
 	waitFor(t, 5*time.Second, "gap-repair adoption", func() bool {
 		return eng.Stats().StateTransfers > before.StateTransfers
 	})
 
-	r.q.push(taskInvoke{msgID: upTo + 1, m: &msgInvocation{
+	r.q.Push(task{msgID: upTo + 1, m: &msgInvocation{
 		GroupID: 17, Key: k, Operation: "add",
 		Args: orb.EncodeRequestBody([]cdr.Value{cdr.Long(5)}),
 	}})

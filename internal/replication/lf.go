@@ -480,7 +480,7 @@ func (r *replica) onLfUnblock() {
 
 // lfArmUnblock schedules a fence-expiry check on the executor.
 func (r *replica) lfArmUnblock(d time.Duration) {
-	time.AfterFunc(d+time.Millisecond, func() { r.q.push(taskLfUnblock{}) })
+	time.AfterFunc(d+time.Millisecond, func() { r.q.Push(task{m: taskLfUnblock{}}) })
 }
 
 // lfOnView runs the LF view-change logic after the generic membership

@@ -408,4 +408,3 @@ func TestLFFallbackDedup(t *testing.T) {
 		return true
 	})
 }
-

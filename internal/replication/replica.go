@@ -8,6 +8,7 @@ import (
 	"repro/internal/cdr"
 	"repro/internal/drstore"
 	"repro/internal/fault"
+	"repro/internal/fifo"
 	"repro/internal/giop"
 	"repro/internal/nondet"
 	"repro/internal/orb"
@@ -23,7 +24,54 @@ type FulfillmentMapper interface {
 	MapFulfillment(op string, args []cdr.Value) (newOp string, newArgs []cdr.Value, ok bool)
 }
 
-// Executor task kinds.
+// task is one unit of executor work. m is the decoded message itself
+// (*msgInvocation, *msgReply, *msgCheckpoint, *msgStateReq, *msgLfSubmit,
+// *msgLfOrder or *msgLfLease), a *taskView, or taskLfUnblock{}: a pointer
+// or a zero-size value stored in m allocates nothing, so only the rare
+// views cost an allocation on the way to the executor.
+type task struct {
+	msgID uint64 // totem id of the delivery that carried m (0 if none)
+	m     any
+}
+
+// taskQueue feeds one replica's executor goroutine: the engine's delivery
+// loop must never block on a servant executing a (possibly nested,
+// possibly slow) operation, so producers Push onto an unbounded queue and
+// the executor pops from batches it drains whole.
+type taskQueue struct {
+	*fifo.Queue[task]
+	batch []task
+	next  int
+}
+
+func newTaskQueue() *taskQueue { return &taskQueue{Queue: fifo.New[task]()} }
+
+// pop returns the next task, blocking until one exists. It reports false
+// once the queue is closed and drained, or when stop closes while the
+// queue is empty.
+func (q *taskQueue) pop(stop <-chan struct{}) (task, bool) {
+	for q.next == len(q.batch) {
+		var closed bool
+		q.batch, closed = q.Drain(q.batch)
+		q.next = 0
+		if len(q.batch) > 0 {
+			break
+		}
+		if closed {
+			return task{}, false
+		}
+		select {
+		case <-q.Ready():
+		case <-stop:
+			return task{}, false
+		}
+	}
+	t := q.batch[q.next]
+	q.next++
+	return t, true
+}
+
+// Executor task kinds, as handler parameters.
 type taskInvoke struct {
 	msgID uint64
 	m     *msgInvocation
@@ -111,8 +159,8 @@ type replica struct {
 	fulfillSeq   uint64
 	everHadView  bool
 	stuck        map[string]uint64 // members awaiting state transfer → their advertised lastExec
-	lastSnapResp time.Time       // rate limit for state-request answers
-	healNudges   int             // post-heal catch-up nudges sent (diagnostics)
+	lastSnapResp time.Time         // rate limit for state-request answers
+	healNudges   int               // post-heal catch-up nudges sent (diagnostics)
 
 	// Leader-follower executor-owned state.
 	lfSeq     uint64                    // leader's assignment counter
@@ -207,27 +255,27 @@ func (r *replica) dedupRecordLocked(k opKey) *opRecord {
 
 func (r *replica) executorLoop() {
 	for {
-		item, ok := r.q.pop(r.eng.stopCh)
+		t, ok := r.q.pop(r.eng.stopCh)
 		if !ok {
 			return
 		}
-		switch t := item.(type) {
-		case taskInvoke:
-			r.onInvoke(t)
-		case taskReply:
-			r.onReply(t)
-		case taskCheckpoint:
-			r.onCheckpoint(t)
-		case taskView:
-			r.onView(t)
-		case taskStateReq:
-			r.onStateReq(t)
-		case taskLfSubmit:
-			r.onLfSubmit(t)
-		case taskLfOrder:
-			r.onLfOrder(t)
-		case taskLfLease:
-			r.onLfLease(t)
+		switch m := t.m.(type) {
+		case *msgInvocation:
+			r.onInvoke(taskInvoke{msgID: t.msgID, m: m})
+		case *msgReply:
+			r.onReply(taskReply{msgID: t.msgID, m: m})
+		case *msgCheckpoint:
+			r.onCheckpoint(taskCheckpoint{msgID: t.msgID, m: m})
+		case *taskView:
+			r.onView(*m)
+		case *msgStateReq:
+			r.onStateReq(taskStateReq{m: m})
+		case *msgLfSubmit:
+			r.onLfSubmit(taskLfSubmit{m: m})
+		case *msgLfOrder:
+			r.onLfOrder(taskLfOrder{msgID: t.msgID, m: m})
+		case *msgLfLease:
+			r.onLfLease(taskLfLease{m: m})
 		case taskLfUnblock:
 			r.onLfUnblock()
 		}
@@ -704,22 +752,7 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 		r.syncing = false
 		r.secondary = false
 		r.mu.unlock()
-		buffered := r.buffer
-		r.buffer = nil
-		for _, item := range buffered {
-			switch t := item.(type) {
-			case taskInvoke:
-				if t.msgID > upTo {
-					r.process(t, false)
-				}
-			case taskReply:
-				r.onReply(t)
-			case taskLfOrder:
-				if lfMsgID(t.m.Epoch, t.m.Seq) > upTo {
-					r.onLfOrder(t)
-				}
-			}
-		}
+		r.replayBuffered(upTo)
 		return
 	}
 	// A window that does not parse fails adoption like a state that does
@@ -786,19 +819,27 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	if wasSecondary {
 		r.sendFulfillments()
 	}
+	r.replayBuffered(m.UpToMsgID)
+}
+
+// replayBuffered runs, in delivery order, the tasks held while syncing
+// that the installed state does not cover (it covers msgIDs up to upTo).
+// Replies always re-run: onReply re-checks staleness against the state.
+// Ordered LF writes the dedup table covers skip via executedLocal.
+func (r *replica) replayBuffered(upTo uint64) {
 	buffered := r.buffer
 	r.buffer = nil
 	for _, item := range buffered {
 		switch t := item.(type) {
 		case taskInvoke:
-			if t.msgID > m.UpToMsgID {
+			if t.msgID > upTo {
 				r.process(t, false)
 			}
 		case taskReply:
-			r.onReply(t) // re-checks staleness against the adopted state
+			r.onReply(t)
 		case taskLfOrder:
-			if lfMsgID(t.m.Epoch, t.m.Seq) > m.UpToMsgID {
-				r.onLfOrder(t) // dedup-covered ops skip via executedLocal
+			if lfMsgID(t.m.Epoch, t.m.Seq) > upTo {
+				r.onLfOrder(t)
 			}
 		}
 	}
@@ -1053,23 +1094,7 @@ func (r *replica) selfPromote() {
 	r.mu.unlock()
 	r.stuck = make(map[string]uint64)
 	r.fulfill = nil
-
-	buffered := r.buffer
-	r.buffer = nil
-	for _, item := range buffered {
-		switch t := item.(type) {
-		case taskInvoke:
-			if t.msgID > upTo {
-				r.process(t, false)
-			}
-		case taskReply:
-			r.onReply(t)
-		case taskLfOrder:
-			if lfMsgID(t.m.Epoch, t.m.Seq) > upTo {
-				r.onLfOrder(t)
-			}
-		}
-	}
+	r.replayBuffered(upTo)
 	r.sendCheckpoint(ckptRemerge)
 }
 

@@ -611,64 +611,3 @@ func decodeWire(b []byte) (any, error) {
 		return nil, fmt.Errorf("replication: unknown wire kind %d", t)
 	}
 }
-
-// taskQueue is an unbounded FIFO feeding a replica's executor goroutine:
-// the engine's delivery loop must never block on a servant executing a
-// (possibly nested, possibly slow) operation.
-type taskQueue struct {
-	ch     chan struct{}
-	mu     chan struct{} // 1-slot mutex usable in select
-	items  []any
-	closed bool
-}
-
-func newTaskQueue() *taskQueue {
-	q := &taskQueue{ch: make(chan struct{}, 1), mu: make(chan struct{}, 1)}
-	q.mu <- struct{}{}
-	return q
-}
-
-func (q *taskQueue) push(item any) {
-	<-q.mu
-	if !q.closed {
-		q.items = append(q.items, item)
-	}
-	q.mu <- struct{}{}
-	select {
-	case q.ch <- struct{}{}:
-	default:
-	}
-}
-
-// pop returns the next task, blocking until one exists or stop closes.
-func (q *taskQueue) pop(stop <-chan struct{}) (any, bool) {
-	for {
-		<-q.mu
-		if len(q.items) > 0 {
-			item := q.items[0]
-			q.items = q.items[1:]
-			q.mu <- struct{}{}
-			return item, true
-		}
-		closed := q.closed
-		q.mu <- struct{}{}
-		if closed {
-			return nil, false
-		}
-		select {
-		case <-q.ch:
-		case <-stop:
-			return nil, false
-		}
-	}
-}
-
-func (q *taskQueue) close() {
-	<-q.mu
-	q.closed = true
-	q.mu <- struct{}{}
-	select {
-	case q.ch <- struct{}{}:
-	default:
-	}
-}

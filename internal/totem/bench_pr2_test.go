@@ -123,13 +123,11 @@ func BenchmarkPR2MulticastBurst(b *testing.B) {
 		b.Fatal(err)
 	}
 	deliver := make(chan struct{}, 4096)
-	go func() {
-		for ev := range sender.Events() {
-			if _, ok := ev.(Deliver); ok {
-				deliver <- struct{}{}
-			}
+	go consume(sender, func(d Delivery) {
+		if d.Event == nil {
+			deliver <- struct{}{}
 		}
-	}()
+	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, m := sender.CurrentRing(); len(m) == 3 {
@@ -172,13 +170,11 @@ func BenchmarkPR2SingletonMulticast(b *testing.B) {
 		b.Fatal(err)
 	}
 	deliver := make(chan struct{}, 1024)
-	go func() {
-		for ev := range r.Events() {
-			if _, ok := ev.(Deliver); ok {
-				deliver <- struct{}{}
-			}
+	go consume(r, func(d Delivery) {
+		if d.Event == nil {
+			deliver <- struct{}{}
 		}
-	}()
+	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, m := r.CurrentRing(); len(m) == 1 {

@@ -1,10 +1,19 @@
 package totem
 
-import "sync"
+// Delivery is one entry of a ring's ordered stream, handed to the
+// application in a single total order per ring (and, across rings, in local
+// delivery order). Message deliveries, the hot case, travel inline in
+// Deliver; a membership change travels in Event, and Deliver is then zero.
+// Sharing one queue keeps deliveries and views in the one order extended
+// virtual synchrony requires.
+type Delivery struct {
+	Deliver
+	// Event is nil for a message delivery, else a ViewChange or GroupView.
+	Event Event
+}
 
-// Event is delivered to the application layer in a single total order per
-// ring (and, across rings, in local delivery order). The concrete types are
-// Deliver, ViewChange, and GroupView.
+// Event is a membership change in the ordered stream: ViewChange or
+// GroupView.
 type Event interface{ isEvent() }
 
 // Deliver carries one totally ordered multicast message.
@@ -24,8 +33,6 @@ type Deliver struct {
 	// Payload is the application payload.
 	Payload []byte
 }
-
-func (Deliver) isEvent() {}
 
 // ViewChange announces a new ring membership, totally ordered with respect
 // to message delivery (extended virtual synchrony: members coming from the
@@ -52,51 +59,3 @@ func (GroupView) isEvent() {}
 // and an on-ring sequence number. Epochs are bounded well below 2^24 in any
 // realistic run, and on-ring sequence numbers below 2^40.
 func MsgIDFor(epoch, seq uint64) uint64 { return epoch<<40 | (seq & (1<<40 - 1)) }
-
-// eventQueue is an unbounded FIFO decoupling the protocol goroutine from
-// the application consumer: the protocol must never block on a slow
-// consumer, or token circulation would stall and trigger spurious
-// membership changes.
-type eventQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Event
-	closed bool
-}
-
-func newEventQueue() *eventQueue {
-	q := &eventQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *eventQueue) push(ev Event) {
-	q.mu.Lock()
-	if !q.closed {
-		q.items = append(q.items, ev)
-		q.cond.Signal()
-	}
-	q.mu.Unlock()
-}
-
-// pop blocks until an event is available or the queue is closed.
-func (q *eventQueue) pop() (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	ev := q.items[0]
-	q.items = q.items[1:]
-	return ev, true
-}
-
-func (q *eventQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}

@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/fault"
+	"repro/internal/fifo"
 	"repro/internal/transport"
 )
 
@@ -200,8 +201,7 @@ var wakeEvent = &wake{}
 type Ring struct {
 	cfg    Config
 	port   transport.Port
-	events *eventQueue
-	evCh   chan Event
+	events *fifo.Queue[Delivery]
 
 	// Application-facing state, guarded by mu.
 	mu       sync.Mutex
@@ -271,6 +271,9 @@ type Stats struct {
 	Retransmit uint64 // retransmissions this node served
 	Formations uint64 // ring formations participated in
 	Batches    uint64 // coalesced multi-message frames this node emitted
+	// QueueHighWater is the largest batch the consumer drained from the
+	// ordered stream: how far delivery ran ahead of the application.
+	QueueHighWater uint64
 }
 
 // NewRing creates (but does not start) a ring endpoint on the transport
@@ -288,8 +291,7 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 	r := &Ring{
 		cfg:          cfg,
 		port:         port,
-		events:       newEventQueue(),
-		evCh:         make(chan Event),
+		events:       fifo.New[Delivery](),
 		subs:         make(map[string]bool),
 		peerFD:       make(map[string]*fault.Suspicion),
 		store:        make(map[uint64]storedMsg),
@@ -309,10 +311,9 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 
 // Start launches the protocol goroutines.
 func (r *Ring) Start() {
-	r.wg.Add(4)
+	r.wg.Add(3)
 	go r.recvLoop()
 	go r.run()
-	go r.pumpEvents()
 	go r.runDirect()
 }
 
@@ -328,15 +329,23 @@ func (r *Ring) Stop() {
 	r.mu.Unlock()
 	close(r.stopCh)
 	r.port.Close()
-	r.events.close()
+	r.events.Close()
 	r.wg.Wait()
 }
 
 // Node returns this endpoint's node name.
 func (r *Ring) Node() string { return r.cfg.Node }
 
-// Events returns the ordered event stream. The channel closes on Stop.
-func (r *Ring) Events() <-chan Event { return r.evCh }
+// Drain returns every entry queued on the ordered stream, in order, and
+// whether the stream is closed (the ring stopped; nothing follows). prev
+// hands back the batch the previous Drain returned: it is cleared and its
+// storage reused. A consumer loops: Drain, handle the batch, return if
+// closed, and wait on Ready when the batch came back empty. The ring never
+// blocks on its consumer, so the stream is unbounded.
+func (r *Ring) Drain(prev []Delivery) ([]Delivery, bool) { return r.events.Drain(prev) }
+
+// Ready receives when the ordered stream may have entries or has closed.
+func (r *Ring) Ready() <-chan struct{} { return r.events.Ready() }
 
 // Multicast queues a totally ordered multicast to a process group. The
 // message is sent when the token next visits this node; delivery is to all
@@ -463,14 +472,16 @@ func (r *Ring) GroupMembers(group string) []string {
 
 // Stats returns a snapshot of protocol counters.
 func (r *Ring) Stats() Stats {
+	high := uint64(r.events.HighWater())
 	r.statMu.Lock()
 	defer r.statMu.Unlock()
 	return Stats{
-		Delivered:  r.statDelivered,
-		Sent:       r.statSent,
-		Retransmit: r.statRetrans,
-		Formations: r.statForms,
-		Batches:    r.statBatches,
+		Delivered:      r.statDelivered,
+		Sent:           r.statSent,
+		Retransmit:     r.statRetrans,
+		Formations:     r.statForms,
+		Batches:        r.statBatches,
+		QueueHighWater: high,
 	}
 }
 
@@ -565,22 +576,6 @@ func (r *Ring) runDirect() {
 			if fn != nil {
 				fn(d.From, d.Group, d.Payload)
 			}
-		}
-	}
-}
-
-func (r *Ring) pumpEvents() {
-	defer r.wg.Done()
-	defer close(r.evCh)
-	for {
-		ev, ok := r.events.pop()
-		if !ok {
-			return
-		}
-		select {
-		case r.evCh <- ev:
-		case <-r.stopCh:
-			return
 		}
 	}
 }
@@ -1193,14 +1188,14 @@ func (r *Ring) handleInstall(ins *install) {
 	r.statMu.Unlock()
 
 	r.publish()
-	r.events.push(ViewChange{Ring: r.ring, Members: append([]string(nil), r.members...)})
+	r.events.Push(Delivery{Event: ViewChange{Ring: r.ring, Members: append([]string(nil), r.members...)}})
 	groups := make([]string, 0, len(r.groupMembers))
 	for g := range r.groupMembers {
 		groups = append(groups, g)
 	}
 	sort.Strings(groups)
 	for _, g := range groups {
-		r.events.push(GroupView{Ring: r.ring, Group: g, Members: r.groupMemberList(g)})
+		r.events.Push(Delivery{Event: GroupView{Ring: r.ring, Group: g, Members: r.groupMemberList(g)}})
 	}
 
 	if wasCoordinator {
@@ -1642,7 +1637,7 @@ func (r *Ring) deliverMsg(rid RingID, m storedMsg) {
 			delete(set, node)
 		}
 		r.publish()
-		r.events.push(GroupView{Ring: rid, Group: group, Members: r.groupMemberList(group)})
+		r.events.Push(Delivery{Event: GroupView{Ring: rid, Group: group, Members: r.groupMemberList(group)}})
 		return
 	}
 	r.mu.Lock()
@@ -1651,12 +1646,12 @@ func (r *Ring) deliverMsg(rid RingID, m storedMsg) {
 	if !subscribed {
 		return
 	}
-	r.events.push(Deliver{
+	r.events.Push(Delivery{Deliver: Deliver{
 		MsgID:   MsgIDFor(rid.Epoch, m.Seq),
 		Ring:    rid,
 		Seq:     m.Seq,
 		Group:   m.Group,
 		Sender:  m.Sender,
 		Payload: m.Payload,
-	})
+	}})
 }

@@ -19,21 +19,43 @@ type collector struct {
 
 func collect(r *Ring) *collector {
 	c := &collector{}
-	go func() {
-		for ev := range r.Events() {
-			c.mu.Lock()
-			switch v := ev.(type) {
-			case Deliver:
-				c.delivers = append(c.delivers, v)
-			case ViewChange:
-				c.views = append(c.views, v)
-			case GroupView:
-				c.groups = append(c.groups, v)
-			}
-			c.mu.Unlock()
+	go consume(r, func(d Delivery) {
+		c.mu.Lock()
+		switch v := d.Event.(type) {
+		case nil:
+			c.delivers = append(c.delivers, d.Deliver)
+		case ViewChange:
+			c.views = append(c.views, v)
+		case GroupView:
+			c.groups = append(c.groups, v)
 		}
-	}()
+		c.mu.Unlock()
+	})
 	return c
+}
+
+// stream is the consumer side Ring and Sequencer share.
+type stream interface {
+	Drain(prev []Delivery) ([]Delivery, bool)
+	Ready() <-chan struct{}
+}
+
+// consume hands every entry of s to fn, in order, until s closes.
+func consume(s stream, fn func(Delivery)) {
+	var batch []Delivery
+	for {
+		var closed bool
+		batch, closed = s.Drain(batch)
+		for _, d := range batch {
+			fn(d)
+		}
+		if closed {
+			return
+		}
+		if len(batch) == 0 {
+			<-s.Ready()
+		}
+	}
 }
 
 func (c *collector) deliverCount() int {
@@ -168,10 +190,13 @@ func TestRingFormation(t *testing.T) {
 	c := newCluster(t, netsim.Config{Latency: 100 * time.Microsecond}, 3)
 	c.startAll()
 	c.waitStableRing(3*time.Second, c.nodes)
+	// The view reaches each consumer asynchronously, after the ring
+	// publishes it to CurrentRing: wait for the consumer to catch up.
 	for _, n := range c.nodes {
-		if v, ok := c.collect[n].lastView(); !ok || len(v.Members) != 3 {
-			t.Errorf("%s: view = %+v, ok=%v", n, v, ok)
-		}
+		waitFor(t, 3*time.Second, n+" consumes the 3-member view", func() bool {
+			v, ok := c.collect[n].lastView()
+			return ok && len(v.Members) == 3
+		})
 	}
 }
 

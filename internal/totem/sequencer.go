@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/cdr"
+	"repro/internal/fifo"
 	"repro/internal/transport"
 )
 
@@ -26,11 +27,9 @@ type Sequencer struct {
 	stopped   bool
 	delivered uint64
 	pending   map[uint64]seqData
-	events    *eventQueue
-	evCh      chan Event
+	events    *fifo.Queue[Delivery]
 	nextSeq   uint64 // sequencer only
 	wg        sync.WaitGroup
-	stopCh    chan struct{}
 }
 
 type seqData struct {
@@ -108,13 +107,10 @@ func NewSequencer(tp transport.Transport, node string, members []string, port ui
 		portNum: port,
 		isSeq:   sorted[0] == node,
 		pending: make(map[uint64]seqData),
-		events:  newEventQueue(),
-		evCh:    make(chan Event),
-		stopCh:  make(chan struct{}),
+		events:  fifo.New[Delivery](),
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.recvLoop()
-	go s.pumpEvents()
 	return s, nil
 }
 
@@ -169,29 +165,13 @@ func (s *Sequencer) deliver(m seqData) {
 		}
 		delete(s.pending, s.delivered+1)
 		s.delivered++
-		s.events.push(Deliver{
+		s.events.Push(Delivery{Deliver: Deliver{
 			MsgID:   next.seq,
 			Seq:     next.seq,
 			Group:   next.group,
 			Sender:  next.sender,
 			Payload: next.payload,
-		})
-	}
-}
-
-func (s *Sequencer) pumpEvents() {
-	defer s.wg.Done()
-	defer close(s.evCh)
-	for {
-		ev, ok := s.events.pop()
-		if !ok {
-			return
-		}
-		select {
-		case s.evCh <- ev:
-		case <-s.stopCh:
-			return
-		}
+		}})
 	}
 }
 
@@ -211,8 +191,12 @@ func (s *Sequencer) Multicast(group string, payload []byte) error {
 	return s.port.Send(s.members[0], s.portNum, encodeSeqPkt(false, m))
 }
 
-// Events returns the ordered delivery stream.
-func (s *Sequencer) Events() <-chan Event { return s.evCh }
+// Drain returns the queued ordered deliveries, as Ring.Drain does. The
+// stream closes on Stop.
+func (s *Sequencer) Drain(prev []Delivery) ([]Delivery, bool) { return s.events.Drain(prev) }
+
+// Ready receives when deliveries may be queued or the stream has closed.
+func (s *Sequencer) Ready() <-chan struct{} { return s.events.Ready() }
 
 // Stop shuts the endpoint down.
 func (s *Sequencer) Stop() {
@@ -223,8 +207,7 @@ func (s *Sequencer) Stop() {
 	}
 	s.stopped = true
 	s.mu.Unlock()
-	close(s.stopCh)
 	s.port.Close()
-	s.events.close()
+	s.events.Close()
 	s.wg.Wait()
 }

@@ -30,15 +30,13 @@ func newSeqCluster(t *testing.T, n int) (map[string]*Sequencer, map[string]*[]De
 		seqs[m] = s
 		log := &[]Deliver{}
 		logs[m] = log
-		go func(s *Sequencer, log *[]Deliver) {
-			for ev := range s.Events() {
-				if d, ok := ev.(Deliver); ok {
-					mu.Lock()
-					*log = append(*log, d)
-					mu.Unlock()
-				}
+		go consume(s, func(d Delivery) {
+			if d.Event == nil {
+				mu.Lock()
+				*log = append(*log, d.Deliver)
+				mu.Unlock()
 			}
-		}(s, log)
+		})
 	}
 	t.Cleanup(func() {
 		for _, s := range seqs {

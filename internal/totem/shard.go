@@ -64,8 +64,9 @@ func StopPool(rings []*Ring) {
 	}
 }
 
-// AggregateStats sums protocol counters across a pool — the per-ring
-// snapshots remain available from each Ring individually.
+// AggregateStats sums protocol counters across a pool, taking the largest
+// QueueHighWater — the per-ring snapshots remain available from each Ring
+// individually.
 func AggregateStats(rings []*Ring) Stats {
 	var total Stats
 	for _, r := range rings {
@@ -75,6 +76,7 @@ func AggregateStats(rings []*Ring) Stats {
 		total.Retransmit += s.Retransmit
 		total.Formations += s.Formations
 		total.Batches += s.Batches
+		total.QueueHighWater = max(total.QueueHighWater, s.QueueHighWater)
 	}
 	return total
 }

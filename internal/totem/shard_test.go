@@ -87,13 +87,11 @@ func TestRingPoolTrafficOnLayoutPorts(t *testing.T) {
 	// not just formation and tokens.
 	for shard, ring := range pools[0] {
 		deliver := make(chan struct{}, 16)
-		go func() {
-			for ev := range ring.Events() {
-				if _, ok := ev.(Deliver); ok {
-					deliver <- struct{}{}
-				}
+		go consume(ring, func(d Delivery) {
+			if d.Event == nil {
+				deliver <- struct{}{}
 			}
-		}()
+		})
 		if err := ring.JoinGroup("g"); err != nil {
 			t.Fatalf("shard %d join: %v", shard, err)
 		}

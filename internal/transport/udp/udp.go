@@ -237,7 +237,6 @@ func (q *dgramQueue) pop() udpDgram {
 	return d
 }
 
-
 type port struct {
 	t       *Transport
 	conn    *net.UDPConn
