@@ -30,6 +30,11 @@ const (
 	// In strict-invariant builds these abort instead; in production they
 	// are reported here and the protocol recovers by reformation.
 	InvariantViolation
+	// RetentionOverflow reports a retried invocation refused because its
+	// duplicate-suppression record was evicted by the record cap before
+	// its client finished with it: the operation may have run, so it is
+	// not run again. Member names the client.
+	RetentionOverflow
 )
 
 var kindNames = map[Kind]string{
@@ -37,6 +42,7 @@ var kindNames = map[Kind]string{
 	ProcessCrash:       "process-crash",
 	NodeCrash:          "node-crash",
 	InvariantViolation: "invariant-violation",
+	RetentionOverflow:  "retention-overflow",
 }
 
 // String names the kind.

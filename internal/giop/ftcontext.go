@@ -162,6 +162,7 @@ const (
 	ExcTransient      = "IDL:omg.org/CORBA/TRANSIENT:1.0"
 	ExcNoResponse     = "IDL:omg.org/CORBA/NO_RESPONSE:1.0"
 	ExcInternal       = "IDL:omg.org/CORBA/INTERNAL:1.0"
+	ExcTimeout        = "IDL:omg.org/CORBA/TIMEOUT:1.0"
 )
 
 // Error implements the error interface so exceptions flow through Go code.

@@ -1,8 +1,11 @@
 package replication
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +20,6 @@ import (
 // epochAnchor is the shared origin of deterministic logical time; it must
 // be identical at every engine so replicas compute the same timestamps.
 var epochAnchor = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// dedupRetain bounds per-replica duplicate-detection records (an
-// implementation of the FT_REQUEST expiration idea: sufficiently old
-// requests can no longer be deduplicated).
-const dedupRetain = 4096
 
 // Errors returned by the engine and proxies.
 var (
@@ -117,6 +115,19 @@ func (c *Config) fill() {
 	}
 }
 
+// newIncarnation returns a random number naming one engine incarnation:
+// with 64 random bits a node's restarted client never reuses an earlier
+// incarnation's operation keys, in this process or another.
+func newIncarnation() uint64 {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand does not fail on supported platforms; the clock is
+		// still distinct per restart.
+		return uint64(time.Now().UnixNano())
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
 // now reads the engine's (injectable) local clock.
 func (e *Engine) now() time.Time { return e.cfg.Clock() }
 
@@ -137,6 +148,9 @@ type Stats struct {
 	LfTakeovers       uint64 // leader-follower leadership takeovers
 	LfLeases          uint64 // lease grants/renewals multicast
 	HealNudges        uint64 // post-heal catch-up state requests sent
+	DedupRecords      uint64 // live duplicate-suppression records over hosted replicas (a gauge)
+	DedupRetired      uint64 // records dropped because their client's low-water mark passed them
+	DedupOverflows    uint64 // invocations refused because the record cap had evicted their record
 }
 
 type engineStats struct {
@@ -154,6 +168,8 @@ type engineStats struct {
 	lfTakeovers       atomic.Uint64
 	lfLeases          atomic.Uint64
 	healNudges        atomic.Uint64
+	dedupRetired      atomic.Uint64
+	dedupOverflows    atomic.Uint64
 }
 
 // Engine is one node's replication runtime: it hosts replicas of object
@@ -161,6 +177,11 @@ type engineStats struct {
 type Engine struct {
 	cfg  Config
 	stat engineStats
+
+	// clientID names this engine incarnation in its root operation keys;
+	// roots numbers those operations and tracks which are still open.
+	clientID string
+	roots    openOps
 
 	// mu is a RWMutex because the delivery fan-in is read-dominated: every
 	// ordered message does a replicaFor lookup (and every proxy call an
@@ -173,7 +194,6 @@ type Engine struct {
 	pending     map[opKey]*pendingCall
 	replyJoined map[uint64]bool
 	shardPin    map[uint64]int // explicit gid→shard placements (0-based)
-	rootSeq     atomic.Uint64
 	ringMembers []string
 	stopped     bool
 
@@ -204,6 +224,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:         cfg,
+		clientID:    rootClientPrefix + cfg.Node + "." + strconv.FormatUint(newIncarnation(), 36),
+		roots:       newOpenOps(),
 		hosted:      make(map[uint64]*replica),
 		pending:     make(map[opKey]*pendingCall),
 		replyJoined: make(map[uint64]bool),
@@ -386,6 +408,18 @@ func (e *Engine) Node() string { return e.cfg.Node }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
+	e.mu.RLock()
+	reps := make([]*replica, 0, len(e.hosted))
+	for _, r := range e.hosted {
+		reps = append(reps, r)
+	}
+	e.mu.RUnlock()
+	var records int
+	for _, r := range reps {
+		r.mu.lock()
+		records += len(r.dedup.recs)
+		r.mu.unlock()
+	}
 	return Stats{
 		Executions:        e.stat.executions.Load(),
 		DupInvocations:    e.stat.dupInvocations.Load(),
@@ -401,6 +435,9 @@ func (e *Engine) Stats() Stats {
 		LfTakeovers:       e.stat.lfTakeovers.Load(),
 		LfLeases:          e.stat.lfLeases.Load(),
 		HealNudges:        e.stat.healNudges.Load(),
+		DedupRecords:      uint64(records),
+		DedupRetired:      e.stat.dedupRetired.Load(),
+		DedupOverflows:    e.stat.dedupOverflows.Load(),
 	}
 }
 
@@ -443,7 +480,7 @@ func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.L
 		r.lfApplied = lastMsgID & lfSeqMask
 	}
 	for _, k := range replayed {
-		rec := r.dedupRecordLocked(k)
+		rec := r.dedup.record(k)
 		rec.deliveredInv, rec.answered, rec.executedLocal = true, true, true
 	}
 	if err := e.addHosted(def, r); err != nil {
@@ -468,7 +505,7 @@ func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state [
 	def.fill()
 	r := newReplica(e, def, servant, false, e.cfg.LogFactory(def))
 	for _, ref := range covered {
-		rec := r.dedupRecordLocked(opKey{ClientID: ref.ClientID, ParentSeq: ref.ParentSeq, OpSeq: ref.OpSeq})
+		rec := r.dedup.record(opKey{ClientID: ref.ClientID, ParentSeq: ref.ParentSeq, OpSeq: ref.OpSeq})
 		rec.deliveredInv, rec.answered, rec.executedLocal = true, true, true
 	}
 	if len(state) > 0 {
@@ -799,10 +836,6 @@ func (e *Engine) unregisterCall(key opKey) {
 	e.mu.Lock()
 	delete(e.pending, key)
 	e.mu.Unlock()
-}
-
-func (e *Engine) nextRootSeq() uint64 {
-	return e.rootSeq.Add(1)
 }
 
 // encodeOrReport marshals a wire message, reporting (rather than panicking

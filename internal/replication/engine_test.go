@@ -86,7 +86,9 @@ type cluster struct {
 	servants map[string]map[uint64]*account
 }
 
-func newCluster(t *testing.T, n int) *cluster {
+// newCluster starts n nodes; tune, when given, adjusts every engine's
+// configuration.
+func newCluster(t *testing.T, n int, tune ...func(*Config)) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:        t,
@@ -113,12 +115,16 @@ func newCluster(t *testing.T, n int) *cluster {
 		}
 		r.Start()
 		c.rings[node] = r
-		e, err := NewEngine(Config{
+		cfg := Config{
 			Node:          node,
 			Ring:          r,
 			CallTimeout:   8 * time.Second,
 			RetryInterval: time.Second,
-		})
+		}
+		for _, f := range tune {
+			f(&cfg)
+		}
+		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,16 +571,18 @@ func TestGapRepairAdoptionKeepsExactlyOnce(t *testing.T) {
 	}
 }
 
-// The dedup table holds the newest dedupRetain keys, and a checkpoint's
-// window lists the executed ones oldest first, also after the FIFO has
-// wrapped.
+// The record cap still bounds the table once no low-water mark retires
+// anything: it keeps the newest dedupRetain records, the client remembers
+// the highest OpSeq evicted, and a checkpoint's window lists the executed
+// records oldest first, also after the cap has evicted, followed by the
+// client's horizons.
 func TestDedupBoundAndWindowOrder(t *testing.T) {
 	r := newReplica(nil, GroupDef{ID: 1, Style: WarmPassive}, &account{}, false, &wal.MemLog{})
 	total := dedupRetain + 100
 	var want []opKey
 	for i := 0; i < total; i++ {
 		k := opKey{ClientID: "c:n1", OpSeq: uint64(i + 1)}
-		rec := r.dedupRecordLocked(k)
+		rec := r.dedup.record(k)
 		if i%3 != 0 { // executed here; the rest were only answered
 			rec.executedLocal = true
 			if i >= total-dedupRetain {
@@ -582,19 +590,29 @@ func TestDedupBoundAndWindowOrder(t *testing.T) {
 			}
 		}
 	}
-	if len(r.dedup) != dedupRetain || len(r.dedupFIFO) != dedupRetain {
-		t.Fatalf("table holds %d records in a %d-slot FIFO, want %d", len(r.dedup), len(r.dedupFIFO), dedupRetain)
+	listed := 0
+	for rec := r.dedup.oldest; rec != nil; rec = rec.next {
+		listed++
 	}
-	if _, ok := r.dedup[opKey{ClientID: "c:n1", OpSeq: 100}]; ok {
-		t.Error("an evicted key is still in the table")
+	if len(r.dedup.recs) != dedupRetain || listed != dedupRetain {
+		t.Fatalf("table holds %d records, %d in insertion order, want %d", len(r.dedup.recs), listed, dedupRetain)
 	}
-	_, window := r.coveredWindow()
-	got, err := decodeWindow(window)
+	if _, st := r.dedup.lookup(opKey{ClientID: "c:n1", OpSeq: 100}); st != keyEvicted {
+		t.Errorf("an evicted key reads as state %d, want keyEvicted", st)
+	}
+	if _, st := r.dedup.lookup(opKey{ClientID: "c:n1", OpSeq: 101}); st != keyLive {
+		t.Errorf("the oldest kept key reads as state %d, want keyLive", st)
+	}
+	_, win := r.coveredWindow()
+	got, err := decodeWindow(win)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("window has %d keys (first %v), want %d (first %v)", len(got), got[0], len(want), want[0])
+	if !reflect.DeepEqual(got.keys, want) {
+		t.Fatalf("window has %d keys (first %v), want %d (first %v)", len(got.keys), got.keys[0], len(want), want[0])
+	}
+	if wantHz := []horizon{{ClientID: "c:n1", Evicted: 100}}; !reflect.DeepEqual(got.horizons, wantHz) {
+		t.Fatalf("window horizons %v, want %v", got.horizons, wantHz)
 	}
 }
 

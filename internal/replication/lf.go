@@ -137,13 +137,25 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 	}
 	healthy := leader && !r.secondary && !r.syncing
 	blocked := r.eng.now().Before(r.lfBlockUntil)
-	rec, have := r.dedup[m.Key]
+	rec, st := r.dedup.lookup(m.Key)
+	have := st == keyLive
 	var logged *msgReply
 	if have && rec.answered {
 		logged = rec.reply
 	}
 	r.mu.unlock()
 
+	switch st {
+	case keyRetired:
+		// A late copy of an operation its client has finished (the direct
+		// lane is unordered): drop it.
+		return
+	case keyEvicted:
+		// Its record was evicted: the ordered path refuses it in total
+		// order on every member.
+		r.lfRedirect(m, "")
+		return
+	}
 	if logged != nil {
 		// Retransmission of an already-answered operation: re-send the
 		// logged reply (FT-CORBA request retention) on the direct lane.
@@ -174,12 +186,12 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 
 	r.mu.lock()
 	if rec == nil {
-		rec = r.dedupRecordLocked(m.Key)
+		rec = r.dedup.record(m.Key)
 	}
 	rec.deliveredInv = true
 	r.mu.unlock()
 
-	rep, seq := r.lfAssign(m.Key, m.Operation, m.Args, false, rec)
+	rep, seq := r.lfAssign(m.Key, m.Done, m.Operation, m.Args, false, rec)
 	if rep == nil {
 		r.lfRedirect(m, "")
 		return
@@ -244,7 +256,9 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 // (and therefore before any ack — the cold-passive RPO-zero discipline),
 // streams the order to the followers, and executes immediately. Returns
 // the computed reply and the assigned sequence (nil on encode failure).
-func (r *replica) lfAssign(key opKey, op string, args []byte, oneway bool, rec *opRecord) (*msgReply, uint64) {
+// done is the client's low-water mark; the order carries it to every
+// member, which retire on its delivery.
+func (r *replica) lfAssign(key opKey, done uint64, op string, args []byte, oneway bool, rec *opRecord) (*msgReply, uint64) {
 	r.mu.lock()
 	epoch := r.lfEpoch
 	if r.lfSeq < r.lfApplied {
@@ -266,6 +280,7 @@ func (r *replica) lfAssign(key opKey, op string, args []byte, oneway bool, rec *
 		Operation: op,
 		Args:      args,
 		Oneway:    oneway,
+		Done:      done,
 	}
 	data := r.eng.encodeOrReport(order)
 	if data == nil {
@@ -342,8 +357,10 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 	}
 
 	r.mu.lock()
+	retired := r.dedup.retire(m.Key.ClientID, m.Done)
 	accept := len(r.members) > 0 && r.members[0] == m.Leader && m.Epoch >= r.lfFence
 	r.mu.unlock()
+	r.countRetired(retired)
 	if !accept {
 		// A deposed leader's stragglers (queued before a reformation,
 		// multicast on the new ring): the fence keeps them from mutating
@@ -369,7 +386,17 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 	}
 
 	r.mu.lock()
-	rec := r.dedupRecordLocked(m.Key)
+	rec, st := r.dedup.lookup(m.Key)
+	if st == keyRetired {
+		// Retired here, so an adopted snapshot already includes it.
+		r.mu.unlock()
+		return
+	}
+	if rec == nil {
+		// The leader ordered it, so it runs here too, even past an
+		// eviction mark: the order stream decides, not the local table.
+		rec = r.dedup.record(m.Key)
+	}
 	rec.deliveredInv = true
 	executed := rec.executedLocal
 	id := lfMsgID(m.Epoch, m.Seq)
@@ -455,7 +482,7 @@ func (r *replica) lfClassicRun(t taskInvoke, rec *opRecord) {
 	if executed {
 		return // a direct-lane copy won the race while this one was held
 	}
-	rep, _ := r.lfAssign(t.m.Key, t.m.Operation, t.m.Args, t.m.Oneway, rec)
+	rep, _ := r.lfAssign(t.m.Key, t.m.Done, t.m.Operation, t.m.Args, t.m.Oneway, rec)
 	if rep != nil {
 		r.multicastReply(rep)
 	}

@@ -201,7 +201,7 @@ func (p *Proxy) InvokeOneway(op string, args ...cdr.Value) error {
 	return err
 }
 
-func (p *Proxy) nextKey(op string) opKey {
+func (p *Proxy) nextKey() opKey {
 	if p.ctx != nil {
 		return opKey{
 			ClientID:  fmt.Sprintf("g:%d", p.ctx.gid),
@@ -209,12 +209,56 @@ func (p *Proxy) nextKey(op string) opKey {
 			OpSeq:     p.ctx.det.Seq("nested-op"),
 		}
 	}
-	return opKey{
-		ClientID:  "c:" + p.eng.cfg.Node,
-		ParentSeq: 0,
-		OpSeq:     p.eng.nextRootSeq(),
-	}
+	return opKey{ClientID: p.eng.clientID, OpSeq: p.eng.roots.open()}
 }
+
+// openOps numbers an engine's root operations and tracks which are still
+// open, so every invocation can carry the engine's low-water mark: the
+// highest OpSeq at or below which every root operation has returned.
+type openOps struct {
+	mu     sync.Mutex
+	next   uint64 // next OpSeq to issue
+	low    uint64 // smallest OpSeq still open (next when none is)
+	closed []bool // ring over [low, next), indexed by OpSeq modulo its length
+	mark   atomic.Uint64
+}
+
+func newOpenOps() openOps {
+	return openOps{next: 1, low: 1, closed: make([]bool, 64)}
+}
+
+// open issues the next OpSeq.
+func (o *openOps) open() uint64 {
+	o.mu.Lock()
+	if o.next-o.low == uint64(len(o.closed)) {
+		grown := make([]bool, 2*len(o.closed))
+		for s := o.low; s < o.next; s++ {
+			grown[s%uint64(len(grown))] = o.closed[s%uint64(len(o.closed))]
+		}
+		o.closed = grown
+	}
+	seq := o.next
+	o.next++
+	o.closed[seq%uint64(len(o.closed))] = false
+	o.mu.Unlock()
+	return seq
+}
+
+// close marks seq returned and advances the low-water mark past every
+// leading closed operation.
+func (o *openOps) close(seq uint64) {
+	o.mu.Lock()
+	n := uint64(len(o.closed))
+	o.closed[seq%n] = true
+	for o.low < o.next && o.closed[o.low%n] {
+		o.low++
+	}
+	o.mark.Store(o.low - 1)
+	o.mu.Unlock()
+}
+
+// done is the low-water mark a new invocation carries.
+func (o *openOps) done() uint64 { return o.mark.Load() }
 
 // lfBump advances the proxy's session token to seq (monotone).
 func (p *Proxy) lfBump(seq uint64) {
@@ -230,9 +274,9 @@ func (p *Proxy) lfBump(seq uint64) {
 // the chosen replica and a unicast reply back, bypassing totem on the
 // client's critical path entirely. Reads rotate across all replicas
 // (served under their leases), writes go to the leader. One redirect is
-// honored; any other failure returns done=false and the caller falls
+// honored; any other failure returns ok=false and the caller falls
 // back to the ordered path with the same operation key.
-func (p *Proxy) lfCall(key opKey, op string, args []cdr.Value) ([]cdr.Value, error, bool) {
+func (p *Proxy) lfCall(key opKey, done uint64, op string, args []cdr.Value) ([]cdr.Value, error, bool) {
 	ring := p.eng.ringFor(p.gid)
 	members := ring.GroupMembers(invGroupName(p.gid))
 	if len(members) == 0 {
@@ -251,6 +295,7 @@ func (p *Proxy) lfCall(key opKey, op string, args []cdr.Value) ([]cdr.Value, err
 		ReadOnly:  read,
 		MinSeq:    p.lfSeq.Load(),
 		From:      p.eng.cfg.Node,
+		Done:      done,
 	}
 	payload, err := encodeWire(sub)
 	if err != nil {
@@ -298,13 +343,22 @@ func (p *Proxy) lfCall(key opKey, op string, args []cdr.Value) ([]cdr.Value, err
 }
 
 func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, error) {
-	key := p.nextKey(op)
+	key := p.nextKey()
+	var done uint64
+	if p.ctx == nil {
+		// A root operation stays open, holding back the low-water mark,
+		// until this call has sent its last copy: the group can then
+		// retire its record as soon as a later invocation arrives.
+		defer p.eng.roots.close(key.OpSeq)
+		done = p.eng.roots.done()
+	}
 	inv := &msgInvocation{
 		GroupID:   p.gid,
 		Key:       key,
 		Operation: op,
 		Args:      orb.EncodeRequestBody(args),
 		Oneway:    oneway,
+		Done:      done,
 	}
 	payload, err := encodeWire(inv)
 	if err != nil {
@@ -316,7 +370,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 	}
 
 	if p.lf && p.votes == 1 {
-		if out, lfErr, done := p.lfCall(key, op, args); done {
+		if out, lfErr, ok := p.lfCall(key, done, op, args); ok {
 			return out, lfErr
 		}
 		// Fast path declined (timeout, redirect exhaustion, no view yet):

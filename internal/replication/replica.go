@@ -96,22 +96,6 @@ type taskStateReq struct {
 	m *msgStateReq
 }
 
-// opRecord is one duplicate-detection entry.
-type opRecord struct {
-	deliveredInv  bool // the invocation itself was delivered here before
-	answered      bool // a reply for the operation has been delivered
-	executedLocal bool // this replica executed the operation
-	reply         *msgReply
-}
-
-// dedupEntry is one slot of the duplicate-detection FIFO. It keeps the
-// record beside its key so a window snapshot walks the FIFO without a map
-// lookup per key.
-type dedupEntry struct {
-	key opKey
-	rec *opRecord
-}
-
 type fulfillRec struct {
 	op   string
 	args []byte
@@ -128,9 +112,7 @@ type replica struct {
 	log     wal.Log
 
 	mu        chanMutex
-	dedup     map[opKey]*opRecord
-	dedupFIFO []dedupEntry // insertion order of dedup; a ring once full
-	dedupHead int          // oldest dedupFIFO slot once the ring is full
+	dedup     dedupTable
 	members   []string
 	secondary bool
 	syncing   bool
@@ -193,7 +175,7 @@ func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log 
 		q:         newTaskQueue(),
 		log:       log,
 		mu:        newChanMutex(),
-		dedup:     make(map[opKey]*opRecord),
+		dedup:     newDedupTable(),
 		syncing:   syncing,
 		former:    make(map[string]bool),
 		stuck:     make(map[string]uint64),
@@ -221,36 +203,29 @@ func (r *replica) status() GroupStatus {
 // implements sender-side response suppression (a replica that learns of
 // another replica's response before transmitting its own suppresses its
 // own).
+//
+// A reply for a retired key (its client already holds one, e.g. an ACTIVE
+// replica's duplicate reply delivered after the carrier) or for an evicted
+// key (a re-created record would let a retry execute again) leaves no
+// record behind.
 func (r *replica) markAnswered(m *msgReply) {
 	r.mu.lock()
-	rec := r.dedupRecordLocked(m.Key)
-	if !rec.answered {
+	rec, st := r.dedup.lookup(m.Key)
+	if st == keyNew {
+		rec = r.dedup.record(m.Key)
+	}
+	if rec != nil && !rec.answered {
 		rec.answered = true
 		rec.reply = m
 	}
 	r.mu.unlock()
 }
 
-// dedupRecordLocked returns k's duplicate-detection record, creating it on
-// first sight. Every insertion goes through here, so each key sits in the
-// FIFO exactly once and the table stays bounded by dedupRetain: once the
-// FIFO is full it is a ring, and a new key overwrites (and evicts) the
-// oldest instead of reallocating the FIFO.
-func (r *replica) dedupRecordLocked(k opKey) *opRecord {
-	if rec, ok := r.dedup[k]; ok {
-		return rec
+// countRetired adds n retired records to the engine's counter.
+func (r *replica) countRetired(n int) {
+	if n > 0 {
+		r.eng.stat.dedupRetired.Add(uint64(n))
 	}
-	rec := &opRecord{}
-	r.dedup[k] = rec
-	e := dedupEntry{key: k, rec: rec}
-	if len(r.dedupFIFO) < dedupRetain {
-		r.dedupFIFO = append(r.dedupFIFO, e)
-		return rec
-	}
-	delete(r.dedup, r.dedupFIFO[r.dedupHead].key)
-	r.dedupFIFO[r.dedupHead] = e
-	r.dedupHead = (r.dedupHead + 1) % dedupRetain
-	return rec
 }
 
 func (r *replica) executorLoop() {
@@ -346,8 +321,8 @@ func (r *replica) shipCheckpoint(upTo uint64, state []byte, window []byte) {
 	if err != nil {
 		return // unreachable: window is this replica's own encoding
 	}
-	refs := make([]drstore.OpRef, len(covered))
-	for i, k := range covered {
+	refs := make([]drstore.OpRef, len(covered.keys))
+	for i, k := range covered.keys {
 		refs[i] = drstore.OpRef{ClientID: k.ClientID, ParentSeq: k.ParentSeq, OpSeq: k.OpSeq}
 	}
 	_ = r.eng.cfg.DR.PutCheckpoint(r.def.ID, drstore.Checkpoint{
@@ -372,22 +347,39 @@ func (r *replica) onInvoke(t taskInvoke) {
 		// secondary component keeps the queue so any survivor can send it).
 		r.fulfill = append(r.fulfill, fulfillRec{op: t.m.Operation, args: t.m.Args})
 	}
-	r.process(t, false)
+	r.process(t)
 }
 
 // process runs the style-appropriate handling for one delivered
-// invocation. replay marks failover re-execution of an already-recorded
-// operation.
-func (r *replica) process(t taskInvoke, replay bool) {
+// invocation. Its low-water mark first retires its client's records.
+func (r *replica) process(t taskInvoke) {
 	r.mu.lock()
-	rec := r.dedupRecordLocked(t.m.Key)
+	retired := r.dedup.retire(t.m.Key.ClientID, t.m.Done)
+	rec, st := r.dedup.lookup(t.m.Key)
+	switch st {
+	case keyRetired:
+		// Its client already holds the reply: a stale copy, suppressed
+		// with nothing re-sent.
+		r.mu.unlock()
+		r.countRetired(retired)
+		r.eng.stat.dupInvocations.Add(1)
+		return
+	case keyEvicted:
+		r.mu.unlock()
+		r.countRetired(retired)
+		r.refuseEvicted(t)
+		return
+	case keyNew:
+		rec = r.dedup.record(t.m.Key)
+	}
 	duplicate := rec.deliveredInv
 	rec.deliveredInv = true
 	answered := rec.answered
 	executed := rec.executedLocal
 	r.mu.unlock()
+	r.countRetired(retired)
 
-	if duplicate && !replay {
+	if duplicate {
 		// Receiver-side duplicate suppression: the operation was already
 		// delivered (redundant client replicas or retransmission).
 		r.eng.stat.dupInvocations.Add(1)
@@ -413,7 +405,7 @@ func (r *replica) process(t taskInvoke, replay bool) {
 	// which is what makes cold-passive RPO zero: an acknowledged operation
 	// is always either in a shipped checkpoint's covered window or in a
 	// shipped segment.
-	if r.def.Style == ColdPassive && !replay {
+	if r.def.Style == ColdPassive {
 		if data, err := encodeWire(t.m); err == nil {
 			rec := wal.Record{
 				Kind:  wal.KindUpdate,
@@ -434,7 +426,7 @@ func (r *replica) process(t taskInvoke, replay bool) {
 	// whose reply acks the client, so each must ship before executing for
 	// RPO zero to hold; the store's MsgID idempotence drops the duplicate
 	// copies. Stateless groups ship nothing: there is no state to recover.
-	if r.def.Style.IsActive() && r.def.Style != Stateless && !replay && r.shipsDRActive() {
+	if r.def.Style.IsActive() && r.def.Style != Stateless && r.shipsDRActive() {
 		if data, err := encodeWire(t.m); err == nil {
 			r.bytesSinceCk += len(data)
 			_ = r.eng.cfg.DR.AppendUpdate(r.def.ID, wal.Record{
@@ -466,6 +458,37 @@ func (r *replica) process(t taskInvoke, replay bool) {
 // invocations, avoiding a reply storm: the primary for passive styles, the
 // senior member for active styles.
 func (r *replica) shouldAnswerDuplicates() bool { return r.isPrimary() }
+
+// refuseEvicted handles an invocation whose record the count cap evicted:
+// the operation may have executed already, so it must not run again. The
+// refusal is counted and reported as a fault, and the member that answers
+// duplicates replies with a system exception (completion unknown).
+func (r *replica) refuseEvicted(t taskInvoke) {
+	r.eng.stat.dedupOverflows.Add(1)
+	if !r.shouldAnswerDuplicates() {
+		return
+	}
+	if n := r.eng.cfg.Notifier; n != nil {
+		n.Push(fault.Report{
+			Kind:     fault.RetentionOverflow,
+			Node:     r.eng.cfg.Node,
+			GroupID:  r.def.ID,
+			Member:   t.m.Key.ClientID,
+			Detail:   "retry past the duplicate-suppression bound: " + t.m.Key.String(),
+			Detected: time.Now(),
+		})
+	}
+	if t.m.Oneway {
+		return
+	}
+	r.multicastReply(&msgReply{
+		GroupID: r.def.ID,
+		Key:     t.m.Key,
+		Status:  replySysExc,
+		Body:    giop.SystemException{RepoID: giop.ExcTimeout, Completed: giop.CompletedMaybe}.Encode(),
+		Node:    r.eng.cfg.Node,
+	})
+}
 
 // run executes one invocation on the local servant and multicasts the
 // reply (unless suppressed).
@@ -577,20 +600,13 @@ func (r *replica) maybeCheckpoint() {
 	}
 }
 
-// coveredWindow snapshots the replica's executed-operation dedup window —
+// coveredWindow snapshots the replica's duplicate-suppression window —
 // the exactly-once metadata every checkpoint must carry — in its wire
-// encoding, in one pass over the FIFO.
-func (r *replica) coveredWindow() (upTo uint64, window []byte) {
+// encoding.
+func (r *replica) coveredWindow() (upTo uint64, win []byte) {
 	r.mu.lock()
 	defer r.mu.unlock()
-	n := len(r.dedupFIFO)
-	w := windowEncoder{keys: make([]byte, 0, 4*n)}
-	for i := 0; i < n; i++ {
-		if e := r.dedupFIFO[(r.dedupHead+i)%n]; e.rec.executedLocal {
-			w.add(e.key)
-		}
-	}
-	return r.lastExec, w.bytes()
+	return r.lastExec, r.dedup.window()
 }
 
 func (r *replica) sendCheckpoint(reason uint8) {
@@ -741,24 +757,27 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	// its own partition-era operations return via fulfillment replay.
 	behind := m.UpToMsgID < r.lastExec && !r.secondary
 	r.mu.unlock()
-	if behind {
-		// This replica's state is already *newer* than the offered snapshot —
-		// typical for a crash-restarted member that recovered from its own
-		// write-ahead log and was then offered a stale periodic checkpoint.
-		// Keep the recovered state; just leave the syncing phase and replay
-		// anything buffered past it.
-		r.mu.lock()
-		upTo := r.lastExec
-		r.syncing = false
-		r.secondary = false
-		r.mu.unlock()
-		r.replayBuffered(upTo)
-		return
-	}
 	// A window that does not parse fails adoption like a state that does
 	// not install: the replica stays as it was and keeps waiting.
 	covered, err := decodeWindow(m.Covered)
 	if err != nil {
+		return
+	}
+	if behind {
+		// This replica's state is already *newer* than the offered snapshot —
+		// typical for a crash-restarted member that recovered from its own
+		// write-ahead log and was then offered a stale periodic checkpoint.
+		// Keep the recovered state and only take the offered horizons
+		// (facts about clients, true in any lineage); leave the syncing
+		// phase and replay anything buffered past it.
+		r.mu.lock()
+		retired := r.dedup.adopt(window{horizons: covered.horizons})
+		upTo := r.lastExec
+		r.syncing = false
+		r.secondary = false
+		r.mu.unlock()
+		r.countRetired(retired)
+		r.replayBuffered(upTo)
 		return
 	}
 	ck, ok := r.servant.(orb.Checkpointable)
@@ -775,20 +794,17 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	// The truncation wiped every update record positioned before the
 	// adopted checkpoint; the logged horizon restarts from its coverage.
 	r.lastLogged = m.UpToMsgID
-	// Seed duplicate suppression with the operations the snapshot covers.
-	// An adopter that missed a delivery lineage (the gap-repair path) has
-	// no dedup records for them, and a recovery re-delivery would
-	// otherwise re-execute an operation whose effect the adopted state
-	// already includes. Replies stay with the original executor — the
-	// records are marked executed but not answered, so duplicate answers
-	// still come from the member that logged them.
+	// Seed duplicate suppression with the horizons and the operations the
+	// snapshot covers. An adopter that missed a delivery lineage (the
+	// gap-repair path) has no dedup records for them, and a recovery
+	// re-delivery would otherwise re-execute an operation whose effect the
+	// adopted state already includes. Replies stay with the original
+	// executor — the records are marked executed but not answered, so
+	// duplicate answers still come from the member that logged them.
 	r.mu.lock()
-	for _, k := range covered {
-		rec := r.dedupRecordLocked(k)
-		rec.deliveredInv = true
-		rec.executedLocal = true
-	}
+	retired := r.dedup.adopt(covered)
 	r.mu.unlock()
+	r.countRetired(retired)
 	// Operations the adopted state covers must not replay at failover.
 	kept := r.pendingOps[:0]
 	for _, p := range r.pendingOps {
@@ -833,7 +849,7 @@ func (r *replica) replayBuffered(upTo uint64) {
 		switch t := item.(type) {
 		case taskInvoke:
 			if t.msgID > upTo {
-				r.process(t, false)
+				r.process(t)
 			}
 		case taskReply:
 			r.onReply(t)
@@ -1148,7 +1164,18 @@ func (r *replica) failover() {
 // passive) without re-sending the logged reply.
 func (r *replica) replayOne(t taskInvoke) {
 	r.mu.lock()
-	rec := r.dedupRecordLocked(t.m.Key)
+	rec, st := r.dedup.lookup(t.m.Key)
+	switch st {
+	case keyNew:
+		rec = r.dedup.record(t.m.Key)
+	case keyRetired, keyEvicted:
+		// The record is gone, but a cold backup never executed the
+		// operation and its checkpoint does not include it: re-execute it
+		// from the log on a detached, answered record, so nothing is
+		// recorded or re-sent. (Warm backups hold no retired operation:
+		// the reply that completed its client dropped it from pendingOps.)
+		rec = &opRecord{answered: true}
+	}
 	executed := rec.executedLocal
 	r.mu.unlock()
 	if executed {

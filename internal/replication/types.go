@@ -208,6 +208,12 @@ type msgInvocation struct {
 	Args        []byte // encoded cdr value sequence
 	Oneway      bool
 	Fulfillment bool // replayed from a secondary component after remerge
+	// Done is the client's low-water mark: every root OpSeq of Key's
+	// client at or below it has returned at the client, answered,
+	// abandoned or oneway. Delivery retires the client's
+	// duplicate-suppression records up to it (dedup.go). Zero for nested
+	// and fulfillment invocations.
+	Done uint64
 }
 
 // msgReply carries the outcome of an operation, plus (for passive styles)
@@ -231,8 +237,9 @@ type msgCheckpoint struct {
 	UpToMsgID uint64 // state reflects ordered invocations up to this id
 	State     []byte
 	// Covered is the sender's duplicate-suppression window: keys of
-	// executed operations whose effects State already includes. Adopters
-	// seed their dedup tables from it, so an operation covered by the
+	// executed operations whose effects State already includes, and every
+	// root client's retired horizon and eviction mark. Adopters seed their
+	// dedup tables from it, so an operation covered by the
 	// snapshot cannot re-execute on top of it if the recovery machinery
 	// re-delivers it — state transfer must carry this infrastructure
 	// state along with the application state, or exactly-once breaks for
@@ -262,6 +269,7 @@ type msgLfOrder struct {
 	Operation string
 	Args      []byte
 	Oneway    bool
+	Done      uint64 // the submitting client's low-water mark (msgInvocation.Done)
 }
 
 // msgLfSubmit is a client's direct-lane invocation submit. ReadOnly submits
@@ -277,6 +285,7 @@ type msgLfSubmit struct {
 	ReadOnly  bool
 	MinSeq    uint64
 	From      string
+	Done      uint64 // the client's low-water mark, copied into the order
 }
 
 // msgLfReply is the direct-lane reply. Seq carries the leader sequence the
@@ -356,6 +365,7 @@ func encodeWire(m any) ([]byte, error) {
 		e.WriteOctetSeq(v.Args)
 		e.WriteBool(v.Oneway)
 		e.WriteBool(v.Fulfillment)
+		e.WriteULongLong(v.Done)
 	case *msgReply:
 		e.WriteOctet(byte(wireReply))
 		e.WriteULongLong(v.GroupID)
@@ -389,6 +399,7 @@ func encodeWire(m any) ([]byte, error) {
 		e.WriteString(v.Operation)
 		e.WriteOctetSeq(v.Args)
 		e.WriteBool(v.Oneway)
+		e.WriteULongLong(v.Done)
 	case *msgLfSubmit:
 		e.WriteOctet(byte(wireLfSubmit))
 		e.WriteULongLong(v.GroupID)
@@ -398,6 +409,7 @@ func encodeWire(m any) ([]byte, error) {
 		e.WriteBool(v.ReadOnly)
 		e.WriteULongLong(v.MinSeq)
 		e.WriteString(v.From)
+		e.WriteULongLong(v.Done)
 	case *msgLfReply:
 		e.WriteOctet(byte(wireLfReply))
 		e.WriteULongLong(v.GroupID)
@@ -452,6 +464,9 @@ func decodeWire(b []byte) (any, error) {
 			return nil, err
 		}
 		if v.Fulfillment, err = d.ReadBool(); err != nil {
+			return nil, err
+		}
+		if v.Done, err = d.ReadULongLong(); err != nil {
 			return nil, err
 		}
 		return v, nil
@@ -541,6 +556,9 @@ func decodeWire(b []byte) (any, error) {
 		if v.Oneway, err = d.ReadBool(); err != nil {
 			return nil, err
 		}
+		if v.Done, err = d.ReadULongLong(); err != nil {
+			return nil, err
+		}
 		return v, nil
 	case wireLfSubmit:
 		v := &msgLfSubmit{}
@@ -563,6 +581,9 @@ func decodeWire(b []byte) (any, error) {
 			return nil, err
 		}
 		if v.From, err = d.ReadStringInterned(); err != nil {
+			return nil, err
+		}
+		if v.Done, err = d.ReadULongLong(); err != nil {
 			return nil, err
 		}
 		return v, nil

@@ -9,10 +9,16 @@ import (
 )
 
 // encodeWindow encodes keys the way a checkpoint sender does.
-func encodeWindow(keys []opKey) []byte {
+func encodeWindow(keys []opKey) []byte { return encodeWindowWith(keys, nil) }
+
+// encodeWindowWith encodes keys followed by a horizon trailer.
+func encodeWindowWith(keys []opKey, hz []horizon) []byte {
 	var w windowEncoder
 	for _, k := range keys {
 		w.add(k)
+	}
+	for _, h := range hz {
+		w.addHorizon(&clientTrack{id: h.ClientID, retired: h.Retired, evicted: h.Evicted})
 	}
 	return w.bytes()
 }
@@ -43,26 +49,39 @@ func TestCheckpointWireRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
 		keys []opKey
+		hz   []horizon
 	}{
-		{"empty", nil},
+		{"empty", nil, nil},
 		{"two clients", []opKey{
 			{ClientID: "client-a", ParentSeq: 3, OpSeq: 17},
 			{ClientID: "client-b", OpSeq: 1},
-		}},
-		{"interleaved 4096", interleavedWindow()},
-		{"nested", nested},
+		}, nil},
+		{"interleaved 4096", interleavedWindow(), nil},
+		{"nested", nested, nil},
 		{"opseq goes down", []opKey{
 			{ClientID: "c:n1", OpSeq: 100},
 			{ClientID: "c:n1", OpSeq: 5},
 			{ClientID: "c:n1", OpSeq: 6},
 			{ClientID: "c:n1", OpSeq: math.MaxUint64},
 			{ClientID: "c:n1", OpSeq: 0},
+		}, nil},
+		{"horizons only", nil, []horizon{
+			{ClientID: "c:n1.a", Retired: 41},
+			{ClientID: "c:n2.b", Retired: 7, Evicted: 9},
+			{ClientID: "c:n3.c", Evicted: math.MaxUint64},
+		}},
+		{"keys and horizons", []opKey{
+			{ClientID: "c:n1.a", OpSeq: 42},
+			{ClientID: "g:3", ParentSeq: 5, OpSeq: 1},
+		}, []horizon{
+			{ClientID: "c:n1.a", Retired: 41},
+			{ClientID: "c:n9.z", Retired: 1 << 40},
 		}},
 	}
 	for _, tc := range cases {
 		in := &msgCheckpoint{
 			GroupID: 9, Reason: ckptPeriodic, UpToMsgID: 1000, State: []byte{0, 1, 2},
-			Covered: encodeWindow(tc.keys), LfSeq: 4,
+			Covered: encodeWindowWith(tc.keys, tc.hz), LfSeq: 4,
 		}
 		raw, err := encodeWire(in)
 		if err != nil {
@@ -80,12 +99,15 @@ func TestCheckpointWireRoundTrip(t *testing.T) {
 			out.LfSeq != in.LfSeq || !bytes.Equal(out.State, in.State) || !bytes.Equal(out.Covered, in.Covered) {
 			t.Errorf("%s: message mismatch: got %+v want %+v", tc.name, out, in)
 		}
-		keys, err := decodeWindow(out.Covered)
+		win, err := decodeWindow(out.Covered)
 		if err != nil {
 			t.Fatalf("%s: decode window: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(keys, tc.keys) {
-			t.Errorf("%s: window mismatch: got %d keys, want %d", tc.name, len(keys), len(tc.keys))
+		if !reflect.DeepEqual(win.keys, tc.keys) {
+			t.Errorf("%s: window mismatch: got %d keys, want %d", tc.name, len(win.keys), len(tc.keys))
+		}
+		if !reflect.DeepEqual(win.horizons, tc.hz) {
+			t.Errorf("%s: horizons mismatch: got %v, want %v", tc.name, win.horizons, tc.hz)
 		}
 		if n := len(tc.keys); n >= 256 && len(out.Covered) > 8*n {
 			t.Errorf("%s: window is %d B for %d keys, want ≤ 8 B per key", tc.name, len(out.Covered), n)
@@ -108,16 +130,26 @@ func TestDecodeWindowRejectsMalformed(t *testing.T) {
 		{"huge key count", []byte{1, 1, 'c', 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 1}},
 		{"client index outside table", []byte{1, 1, 'c', 1, 1, 0, 2}},
 		{"truncated key", []byte{1, 1, 'c', 1, 0, 0}},
-		{"trailing bytes", []byte{1, 1, 'c', 1, 0, 0, 2, 9}},
+		{"missing horizon count", []byte{1, 1, 'c', 1, 0, 0, 2}},
+		{"horizon count past end", []byte{1, 1, 'c', 0, 5, 0, 1, 1}},
+		{"huge horizon count", []byte{1, 1, 'c', 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 1, 1}},
+		{"horizon client outside table", []byte{1, 1, 'c', 0, 1, 1, 1, 1}},
+		{"truncated horizon", []byte{1, 1, 'c', 0, 1, 0, 1}},
+		{"horizon with neither mark", []byte{1, 1, 'c', 0, 1, 0, 0, 0}},
+		{"trailing bytes", []byte{1, 1, 'c', 1, 0, 0, 2, 0, 9}},
 	}
 	for _, tc := range cases {
-		if keys, err := decodeWindow(tc.b); err == nil {
-			t.Errorf("%s: decoded %v, want an error", tc.name, keys)
+		if win, err := decodeWindow(tc.b); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", tc.name, win)
 		}
 	}
-	if keys, err := decodeWindow([]byte{1, 1, 'c', 1, 0, 0, 2}); err != nil ||
-		!reflect.DeepEqual(keys, []opKey{{ClientID: "c", OpSeq: 1}}) {
-		t.Errorf("well-formed window: got %v, %v", keys, err)
+	if win, err := decodeWindow([]byte{1, 1, 'c', 1, 0, 0, 2, 0}); err != nil ||
+		!reflect.DeepEqual(win, window{keys: []opKey{{ClientID: "c", OpSeq: 1}}}) {
+		t.Errorf("well-formed window: got %+v, %v", win, err)
+	}
+	if win, err := decodeWindow([]byte{1, 1, 'c', 0, 1, 0, 3, 4}); err != nil ||
+		!reflect.DeepEqual(win, window{horizons: []horizon{{ClientID: "c", Retired: 3, Evicted: 4}}}) {
+		t.Errorf("well-formed horizon trailer: got %+v, %v", win, err)
 	}
 }
 
@@ -125,12 +157,14 @@ func TestDecodeWindowRejectsMalformed(t *testing.T) {
 func wireSamples() []any {
 	k := opKey{ClientID: "c:n1", ParentSeq: 2, OpSeq: 9}
 	return []any{
-		&msgInvocation{GroupID: 1, Key: k, Operation: "add", Args: []byte{1, 2}, Oneway: true},
+		&msgInvocation{GroupID: 1, Key: k, Operation: "add", Args: []byte{1, 2}, Oneway: true, Done: 8},
 		&msgReply{GroupID: 1, Key: k, Status: replyOK, Body: []byte{3}, Node: "n1", ExecMsgID: 5, Update: []byte{4}, UpdateFull: true},
 		&msgCheckpoint{GroupID: 1, Reason: ckptJoin, UpToMsgID: 7, State: []byte("state"), Covered: encodeWindow(interleavedWindow()), LfSeq: 3},
+		&msgCheckpoint{GroupID: 1, Reason: ckptPeriodic, UpToMsgID: 9, State: []byte("s"), Covered: encodeWindowWith(
+			[]opKey{{ClientID: "c:n1.a", OpSeq: 12}}, []horizon{{ClientID: "c:n1.a", Retired: 11}, {ClientID: "c:n2.b", Retired: 3, Evicted: 5}})},
 		&msgStateReq{GroupID: 1, From: "n2", LastExec: 6},
-		&msgLfOrder{GroupID: 1, Epoch: 2, Seq: 3, Leader: "n1", Key: k, Operation: "add", Args: []byte{5}},
-		&msgLfSubmit{GroupID: 1, Key: k, Operation: "get", Args: []byte{}, ReadOnly: true, MinSeq: 4, From: "c"},
+		&msgLfOrder{GroupID: 1, Epoch: 2, Seq: 3, Leader: "n1", Key: k, Operation: "add", Args: []byte{5}, Done: 8},
+		&msgLfSubmit{GroupID: 1, Key: k, Operation: "get", Args: []byte{}, ReadOnly: true, MinSeq: 4, From: "c", Done: 8},
 		&msgLfReply{GroupID: 1, Key: k, Status: replyRedirect, Body: []byte{6}, Node: "n2", Seq: 8, Redirect: "n1"},
 		&msgLfLease{GroupID: 1, Epoch: 2, Leader: "n1", Dur: 150 * time.Millisecond},
 	}
@@ -167,12 +201,12 @@ func FuzzDecodeWire(f *testing.F) {
 		if !ok {
 			return
 		}
-		keys, err := decodeWindow(ck.Covered)
+		win, err := decodeWindow(ck.Covered)
 		if err != nil {
 			return
 		}
-		if got, err := decodeWindow(encodeWindow(keys)); err != nil || !reflect.DeepEqual(got, keys) {
-			t.Fatalf("window round trip: got %v, %v; want %v", got, err, keys)
+		if got, err := decodeWindow(encodeWindowWith(win.keys, win.horizons)); err != nil || !reflect.DeepEqual(got, win) {
+			t.Fatalf("window round trip: got %+v, %v; want %+v", got, err, win)
 		}
 	})
 }
