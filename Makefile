@@ -17,14 +17,15 @@ test:
 	$(GO) test ./...
 
 ## race: race-detect the concurrency-heavy layers — the delivery hand-off
-## queue, totem, replication, and the transport
-## conformance suite on both backends (netsim and loopback UDP) — then the
+## queue, totem, replication, the transport
+## conformance suite on both backends (netsim and loopback UDP), and the
+## two stores every node shares (WAL and DR store) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
 ## assembly and the SLO harness. The second set runs after the first: the
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
-	$(GO) test -race ./internal/fifo ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/...
+	$(GO) test -race ./internal/fifo ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
 
 ## chaos: the full seeded fault-injection sweep under the race detector —
@@ -37,9 +38,11 @@ chaos:
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is
 ## capped because shrinking inputs grown from the 12 KB window seed would
-## otherwise take the whole budget
+## otherwise take the whole budget. Then fuzz the storage decoder (segment
+## open over arbitrary file bytes) for 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/replication
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s ./internal/wal
 
 ## bench: snapshot the PR2 hot-path + PR5 sharded-transport benchmarks,
 ## the full-profile SLO workload percentiles (~10^6-client population over

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ftcorba"
 	"repro/internal/orb"
 	"repro/internal/replication"
+	"repro/internal/wal"
 )
 
 // StandbyOptions configures a cross-domain warm standby.
@@ -61,12 +62,13 @@ type stagedGroup struct {
 	servant orb.Servant
 	lastCp  uint64 // UpToMsgID of the installed checkpoint (0 = none)
 	applied uint64 // highest shipped update MsgID applied to the servant
-	// covered accumulates the duplicate-suppression window: the last
-	// checkpoint's window plus every invocation record applied after it.
-	// Installing a newer checkpoint resets it to that checkpoint's window,
-	// which keeps it bounded by the shipping compaction policy.
-	covered    []drstore.OpRef
-	coveredSet map[drstore.OpRef]bool
+	// window (the installed checkpoint's duplicate-suppression window, as
+	// shipped) and replayed (the invocation records applied after it)
+	// together cover every operation the staged state includes. Installing
+	// a newer checkpoint resets both, which keeps replayed bounded by the
+	// shipping compaction policy.
+	window   []byte
+	replayed []wal.Record
 }
 
 // NewStandby builds the standby domain and starts the background staging
@@ -158,8 +160,7 @@ func (s *Standby) syncGroupLocked(gid uint64) error {
 				CheckpointEveryBytes: snap.Meta.CheckpointEveryBytes,
 				Shard:                snap.Meta.Shard,
 			},
-			servant:    factory(),
-			coveredSet: make(map[drstore.OpRef]bool),
+			servant: factory(),
 		}
 		s.staged[gid] = g
 	}
@@ -176,24 +177,20 @@ func (s *Standby) syncGroupLocked(gid uint64) error {
 		}
 		g.lastCp = cp.UpToMsgID
 		g.applied = cp.UpToMsgID
-		g.covered = append(g.covered[:0], cp.Covered...)
-		g.coveredSet = make(map[drstore.OpRef]bool, len(cp.Covered))
-		for _, ref := range cp.Covered {
-			g.coveredSet[ref] = true
-		}
+		g.window = cp.Covered
+		g.replayed = g.replayed[:0]
 	}
 
 	for _, rec := range snap.Updates {
 		if rec.MsgID <= g.applied {
 			continue
 		}
-		ref, isInv, applied := replication.ApplyRecord(g.def, g.servant, rec)
+		isInv, applied := replication.ApplyRecord(g.def, g.servant, rec)
 		if !applied {
 			continue
 		}
-		if isInv && !g.coveredSet[ref] {
-			g.coveredSet[ref] = true
-			g.covered = append(g.covered, ref)
+		if isInv {
+			g.replayed = append(g.replayed, rec)
 		}
 		g.applied = rec.MsgID
 	}
@@ -259,7 +256,7 @@ func (s *Standby) Promote() (PromoteResult, error) {
 		if ck, ok := g.servant.(orb.Checkpointable); ok {
 			state, _ = ck.GetState()
 		}
-		if err := target.Engine.HostRecoveredReplica(g.def, g.servant, state, g.covered); err != nil {
+		if err := target.Engine.HostRecoveredReplica(g.def, g.servant, state, g.window, g.replayed); err != nil {
 			res.Skipped[gid] = err.Error()
 			continue
 		}

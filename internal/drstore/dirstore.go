@@ -1,35 +1,27 @@
 package drstore
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
-	"repro/internal/cdr"
 	"repro/internal/wal"
 )
 
-// DirStore is the durable Store: one subdirectory per group holding the
-// shipped meta, the latest checkpoint, and a framed segment file of the
-// updates appended since it. The checkpoint write is the durability point
-// (temp file + fsync + rename), after which the covered prefix of the
-// segment file is compacted away — exactly the recovery contract the local
-// FileLog keeps, lifted to a location a standby can read.
-//
-// A full in-memory mirror backs reads, so Snapshot never touches the disk;
-// OpenDirStore rebuilds the mirror from the files (tolerating a torn
-// segment tail the same way FileLog does: keep the intact prefix).
+// DirStore is the durable Store: the MemStore mirror (which serves every
+// read) plus one directory per group holding the shipped meta, the latest
+// checkpoint, and a wal segment of the updates since it. Meta and
+// checkpoint are written with wal.WriteFile, the checkpoint before the
+// segment is compacted; a crash between the two leaves covered updates in
+// the segment, which the next open drops by the mirror's staleness rule.
 type DirStore struct {
-	mu     sync.Mutex
-	dir    string
-	groups map[uint64]*groupState
-	segs   map[uint64]*os.File // open segment files, one per group
-	closed bool
+	mirror
 }
 
 var _ Store = (*DirStore)(nil)
@@ -47,411 +39,74 @@ func OpenDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("drstore: mkdir: %w", err)
 	}
-	s := &DirStore{
-		dir:    dir,
-		groups: make(map[uint64]*groupState),
-		segs:   make(map[uint64]*os.File),
-	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("drstore: scan: %w", err)
 	}
+	s := &DirStore{mirror{groups: make(map[uint64]*groupState), dir: dir}}
 	for _, ent := range ents {
-		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "g") {
+		gid, perr := strconv.ParseUint(strings.TrimPrefix(ent.Name(), "g"), 10, 64)
+		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "g") || perr != nil {
 			continue
 		}
-		gid, perr := strconv.ParseUint(ent.Name()[1:], 10, 64)
-		if perr != nil {
-			continue
-		}
-		if lerr := s.loadGroup(gid); lerr != nil {
+		if err := s.update(gid, func(*groupState) error { return nil }); err != nil {
 			s.Close()
-			return nil, lerr
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func (s *DirStore) groupDir(gid uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("g%d", gid))
+func (s *mirror) path(gid uint64, name string) string {
+	return filepath.Join(s.dir, fmt.Sprintf("g%d", gid), name)
 }
 
-func (s *DirStore) loadGroup(gid uint64) error {
+// openGroup creates a group's state: empty in a MemStore, loaded from its
+// files (its directory created on first use) in a DirStore.
+func (s *mirror) openGroup(gid uint64) (*groupState, error) {
 	g := &groupState{}
-	gdir := s.groupDir(gid)
-	if b, err := os.ReadFile(filepath.Join(gdir, metaFile)); err == nil {
-		m, derr := decodeMeta(b)
-		if derr != nil {
-			return fmt.Errorf("drstore: group %d meta: %w", gid, derr)
-		}
-		g.meta = m
-	}
-	if b, err := os.ReadFile(filepath.Join(gdir, ckptFile)); err == nil {
-		cp, derr := decodeCheckpoint(b)
-		if derr != nil {
-			return fmt.Errorf("drstore: group %d checkpoint: %w", gid, derr)
-		}
-		g.cp = cp
-		g.haveCp = true
-		g.lastMsg = cp.UpToMsgID
-	}
-	f, err := os.OpenFile(filepath.Join(gdir, segFile), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("drstore: group %d segment: %w", gid, err)
-	}
-	good, err := readFrames(f, func(body []byte) error {
-		rec, derr := decodeUpdate(body)
-		if derr != nil {
-			return derr
-		}
-		if rec.MsgID > g.lastMsg {
-			g.updates = append(g.updates, rec)
-			g.lastMsg = rec.MsgID
-		}
-		return nil
-	})
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("drstore: group %d segment: %w", gid, err)
-	}
-	// Torn tail (a shipper died mid-write): keep the intact prefix and
-	// truncate so new frames don't land after garbage.
-	if terr := f.Truncate(good); terr != nil {
-		f.Close()
-		return fmt.Errorf("drstore: group %d truncate: %w", gid, terr)
-	}
-	if _, serr := f.Seek(good, io.SeekStart); serr != nil {
-		f.Close()
-		return fmt.Errorf("drstore: group %d seek: %w", gid, serr)
-	}
-	s.groups[gid] = g
-	s.segs[gid] = f
-	return nil
-}
-
-// ensureGroup creates the group's directory and segment file on first use.
-func (s *DirStore) ensureGroup(gid uint64) (*groupState, error) {
-	if g, ok := s.groups[gid]; ok {
+	if s.dir == "" {
 		return g, nil
 	}
-	if err := os.MkdirAll(s.groupDir(gid), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(s.path(gid, segFile)), 0o755); err != nil {
 		return nil, fmt.Errorf("drstore: mkdir group: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(s.groupDir(gid), segFile), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("drstore: open segment: %w", err)
+	if err := readGob(s.path(gid, metaFile), &g.meta); err != nil {
+		return nil, fmt.Errorf("drstore: group %d meta: %w", gid, err)
 	}
-	g := &groupState{}
-	s.groups[gid] = g
-	s.segs[gid] = f
+	if err := readGob(s.path(gid, ckptFile), &g.cp); err != nil {
+		return nil, fmt.Errorf("drstore: group %d checkpoint: %w", gid, err)
+	}
+	seg, err := wal.OpenFileLog(s.path(gid, segFile))
+	if err != nil {
+		return nil, fmt.Errorf("drstore: group %d segment: %w", gid, err)
+	}
+	_, updates, _, _ := seg.Recover()
+	for _, u := range updates {
+		g.acceptUpdate(u)
+	}
+	g.seg = seg
 	return g, nil
 }
 
-// writeFileSync writes a small file durably: temp + fsync + rename.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+// writeGob durably replaces the file at path with v's gob encoding.
+func writeGob(path string, v any) error {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return wal.WriteFile(path, b.Bytes())
 }
 
-// PutMeta registers a group definition.
-func (s *DirStore) PutMeta(m Meta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	g, err := s.ensureGroup(m.GroupID)
-	if err != nil {
-		return err
-	}
-	if err := writeFileSync(filepath.Join(s.groupDir(m.GroupID), metaFile), encodeMeta(m)); err != nil {
-		return fmt.Errorf("drstore: write meta: %w", err)
-	}
-	g.meta = m
-	return nil
-}
-
-// PutCheckpoint ships a snapshot: durable checkpoint write, then segment
-// compaction.
-func (s *DirStore) PutCheckpoint(gid uint64, cp Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	g, err := s.ensureGroup(gid)
-	if err != nil {
-		return err
-	}
-	if !g.acceptCheckpoint(cp) {
+// readGob decodes the file at path into v, leaving v as it is when the file
+// does not exist.
+func readGob(path string, v any) error {
+	b, err := wal.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
-	if err := writeFileSync(filepath.Join(s.groupDir(gid), ckptFile), encodeCheckpoint(g.cp)); err != nil {
-		return fmt.Errorf("drstore: write checkpoint: %w", err)
-	}
-	return s.rewriteSegment(gid, g)
-}
-
-// rewriteSegment replaces the group's segment file with the retained
-// updates (compaction after an accepted checkpoint).
-func (s *DirStore) rewriteSegment(gid uint64, g *groupState) error {
-	f := s.segs[gid]
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("drstore: compact: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("drstore: compact seek: %w", err)
-	}
-	for _, u := range g.updates {
-		if _, err := f.Write(frame(encodeUpdate(u))); err != nil {
-			return fmt.Errorf("drstore: compact write: %w", err)
-		}
-	}
-	return nil
-}
-
-// AppendUpdate ships one update record.
-func (s *DirStore) AppendUpdate(gid uint64, rec wal.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	g, err := s.ensureGroup(gid)
 	if err != nil {
 		return err
 	}
-	if !g.acceptUpdate(rec) {
-		return nil
-	}
-	if _, err := s.segs[gid].Write(frame(encodeUpdate(rec))); err != nil {
-		return fmt.Errorf("drstore: append: %w", err)
-	}
-	return nil
-}
-
-// Snapshot returns a group's shipped state from the in-memory mirror.
-func (s *DirStore) Snapshot(gid uint64) (Snapshot, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Snapshot{}, false, ErrClosed
-	}
-	g, ok := s.groups[gid]
-	if !ok {
-		return Snapshot{}, false, nil
-	}
-	return g.snapshot(), true, nil
-}
-
-// Groups lists shipped group ids, sorted.
-func (s *DirStore) Groups() ([]uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	out := make([]uint64, 0, len(s.groups))
-	for gid := range s.groups {
-		out = append(out, gid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// Close syncs and closes every segment file.
-func (s *DirStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var first error
-	for _, f := range s.segs {
-		if err := f.Sync(); err != nil && first == nil {
-			first = err
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// --- framing and codecs -----------------------------------------------------
-
-// frame length-prefixes one encoded body (4-byte big-endian), the same
-// convention the local FileLog uses.
-func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	out[0] = byte(len(body) >> 24)
-	out[1] = byte(len(body) >> 16)
-	out[2] = byte(len(body) >> 8)
-	out[3] = byte(len(body))
-	copy(out[4:], body)
-	return out
-}
-
-// readFrames streams length-prefixed bodies from the file's start, stopping
-// cleanly at EOF or a torn/undecodable tail. It returns the byte offset of
-// the end of the last intact frame.
-func readFrames(f *os.File, visit func(body []byte) error) (good int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-			return good, nil // EOF or torn length prefix: stop at the prefix
-		}
-		n := uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3])
-		body := make([]byte, n)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return good, nil // torn body
-		}
-		if err := visit(body); err != nil {
-			return good, nil // corrupt tail
-		}
-		good += int64(4 + n)
-	}
-}
-
-func encodeMeta(m Meta) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULongLong(m.GroupID)
-	e.WriteString(m.Name)
-	e.WriteString(m.TypeID)
-	e.WriteOctet(m.Style)
-	e.WriteLongLong(int64(m.CheckpointEvery))
-	e.WriteLongLong(int64(m.CheckpointEveryBytes))
-	e.WriteLongLong(int64(m.Shard))
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-func decodeMeta(b []byte) (Meta, error) {
-	var m Meta
-	d := cdr.NewDecoder(b, cdr.BigEndian)
-	var err error
-	if m.GroupID, err = d.ReadULongLong(); err != nil {
-		return m, err
-	}
-	if m.Name, err = d.ReadString(); err != nil {
-		return m, err
-	}
-	if m.TypeID, err = d.ReadString(); err != nil {
-		return m, err
-	}
-	if m.Style, err = d.ReadOctet(); err != nil {
-		return m, err
-	}
-	var v int64
-	if v, err = d.ReadLongLong(); err != nil {
-		return m, err
-	}
-	m.CheckpointEvery = int(v)
-	if v, err = d.ReadLongLong(); err != nil {
-		return m, err
-	}
-	m.CheckpointEveryBytes = int(v)
-	if v, err = d.ReadLongLong(); err != nil {
-		return m, err
-	}
-	m.Shard = int(v)
-	return m, nil
-}
-
-func encodeCheckpoint(cp Checkpoint) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULongLong(cp.UpToMsgID)
-	e.WriteOctetSeq(cp.State)
-	e.WriteULong(uint32(len(cp.Covered)))
-	for _, k := range cp.Covered {
-		e.WriteString(k.ClientID)
-		e.WriteULongLong(k.ParentSeq)
-		e.WriteULongLong(k.OpSeq)
-	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-func decodeCheckpoint(b []byte) (Checkpoint, error) {
-	var cp Checkpoint
-	d := cdr.NewDecoder(b, cdr.BigEndian)
-	var err error
-	if cp.UpToMsgID, err = d.ReadULongLong(); err != nil {
-		return cp, err
-	}
-	if cp.State, err = d.ReadOctetSeq(); err != nil {
-		return cp, err
-	}
-	var n uint32
-	if n, err = d.ReadULong(); err != nil {
-		return cp, err
-	}
-	cp.Covered = make([]OpRef, n)
-	for i := range cp.Covered {
-		if cp.Covered[i].ClientID, err = d.ReadString(); err != nil {
-			return cp, err
-		}
-		if cp.Covered[i].ParentSeq, err = d.ReadULongLong(); err != nil {
-			return cp, err
-		}
-		if cp.Covered[i].OpSeq, err = d.ReadULongLong(); err != nil {
-			return cp, err
-		}
-	}
-	return cp, nil
-}
-
-func encodeUpdate(rec wal.Record) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(byte(rec.Kind))
-	e.WriteULongLong(rec.MsgID)
-	e.WriteString(rec.Op)
-	e.WriteOctetSeq(rec.Data)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-func decodeUpdate(b []byte) (wal.Record, error) {
-	var rec wal.Record
-	d := cdr.NewDecoder(b, cdr.BigEndian)
-	k, err := d.ReadOctet()
-	if err != nil {
-		return rec, err
-	}
-	rec.Kind = wal.Kind(k)
-	if rec.Kind != wal.KindCheckpoint && rec.Kind != wal.KindUpdate {
-		return rec, fmt.Errorf("drstore: bad record kind %d", k)
-	}
-	if rec.MsgID, err = d.ReadULongLong(); err != nil {
-		return rec, err
-	}
-	if rec.Op, err = d.ReadString(); err != nil {
-		return rec, err
-	}
-	if rec.Data, err = d.ReadOctetSeq(); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }

@@ -3,27 +3,24 @@
 // warm standby consumes from where the primary domain's replicas keep
 // their local write-ahead logs.
 //
-// The replication engine's senior members ship three things per group: the
-// group's definition (Meta — shipped once at hosting so even traffic-free
-// groups can be re-hosted), full-state checkpoints carrying the sender's
-// duplicate-suppression window (Checkpoint — the exactly-once anchor), and
-// the update records appended since the last checkpoint (invocation logs
-// for cold-passive and DR-enabled active groups, state deltas for warm
-// passive). A standby domain (core.Standby) replays Snapshot() per group
-// to keep a staged servant warm, and promotes from it after the primary
-// domain dies.
+// The replication engine ships per group its definition (Meta, at hosting,
+// so even traffic-free groups can be re-hosted), full-state checkpoints
+// carrying the sender's duplicate-suppression window (the exactly-once
+// anchor), and the update records since the last checkpoint. A standby
+// domain (core.Standby) replays Snapshot() per group to keep a staged
+// servant warm and promotes from it after the primary domain dies.
 //
 // Stores are idempotent and self-compacting: an update at or below the
-// last shipped MsgID is dropped (retransmission after primary failover
-// inside the source domain), a checkpoint older than the stored one is
+// last shipped MsgID is dropped, a checkpoint older than the stored one is
 // dropped, and an accepted checkpoint discards the updates it covers. That
-// makes shipping safe to retry and bounds the store to one checkpoint plus
-// one checkpoint interval of updates per group.
+// makes shipping safe to retry and bounds a group to one checkpoint plus
+// one checkpoint interval of updates.
 package drstore
 
 import (
 	"errors"
-	"sort"
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/wal"
@@ -41,14 +38,6 @@ type Meta struct {
 	Shard                int // 1-based explicit pin, 0 = hash-routed
 }
 
-// OpRef identifies one logical operation for duplicate suppression across
-// domains (the exported mirror of replication's operation key).
-type OpRef struct {
-	ClientID  string
-	ParentSeq uint64
-	OpSeq     uint64
-}
-
 // Checkpoint is one shipped full-state snapshot.
 type Checkpoint struct {
 	// UpToMsgID is the ordered message id the state reflects (source-domain
@@ -56,16 +45,16 @@ type Checkpoint struct {
 	// on Covered, not on msgID comparison).
 	UpToMsgID uint64
 	State     []byte
-	// Covered is the sender's duplicate-suppression window at snapshot
-	// time: operations whose effects State already includes. A promoted
-	// replica seeds its dedup table from it so a client retransmission
-	// cannot re-execute an acknowledged operation on the standby.
-	Covered []OpRef
+	// Covered is the sender's duplicate-suppression window, in the
+	// replication layer's encoding (opaque here): the operations State
+	// includes and every client's horizons. A promoted replica seeds its
+	// dedup table from it, so a retransmission cannot re-execute an
+	// acknowledged operation on the standby.
+	Covered []byte
 }
 
-// Snapshot is a group's complete shipped history: the latest checkpoint
-// (nil if none shipped yet) plus the updates appended after it, oldest
-// first.
+// Snapshot is a group's shipped history: the latest checkpoint (nil if
+// none shipped yet) plus the updates appended after it, oldest first.
 type Snapshot struct {
 	Meta       Meta
 	Checkpoint *Checkpoint
@@ -94,19 +83,18 @@ type Store interface {
 // ErrClosed is returned on use after Close.
 var ErrClosed = errors.New("drstore: store closed")
 
-// groupState is one group's in-memory shipped state (shared by MemStore
-// and DirStore's cache).
+// groupState is one group's shipped state.
 type groupState struct {
 	meta    Meta
-	haveCp  bool
-	cp      Checkpoint
+	cp      *Checkpoint // nil until one is accepted
 	updates []wal.Record
-	lastMsg uint64 // highest update MsgID accepted (0 = none yet)
+	lastMsg uint64       // highest update MsgID accepted (0 = none yet)
+	seg     *wal.FileLog // DirStore's update segment (nil in a MemStore)
 }
 
 // acceptUpdate applies the staleness rule; reports whether rec was taken.
 func (g *groupState) acceptUpdate(rec wal.Record) bool {
-	if rec.MsgID <= g.lastMsg || (g.haveCp && rec.MsgID <= g.cp.UpToMsgID) {
+	if rec.MsgID <= g.lastMsg || (g.cp != nil && rec.MsgID <= g.cp.UpToMsgID) {
 		return false
 	}
 	rec.Data = append([]byte(nil), rec.Data...)
@@ -117,20 +105,13 @@ func (g *groupState) acceptUpdate(rec wal.Record) bool {
 
 // acceptCheckpoint applies the supersession rule; reports whether cp won.
 func (g *groupState) acceptCheckpoint(cp Checkpoint) bool {
-	if g.haveCp && cp.UpToMsgID < g.cp.UpToMsgID {
+	if g.cp != nil && cp.UpToMsgID < g.cp.UpToMsgID {
 		return false
 	}
 	cp.State = append([]byte(nil), cp.State...)
-	cp.Covered = append([]OpRef(nil), cp.Covered...)
-	g.cp = cp
-	g.haveCp = true
-	kept := g.updates[:0]
-	for _, u := range g.updates {
-		if u.MsgID > cp.UpToMsgID {
-			kept = append(kept, u)
-		}
-	}
-	g.updates = kept
+	cp.Covered = append([]byte(nil), cp.Covered...)
+	g.cp = &cp
+	g.updates = slices.DeleteFunc(g.updates, func(u wal.Record) bool { return u.MsgID <= cp.UpToMsgID })
 	if g.lastMsg < cp.UpToMsgID {
 		g.lastMsg = cp.UpToMsgID
 	}
@@ -139,12 +120,9 @@ func (g *groupState) acceptCheckpoint(cp Checkpoint) bool {
 
 func (g *groupState) snapshot() Snapshot {
 	s := Snapshot{Meta: g.meta}
-	if g.haveCp {
-		cp := Checkpoint{
-			UpToMsgID: g.cp.UpToMsgID,
-			State:     append([]byte(nil), g.cp.State...),
-			Covered:   append([]OpRef(nil), g.cp.Covered...),
-		}
+	if g.cp != nil {
+		cp := *g.cp
+		cp.State, cp.Covered = append([]byte(nil), cp.State...), append([]byte(nil), cp.Covered...)
 		s.Checkpoint = &cp
 	}
 	s.Updates = make([]wal.Record, len(g.updates))
@@ -155,81 +133,85 @@ func (g *groupState) snapshot() Snapshot {
 	return s
 }
 
-// --- MemStore ---------------------------------------------------------------
-
-// MemStore is the in-memory Store (tests, benchmarks, and same-process
-// standby domains). The zero value is not usable; call NewMemStore.
-type MemStore struct {
+// mirror is the group table both stores serve reads from. A DirStore's
+// mirror has a directory, and its groups persist each accepted change.
+type mirror struct {
 	mu     sync.Mutex
 	groups map[uint64]*groupState
 	closed bool
+	dir    string // "" for a MemStore, whose groups have no segment
 }
 
-var _ Store = (*MemStore)(nil)
-
-// NewMemStore creates an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{groups: make(map[uint64]*groupState)}
-}
-
-func (s *MemStore) group(gid uint64) *groupState {
+// update runs fn on gid's state under the lock, creating the group first.
+func (s *mirror) update(gid uint64, fn func(g *groupState) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	g, ok := s.groups[gid]
 	if !ok {
-		g = &groupState{}
+		var err error
+		if g, err = s.openGroup(gid); err != nil {
+			return err
+		}
 		s.groups[gid] = g
 	}
-	return g
+	return fn(g)
 }
 
 // PutMeta registers a group definition.
-func (s *MemStore) PutMeta(m Meta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.group(m.GroupID).meta = m
-	return nil
+func (s *mirror) PutMeta(m Meta) error {
+	return s.update(m.GroupID, func(g *groupState) error {
+		if g.seg != nil {
+			if err := writeGob(s.path(m.GroupID, metaFile), m); err != nil {
+				return fmt.Errorf("drstore: write meta: %w", err)
+			}
+		}
+		g.meta = m
+		return nil
+	})
 }
 
-// PutCheckpoint ships a snapshot.
-func (s *MemStore) PutCheckpoint(gid uint64, cp Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.group(gid).acceptCheckpoint(cp)
-	return nil
+// PutCheckpoint ships a snapshot. A DirStore writes the checkpoint file
+// before it compacts the segment.
+func (s *mirror) PutCheckpoint(gid uint64, cp Checkpoint) error {
+	return s.update(gid, func(g *groupState) error {
+		if !g.acceptCheckpoint(cp) || g.seg == nil {
+			return nil
+		}
+		if err := writeGob(s.path(gid, ckptFile), g.cp); err != nil {
+			return fmt.Errorf("drstore: write checkpoint: %w", err)
+		}
+		return g.seg.Rewrite(g.updates)
+	})
 }
 
 // AppendUpdate ships one update record.
-func (s *MemStore) AppendUpdate(gid uint64, rec wal.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.group(gid).acceptUpdate(rec)
-	return nil
+func (s *mirror) AppendUpdate(gid uint64, rec wal.Record) error {
+	return s.update(gid, func(g *groupState) error {
+		if !g.acceptUpdate(rec) || g.seg == nil {
+			return nil
+		}
+		return g.seg.Append(rec)
+	})
 }
 
 // Snapshot returns a group's shipped state.
-func (s *MemStore) Snapshot(gid uint64) (Snapshot, bool, error) {
+func (s *mirror) Snapshot(gid uint64) (Snapshot, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Snapshot{}, false, ErrClosed
 	}
-	g, ok := s.groups[gid]
-	if !ok {
-		return Snapshot{}, false, nil
+	if g := s.groups[gid]; g != nil {
+		return g.snapshot(), true, nil
 	}
-	return g.snapshot(), true, nil
+	return Snapshot{}, false, nil
 }
 
 // Groups lists shipped group ids, sorted.
-func (s *MemStore) Groups() ([]uint64, error) {
+func (s *mirror) Groups() ([]uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -239,14 +221,36 @@ func (s *MemStore) Groups() ([]uint64, error) {
 	for gid := range s.groups {
 		out = append(out, gid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
-// Close marks the store closed.
-func (s *MemStore) Close() error {
+// Close marks the store closed (a DirStore syncs and closes its segments).
+func (s *mirror) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	s.closed = true
-	return nil
+	var errs []error
+	for _, g := range s.groups {
+		if g.seg != nil {
+			errs = append(errs, g.seg.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// MemStore is the in-memory Store (tests, benchmarks, and same-process
+// standby domains). The zero value is not usable; call NewMemStore.
+type MemStore struct {
+	mirror
+}
+
+var _ Store = (*MemStore)(nil)
+
+// NewMemStore creates an empty in-memory store.
+func NewMemStore() *MemStore {
+	return &MemStore{mirror{groups: make(map[uint64]*groupState)}}
 }

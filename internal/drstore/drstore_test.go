@@ -1,6 +1,7 @@
 package drstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,7 +48,7 @@ func exercise(t *testing.T, s Store) {
 	}
 
 	// Checkpoint at 4 compacts updates ≤ 4 and keeps 5.
-	cp := Checkpoint{UpToMsgID: 4, State: []byte("state@4"), Covered: []OpRef{{ClientID: "c1", ParentSeq: 1, OpSeq: 2}}}
+	cp := Checkpoint{UpToMsgID: 4, State: []byte("state@4"), Covered: []byte("window:c1/1/2")}
 	if err := s.PutCheckpoint(7, cp); err != nil {
 		t.Fatalf("PutCheckpoint: %v", err)
 	}
@@ -55,7 +56,7 @@ func exercise(t *testing.T, s Store) {
 	if snap.Checkpoint == nil || snap.Checkpoint.UpToMsgID != 4 {
 		t.Fatalf("checkpoint = %+v, want UpToMsgID 4", snap.Checkpoint)
 	}
-	if string(snap.Checkpoint.State) != "state@4" || len(snap.Checkpoint.Covered) != 1 || snap.Checkpoint.Covered[0].ClientID != "c1" {
+	if string(snap.Checkpoint.State) != "state@4" || !bytes.Equal(snap.Checkpoint.Covered, cp.Covered) {
 		t.Fatalf("checkpoint content = %+v", snap.Checkpoint)
 	}
 	if len(snap.Updates) != 1 || snap.Updates[0].MsgID != 5 {

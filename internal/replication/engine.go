@@ -492,22 +492,30 @@ func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.L
 // HostRecoveredReplica hosts a group restored from a shipped
 // disaster-recovery snapshot — the standby-promotion path. The servant
 // already carries the recovered state (core.Standby staged it from the
-// store); covered lists the operations that state includes. The replica
-// starts operational (not syncing) with lastExec 0: message ids from the
+// store); window is the last shipped checkpoint's duplicate-suppression
+// window and replayed the logged invocations the standby applied after it.
+// The replica starts operational with lastExec 0: message ids from the
 // source domain's ring lineage don't compare against this domain's, so
-// exactly-once for shipped-covered operations rests entirely on the seeded
-// duplicate table — covered operations are marked delivered, answered, and
-// executed, and a client retransmission into the new domain can neither
-// re-execute nor re-answer them (like crash-restart rejoin, the original
-// reply bodies stayed with the dead domain, so such retries time out
-// rather than double-execute).
-func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state []byte, covered []drstore.OpRef) error {
+// exactly-once for shipped operations rests entirely on the duplicate
+// table, seeded the way checkpoint adoption seeds it — the window's
+// horizons, then every covered key as delivered and executed. A
+// retransmission of a covered operation is therefore suppressed, and one
+// the source's record cap had evicted is refused; neither re-executes
+// (like crash-restart rejoin, the original replies stayed with the dead
+// domain, so such retries time out).
+func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state, window []byte, replayed []wal.Record) error {
 	def.fill()
-	r := newReplica(e, def, servant, false, e.cfg.LogFactory(def))
-	for _, ref := range covered {
-		rec := r.dedup.record(opKey{ClientID: ref.ClientID, ParentSeq: ref.ParentSeq, OpSeq: ref.OpSeq})
-		rec.deliveredInv, rec.answered, rec.executedLocal = true, true, true
+	win, err := decodeWindow(window)
+	if err != nil {
+		return fmt.Errorf("replication: group %d: shipped window: %w", def.ID, err)
 	}
+	for _, rec := range replayed {
+		if _, _, k, ok := loggedInvocation(rec); ok {
+			win.keys = append(win.keys, k)
+		}
+	}
+	r := newReplica(e, def, servant, false, e.cfg.LogFactory(def))
+	r.countRetired(r.dedup.adopt(win))
 	if len(state) > 0 {
 		// Anchor the new local log so a crash of the promoted replica
 		// recovers to the shipped state, not to zero.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/drstore"
 	"repro/internal/nondet"
 	"repro/internal/orb"
 	"repro/internal/wal"
@@ -56,12 +55,12 @@ func ReplayLog(def GroupDef, log wal.Log, servant orb.Servant) (lastMsgID uint64
 		if rec.MsgID <= lastMsgID {
 			continue // already covered by the checkpoint
 		}
-		ref, isInv, applied := ApplyRecord(def, servant, rec)
+		key, isInv, applied := applyRecord(def, servant, rec)
 		if !applied {
 			continue
 		}
 		if isInv {
-			replayed = append(replayed, opKey{ClientID: ref.ClientID, ParentSeq: ref.ParentSeq, OpSeq: ref.OpSeq})
+			replayed = append(replayed, key)
 		}
 		lastMsgID = rec.MsgID
 	}
@@ -75,37 +74,30 @@ func ReplayLog(def GroupDef, log wal.Log, servant orb.Servant) (lastMsgID uint64
 // original execution used (nested invocations are not re-issued: Caller is
 // nil, replay restores local state only); warm-passive deltas and full
 // snapshots re-apply through the servant's Updatable/Checkpointable
-// interfaces. It returns the invocation's operation reference (isInv true)
-// so callers can extend their duplicate-suppression windows, and reports
-// whether the record took effect — an unapplied record must not advance the
+// interfaces. It reports whether the record was a logged invocation (whose
+// key a promoted replica must treat as executed, see HostRecoveredReplica)
+// and whether it took effect — an unapplied record must not advance the
 // caller's replay horizon.
-func ApplyRecord(def GroupDef, servant orb.Servant, rec wal.Record) (ref drstore.OpRef, isInv bool, applied bool) {
+func ApplyRecord(def GroupDef, servant orb.Servant, rec wal.Record) (isInv bool, applied bool) {
+	_, isInv, applied = applyRecord(def, servant, rec)
+	return isInv, applied
+}
+
+// applyRecord is ApplyRecord also returning a logged invocation's key.
+func applyRecord(def GroupDef, servant orb.Servant, rec wal.Record) (key opKey, isInv bool, applied bool) {
 	switch {
 	case strings.HasPrefix(rec.Op, opRecInvoke):
-		m, derr := decodeWire(rec.Data)
-		if derr != nil {
-			return ref, false, false
-		}
-		// A logged invocation is either an ordered msgInvocation (cold
-		// passive) or a leader-follower order record; both re-execute with
-		// the deterministic context keyed on the record's message id (for
-		// LF records that id is lfMsgID(epoch, seq) — exactly what the
-		// original execution used).
-		var op string
-		var argBytes []byte
-		var key opKey
-		switch inv := m.(type) {
-		case *msgInvocation:
-			op, argBytes, key = inv.Operation, inv.Args, inv.Key
-		case *msgLfOrder:
-			op, argBytes, key = inv.Operation, inv.Args, inv.Key
-		default:
-			return ref, false, false
+		op, argBytes, k, ok := loggedInvocation(rec)
+		if !ok {
+			return key, false, false
 		}
 		args, aerr := orb.DecodeRequestBody(argBytes)
 		if aerr != nil {
-			return ref, false, false
+			return key, false, false
 		}
+		// The deterministic context is keyed on the record's message id (for
+		// LF records that id is lfMsgID(epoch, seq) — exactly what the
+		// original execution used).
 		det := nondet.NewContext(def.ID, rec.MsgID, epochAnchor)
 		// Dispatch errors (user exceptions) are outcomes, not replay
 		// failures: the original execution produced them too.
@@ -114,21 +106,40 @@ func ApplyRecord(def GroupDef, servant orb.Servant, rec wal.Record) (ref drstore
 			Args:      args,
 			Det:       det,
 		})
-		ref = drstore.OpRef{ClientID: key.ClientID, ParentSeq: key.ParentSeq, OpSeq: key.OpSeq}
-		return ref, true, true
+		return k, true, true
 	case rec.Op == opRecUpdateFull:
 		ck, ok := servant.(orb.Checkpointable)
 		if !ok {
-			return ref, false, false
+			return key, false, false
 		}
-		return ref, false, ck.SetState(rec.Data) == nil
+		return key, false, ck.SetState(rec.Data) == nil
 	case rec.Op == opRecUpdate:
 		upd, ok := servant.(orb.Updatable)
 		if !ok {
-			return ref, false, false
+			return key, false, false
 		}
-		return ref, false, upd.ApplyUpdate(rec.Data) == nil
+		return key, false, upd.ApplyUpdate(rec.Data) == nil
 	default:
-		return ref, false, false // unknown record kind: skip, do not corrupt state
+		return key, false, false // unknown record kind: skip, do not corrupt state
 	}
+}
+
+// loggedInvocation decodes a logged invocation record: an ordered
+// msgInvocation (cold passive, DR-shipped active) or a leader-follower
+// order record.
+func loggedInvocation(rec wal.Record) (op string, args []byte, key opKey, ok bool) {
+	if !strings.HasPrefix(rec.Op, opRecInvoke) {
+		return "", nil, key, false
+	}
+	m, err := decodeWire(rec.Data)
+	if err != nil {
+		return "", nil, key, false
+	}
+	switch inv := m.(type) {
+	case *msgInvocation:
+		return inv.Operation, inv.Args, inv.Key, true
+	case *msgLfOrder:
+		return inv.Operation, inv.Args, inv.Key, true
+	}
+	return "", nil, key, false
 }

@@ -312,24 +312,11 @@ func (r *replica) logUpdate(rec wal.Record) {
 }
 
 // shipCheckpoint sends a full-state snapshot plus the covered dedup window
-// to the DR store.
+// (in its wire encoding, passed through unparsed) to the DR store.
 func (r *replica) shipCheckpoint(upTo uint64, state []byte, window []byte) {
-	if !r.shipsDR() {
-		return
+	if r.shipsDR() {
+		_ = r.eng.cfg.DR.PutCheckpoint(r.def.ID, drstore.Checkpoint{UpToMsgID: upTo, State: state, Covered: window})
 	}
-	covered, err := decodeWindow(window)
-	if err != nil {
-		return // unreachable: window is this replica's own encoding
-	}
-	refs := make([]drstore.OpRef, len(covered.keys))
-	for i, k := range covered.keys {
-		refs[i] = drstore.OpRef{ClientID: k.ClientID, ParentSeq: k.ParentSeq, OpSeq: k.OpSeq}
-	}
-	_ = r.eng.cfg.DR.PutCheckpoint(r.def.ID, drstore.Checkpoint{
-		UpToMsgID: upTo,
-		State:     state,
-		Covered:   refs,
-	})
 }
 
 func (r *replica) onInvoke(t taskInvoke) {

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/drstore"
 	"repro/internal/fault"
 	"repro/internal/giop"
 	"repro/internal/orb"
+	"repro/internal/wal"
 )
 
 // addInvocation is an ordered "add" invocation for direct injection into a
@@ -140,6 +142,79 @@ func TestEvictedRetryIsReported(t *testing.T) {
 	}
 	if s := eng.Stats(); s.DedupOverflows != 1 || s.Executions != 0 {
 		t.Fatalf("overflows %d, executions %d; want 1 and 0", s.DedupOverflows, s.Executions)
+	}
+}
+
+// A group promoted from the DR store keeps the source domain's eviction
+// marks: the checkpoint window ships with its horizons, so a retry whose
+// record the cap evicted is refused on the standby as it would have been at
+// the source, not executed a second time.
+func TestPromotedReplicaRefusesEvictedRetry(t *testing.T) {
+	store := drstore.NewMemStore()
+	src := newCluster(t, 1, func(cfg *Config) { cfg.DR = store })
+	// A checkpoint every other operation, so one ships after the eviction.
+	def := GroupDef{ID: 44, Name: "overflow", Style: Active, CheckpointEvery: 2}
+	src.host(def, "n1")
+	r := src.engines["n1"].replicaFor(44)
+	st, _ := src.engines["n1"].GroupStatus(44)
+	id := st.LastExec + 1
+
+	victim := opKey{ClientID: "c:victim", OpSeq: 1}
+	r.q.Push(task{msgID: id, m: addInvocation(44, victim, 1)})
+	others := dedupRetain + 1
+	for i := 0; i < others; i++ {
+		k := opKey{ClientID: fmt.Sprintf("c:other%d", i%4), OpSeq: uint64(i/4 + 1)}
+		r.q.Push(task{msgID: id + 1 + uint64(i), m: addInvocation(44, k, 0)})
+	}
+	last := id + uint64(others)
+	var snap drstore.Snapshot
+	waitFor(t, 10*time.Second, "a checkpoint of the last operation shipped", func() bool {
+		snap, _, _ = store.Snapshot(44)
+		return snap.Checkpoint != nil && snap.Checkpoint.UpToMsgID == last
+	})
+	if keyStateAt(src.engines["n1"], 44, victim) != keyEvicted {
+		t.Fatal("the victim's record was not evicted at the source")
+	}
+
+	// Promote the way core.Standby does: install the shipped checkpoint,
+	// replay the updates after it, host with the window and the replayed
+	// invocations.
+	standby := &account{}
+	if err := standby.SetState(snap.Checkpoint.State); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []wal.Record
+	for _, rec := range snap.Updates {
+		if isInv, applied := ApplyRecord(def, standby, rec); isInv && applied {
+			replayed = append(replayed, rec)
+		}
+	}
+	state, _ := standby.GetState()
+	dst := newCluster(t, 1)
+	eng := dst.engines["n1"]
+	if err := eng.HostRecoveredReplica(def, standby, state, snap.Checkpoint.Covered, replayed); err != nil {
+		t.Fatal(err)
+	}
+	dst.waitMembers(44, []string{"n1"})
+	balance, ops := standby.snapshot()
+
+	pc, err := eng.registerCall(victim, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.replicaFor(44).q.Push(task{msgID: 1 << 20, m: addInvocation(44, victim, 1)})
+	select {
+	case rep := <-pc.ch:
+		_, err := wireToOutcome(rep.Status, rep.Body)
+		var sys giop.SystemException
+		if !errors.As(err, &sys) || sys.RepoID != giop.ExcTimeout {
+			t.Fatalf("retry on the promoted replica: %v, want a TIMEOUT system exception", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no reply to the retry on the promoted replica")
+	}
+	if b, o := standby.snapshot(); b != balance || o != ops {
+		t.Fatalf("promoted state (balance %d, ops %d) after the retry, want (%d, %d): the evicted operation ran again", b, o, balance, ops)
 	}
 }
 

@@ -1,25 +1,16 @@
 // Package wal implements the logging-and-recovery mechanisms behind warm
 // and cold passive replication: a log of state checkpoints interleaved with
 // the update operations (or state deltas) applied since the last
-// checkpoint.
-//
-// On failover, a backup recovers by loading the most recent checkpoint and
-// replaying the updates logged after it; the checkpointing interval
-// therefore trades steady-state cost against recovery time (experiment E6).
-// Two implementations are provided: MemLog (what the infrastructure uses on
-// the simulated nodes) and FileLog (a durable variant demonstrating the
-// same record format on disk).
+// checkpoint. On failover, a backup loads the most recent checkpoint and
+// replays the updates logged after it, so the checkpointing interval trades
+// steady-state cost against recovery time (experiment E6). MemLog is what
+// the simulated nodes use; FileLog is the same record list made durable by
+// a segment file (segment.go), which the DR store's DirStore uses too.
 package wal
 
 import (
 	"errors"
-	"fmt"
-	"io"
-	"log"
-	"os"
 	"sync"
-
-	"repro/internal/cdr"
 )
 
 // Kind distinguishes log record types.
@@ -62,8 +53,6 @@ type Log interface {
 
 // ErrClosed is returned when appending to a closed log.
 var ErrClosed = errors.New("wal: log closed")
-
-// --- MemLog ----------------------------------------------------------------
 
 // MemLog is an in-memory log. The zero value is ready to use.
 type MemLog struct {
@@ -138,210 +127,87 @@ func recoverFrom(recs []Record) (Record, []Record, bool, error) {
 	return recs[idx], updates, true, nil
 }
 
-// --- FileLog ---------------------------------------------------------------
-
-// FileLog is a durable log of length-prefixed CDR records.
+// FileLog is a durable log: a MemLog's record list backed by a segment.
 type FileLog struct {
-	mu     sync.Mutex
-	f      *os.File
-	recs   []Record // index kept in memory; file is the durable copy
-	closed bool
+	mem MemLog // mem.mu guards seg too
+	seg *segment
 }
 
 var _ Log = (*FileLog)(nil)
 
-// OpenFileLog opens (or creates) a file-backed log, loading any existing
+// OpenFileLog opens (or creates) a file-backed log, loading its intact
 // records.
 func OpenFileLog(path string) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	seg, recs, err := openSegment(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: open: %w", err)
-	}
-	l := &FileLog{f: f}
-	if err := l.load(); err != nil {
-		f.Close()
 		return nil, err
 	}
-	return l, nil
-}
-
-func (l *FileLog) load() error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	// good tracks the end of the last intact record. A torn or corrupt tail
-	// (crash mid-append) is truncated away rather than merely skipped:
-	// leaving the garbage in place would let the next Append land after it,
-	// and the torn record's length prefix would then swallow those bytes on
-	// the following recovery — silently losing every later record.
-	var good int64
-	torn := false
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(l.f, lenBuf[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			if err == io.ErrUnexpectedEOF {
-				torn = true // torn length prefix
-				break
-			}
-			return fmt.Errorf("wal: read length: %w", err)
-		}
-		n := uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3])
-		body := make([]byte, n)
-		if _, err := io.ReadFull(l.f, body); err != nil {
-			torn = true // torn body
-			break
-		}
-		rec, err := decodeRecord(body)
-		if err != nil {
-			torn = true // corrupt tail
-			break
-		}
-		l.recs = append(l.recs, rec)
-		good += int64(4 + n)
-	}
-	if torn {
-		log.Printf("wal: %s: torn record at offset %d; truncating tail", l.f.Name(), good)
-		if err := l.f.Truncate(good); err != nil {
-			return fmt.Errorf("wal: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := l.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	return nil
-}
-
-func encodeRecord(rec Record) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctet(byte(rec.Kind))
-	e.WriteULongLong(rec.MsgID)
-	e.WriteString(rec.Op)
-	e.WriteOctetSeq(rec.Data)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-func decodeRecord(b []byte) (Record, error) {
-	var rec Record
-	d := cdr.NewDecoder(b, cdr.BigEndian)
-	k, err := d.ReadOctet()
-	if err != nil {
-		return rec, err
-	}
-	rec.Kind = Kind(k)
-	if rec.Kind != KindCheckpoint && rec.Kind != KindUpdate {
-		return rec, fmt.Errorf("wal: bad record kind %d", k)
-	}
-	if rec.MsgID, err = d.ReadULongLong(); err != nil {
-		return rec, err
-	}
-	if rec.Op, err = d.ReadString(); err != nil {
-		return rec, err
-	}
-	if rec.Data, err = d.ReadOctetSeq(); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return &FileLog{mem: MemLog{recs: recs}, seg: seg}, nil
 }
 
 // Append adds and persists a record.
 func (l *FileLog) Append(rec Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.mem.mu.Lock()
+	defer l.mem.mu.Unlock()
+	if l.mem.closed {
 		return ErrClosed
-	}
-	body := encodeRecord(rec)
-	frame := make([]byte, 4+len(body))
-	frame[0] = byte(len(body) >> 24)
-	frame[1] = byte(len(body) >> 16)
-	frame[2] = byte(len(body) >> 8)
-	frame[3] = byte(len(body))
-	copy(frame[4:], body)
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
 	}
 	// Checkpoints are the recovery anchor: everything before one is about to
 	// be compacted away, so it must actually be on disk before that happens.
 	// Update records stay buffered (synced on Close) — losing a torn tail of
 	// updates costs replay work, losing a checkpoint costs the whole state.
-	if rec.Kind == KindCheckpoint {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync checkpoint: %w", err)
-		}
+	if err := l.seg.append(rec, rec.Kind == KindCheckpoint); err != nil {
+		return err
 	}
 	rec.Data = append([]byte(nil), rec.Data...)
-	l.recs = append(l.recs, rec)
+	l.mem.recs = append(l.mem.recs, rec)
 	return nil
 }
 
 // Recover returns the latest checkpoint and subsequent updates.
-func (l *FileLog) Recover() (Record, []Record, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return recoverFrom(l.recs)
-}
+func (l *FileLog) Recover() (Record, []Record, bool, error) { return l.mem.Recover() }
 
 // Len returns the number of retained records.
-func (l *FileLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
-}
+func (l *FileLog) Len() int { return l.mem.Len() }
 
 // TruncateAtCheckpoint compacts the log file to start at the most recent
 // checkpoint.
 func (l *FileLog) TruncateAtCheckpoint() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	idx := latestCheckpoint(l.recs)
-	if idx <= 0 {
-		return nil
+	l.mem.mu.Lock()
+	defer l.mem.mu.Unlock()
+	if idx := latestCheckpoint(l.mem.recs); idx > 0 {
+		return l.rewriteLocked(append([]Record(nil), l.mem.recs[idx:]...))
 	}
-	kept := append([]Record(nil), l.recs[idx:]...)
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
+	return nil
+}
+
+// Rewrite replaces every record with recs in one crash-safe rewrite: a
+// crash leaves either the old records or recs on disk. The log keeps recs'
+// Data, which the caller must not modify afterwards.
+func (l *FileLog) Rewrite(recs []Record) error {
+	l.mem.mu.Lock()
+	defer l.mem.mu.Unlock()
+	return l.rewriteLocked(append([]Record(nil), recs...))
+}
+
+func (l *FileLog) rewriteLocked(recs []Record) error {
+	if l.mem.closed {
+		return ErrClosed
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seek: %w", err)
+	if err := l.seg.rewrite(recs); err != nil {
+		return err
 	}
-	l.recs = nil
-	for _, rec := range kept {
-		body := encodeRecord(rec)
-		frame := make([]byte, 4+len(body))
-		frame[0] = byte(len(body) >> 24)
-		frame[1] = byte(len(body) >> 16)
-		frame[2] = byte(len(body) >> 8)
-		frame[3] = byte(len(body))
-		copy(frame[4:], body)
-		if _, err := l.f.Write(frame); err != nil {
-			return fmt.Errorf("wal: rewrite: %w", err)
-		}
-		l.recs = append(l.recs, rec)
-	}
-	// The rewrite replaced the whole file; sync so a crash right after
-	// compaction can't lose the surviving checkpoint.
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync compaction: %w", err)
-	}
+	l.mem.recs = recs
 	return nil
 }
 
 // Close syncs and closes the file.
 func (l *FileLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.mem.mu.Lock()
+	defer l.mem.mu.Unlock()
+	if l.mem.closed {
 		return nil
 	}
-	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	return l.f.Close()
+	l.mem.closed = true
+	return l.seg.close()
 }
