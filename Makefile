@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check race bench benchcmp test build vet chaos fuzz-smoke slo slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
+.PHONY: check race bench benchcmp test build vet chaos totem-soak fuzz-smoke slo slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
 
 ## check: vet + build + full test suite (the tier-1 gate)
 check: vet build test
@@ -35,6 +35,12 @@ race:
 chaos:
 	CHAOS_SEEDS=7 $(GO) test -race -count=1 ./internal/chaos
 
+## totem-soak: repeat the totem tests that ride loss, token retransmission
+## and parking 50 times — a one-in-twenty flake there hides behind the
+## single run of the tier-1 gate
+totem-soak:
+	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops' ./internal/totem
+
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is
 ## capped because shrinking inputs grown from the 12 KB window seed would
@@ -50,8 +56,8 @@ fuzz-smoke:
 ## loopback-UDP throughput cells, the PR8 disaster-recovery RPO/RTO
 ## measurement, the PR9 fail-detection sweep (storm false evictions,
 ## confirmed-crash detection latency), and the PR10 leader-follower
-## latency sweep (leased read vs idle-token pacing, direct-lane write vs
-## ACTIVE, leader-crash blackout) into BENCH_pr10.json
+## latency cell (leased read, direct-lane write vs ACTIVE, leader-crash
+## blackout) into BENCH_pr10.json
 bench:
 	$(GO) test -run '^$$' -bench 'PR2|PR5' -benchmem -timeout 30m ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pr10.json
 	$(GO) run ./cmd/ftbench -e slo -seed 1 -json BENCH_pr10.json
@@ -101,10 +107,10 @@ dr-smoke:
 fd-smoke:
 	$(GO) run ./cmd/ftbench -e fd -smoke
 
-## lf-smoke: seconds-long leader-follower smoke — one pacing cell of the
-## leased-read / direct-lane-write sweep plus the leader-crash blackout
-## measurement, so CI exercises the LF fast path, the order stream, and
-## the mid-stream handover end-to-end without the full sweep
+## lf-smoke: seconds-long leader-follower smoke — the leased-read /
+## direct-lane-write latency cell plus the leader-crash blackout
+## measurement at smoke scale, so CI exercises the LF fast path, the order
+## stream, and the mid-stream handover end-to-end without the full run
 lf-smoke:
 	$(GO) run ./cmd/ftbench -e lf -smoke
 

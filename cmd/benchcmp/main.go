@@ -141,7 +141,6 @@ var registry = []metric{
 	// percentiles, and the write/ACTIVE ratio are informational.
 	extraMetric("read_p50_us", false, 0, gateNever),
 	extraMetric("read_p99_us", false, 150, gateAll),
-	extraMetric("read_p50_spread_us", false, 0, gateNever),
 	extraMetric("write_p50_us", false, 0, gateNever),
 	extraMetric("write_p99_us", false, 0, gateNever),
 	extraMetric("active_p50_us", false, 0, gateNever),

@@ -118,18 +118,6 @@ func optionalTransport(nodes []string) (transport.Transport, error) {
 	return TransportFactory(nodes)
 }
 
-// transportIdleDelay is the idle-token pacing matched to the active ring
-// transport: totem's default hold on netsim (caps simulation CPU spin),
-// eager rotation on a real-socket transport (a timer hold would floor
-// idle-start latency at the host's ~1ms timer resolution — see
-// EXPERIMENTS.md "PR 7").
-func transportIdleDelay() time.Duration {
-	if TransportFactory != nil {
-		return -1 * time.Nanosecond
-	}
-	return 0
-}
-
 // benchTransport resolves a standalone ring transport for experiments
 // that build rings without a core.Domain (T1): the factory if set, else a
 // fresh fabric with the nodes added.
@@ -263,14 +251,13 @@ func buildDomain(nodes int, orbPort uint16) (*core.Domain, error) {
 		return nil, err
 	}
 	d, err := core.NewDomain(core.Options{
-		Nodes:          names,
-		Net:            netConfig(),
-		Transport:      tp,
-		Heartbeat:      heartbeat,
-		IdleTokenDelay: transportIdleDelay(),
-		ORBPort:        orbPort,
-		CallTimeout:    20 * time.Second,
-		RetryInterval:  5 * time.Second,
+		Nodes:         names,
+		Net:           netConfig(),
+		Transport:     tp,
+		Heartbeat:     heartbeat,
+		ORBPort:       orbPort,
+		CallTimeout:   20 * time.Second,
+		RetryInterval: 5 * time.Second,
 	})
 	if err != nil {
 		return nil, err
@@ -299,14 +286,13 @@ func buildDomainHB(nodes int, orbPort uint16, hbNanos int64) (*core.Domain, erro
 		return nil, err
 	}
 	d, err := core.NewDomain(core.Options{
-		Nodes:          names,
-		Net:            netConfig(),
-		Transport:      tp,
-		Heartbeat:      time.Duration(hbNanos),
-		IdleTokenDelay: transportIdleDelay(),
-		ORBPort:        orbPort,
-		CallTimeout:    20 * time.Second,
-		RetryInterval:  5 * time.Second,
+		Nodes:         names,
+		Net:           netConfig(),
+		Transport:     tp,
+		Heartbeat:     time.Duration(hbNanos),
+		ORBPort:       orbPort,
+		CallTimeout:   20 * time.Second,
+		RetryInterval: 5 * time.Second,
 	})
 	if err != nil {
 		return nil, err

@@ -27,18 +27,6 @@ import (
 // like the E2′ cells it is compared against).
 const mpReplicaNodes = 3
 
-// mpIdleTokenDelay is the idle-token pacing for the real-socket
-// deployment: negative = eager rotation (no idle hold). The 1ms default
-// is a simulation artifact: on the fabric a rotation is free, so the
-// hold only caps CPU spin. Over real sockets any timer-based hold is
-// worse than useless — Go timers on this class of virtualized host fire
-// no sooner than ~1.1ms regardless of the requested duration, so even a
-// 25µs hold floors every idle-start invocation at a millisecond. Eager
-// rotation keeps the token circulating (a few socket syscalls per hop)
-// and just-queued work is picked up within one rotation (~tens of µs on
-// loopback).
-const mpIdleTokenDelay = -1 * time.Nanosecond
-
 // mpConfig assembles the shared deployment Config for a multi-process
 // run: the universe, freshly probed loopback peers, and the static group
 // table every process derives identically.
@@ -71,15 +59,14 @@ func mpConfig(w ShardedWorkload) (mproc.Config, []string, error) {
 		})
 	}
 	return mproc.Config{
-		Universe:       universe,
-		Peers:          peers,
-		Shards:         w.Shards,
-		BasePort:       core.BaseRingPort,
-		Heartbeat:      heartbeat,
-		IdleTokenDelay: mpIdleTokenDelay,
-		CallTimeout:    30 * time.Second,
-		RetryInterval:  5 * time.Second,
-		Groups:         groups,
+		Universe:      universe,
+		Peers:         peers,
+		Shards:        w.Shards,
+		BasePort:      core.BaseRingPort,
+		Heartbeat:     heartbeat,
+		CallTimeout:   30 * time.Second,
+		RetryInterval: 5 * time.Second,
+		Groups:        groups,
 	}, replicas, nil
 }
 

@@ -63,14 +63,13 @@ func newShardedDomain(w ShardedWorkload) (*core.Domain, error) {
 		return nil, err
 	}
 	d, err := core.NewDomain(core.Options{
-		Nodes:          names,
-		Net:            netConfig(),
-		Transport:      tp,
-		Heartbeat:      heartbeat,
-		IdleTokenDelay: transportIdleDelay(),
-		Shards:         w.Shards,
-		CallTimeout:    30 * time.Second,
-		RetryInterval:  5 * time.Second,
+		Nodes:         names,
+		Net:           netConfig(),
+		Transport:     tp,
+		Heartbeat:     heartbeat,
+		Shards:        w.Shards,
+		CallTimeout:   30 * time.Second,
+		RetryInterval: 5 * time.Second,
 	})
 	if err != nil {
 		return nil, err

@@ -14,30 +14,21 @@ import (
 // The LF experiment measures what the LEADER_FOLLOWER style buys over the
 // totally-ordered baseline: leased local reads that never enter totem, and
 // direct-lane writes whose ack cost is one order delivery instead of the
-// full invoke/reply exchange. The sweep varies the rings' idle-token
-// pacing — the knob that sets the ordered path's idle-start latency floor
-// — and shows the leased read decoupled from it: ACTIVE writes (and LF
-// writes, whose ack gate rides the order stream) scale with the token
-// hold, while the leased read stays flat at RPC cost. A final cell crashes
-// the leader mid-stream and reports the write blackout until the senior
-// follower answers again.
+// full invoke/reply exchange. ACTIVE writes (and LF writes, whose ack gate
+// rides the order stream) pay the token's wake-up on an idle ring, while
+// the leased read stays at RPC cost. A final cell crashes the leader
+// mid-stream and reports the write blackout until the senior follower
+// answers again.
 
-// lfCell is one sweep point: the idle-token pacing applied to every ring.
-type lfCell struct {
-	name string
-	idle time.Duration
-}
-
-// lfResult is one cell's measurements.
+// lfResult is the latency cell's measurements.
 type lfResult struct {
-	cell    lfCell
 	activeW summary // ACTIVE style write ("echo"), ordered path
 	lfW     summary // LF write, direct lane (ack = own order delivery)
 	lfRead  summary // LF read under the lease, no totem entry
 }
 
 // lfReadP50Bound is the full-scale acceptance bound on the leased read's
-// median at replication degree 3 (ISSUE: decoupled from token pacing).
+// median at replication degree 3.
 const lfReadP50Bound = 100.0 // µs
 
 // LFLatency runs the leader-follower latency experiment (ByID "lf").
@@ -50,40 +41,9 @@ func LFLatency(scale Scale) (*Table, error) {
 // (read p50/p99, write p50 vs ACTIVE, failover blackout) for the
 // regression pipeline.
 func LFLatencyRecords(scale Scale) (*Table, []Record, error) {
-	var cells []lfCell
-	switch {
-	case scale.Invocations <= smokeSLOCutoff:
-		cells = []lfCell{{name: "idle=default", idle: 0}}
-	case scale.Invocations < FullScale.Invocations:
-		cells = []lfCell{
-			{name: "idle=default", idle: 0},
-			{name: "idle=2ms", idle: 2 * time.Millisecond},
-		}
-	default:
-		cells = []lfCell{
-			{name: "idle=default", idle: 0},
-			{name: "idle=1ms", idle: time.Millisecond},
-			{name: "idle=4ms", idle: 4 * time.Millisecond},
-		}
-	}
-
-	var results []*lfResult
-	var readP50Max, readP99Max, readP50Min float64
-	for _, c := range cells {
-		res, err := lfRunCell(c, scale)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lf: cell %s: %w", c.name, err)
-		}
-		results = append(results, res)
-		if res.lfRead.p50 > readP50Max {
-			readP50Max = res.lfRead.p50
-		}
-		if res.lfRead.p99 > readP99Max {
-			readP99Max = res.lfRead.p99
-		}
-		if readP50Min == 0 || res.lfRead.p50 < readP50Min {
-			readP50Min = res.lfRead.p50
-		}
+	res, err := lfRunCell(scale)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lf: %w", err)
 	}
 
 	blackout, err := lfFailoverBlackout()
@@ -91,55 +51,50 @@ func LFLatencyRecords(scale Scale) (*Table, []Record, error) {
 		return nil, nil, fmt.Errorf("lf: failover: %w", err)
 	}
 
-	base := results[0]
-	writeRatio := base.lfW.p50 / base.activeW.p50
+	writeRatio := res.lfW.p50 / res.activeW.p50
 	tab := &Table{
 		ID:    "LF",
-		Title: "leader-follower: leased local reads vs ordered-path latency across idle-token pacing (degree 3)",
-		Columns: []string{"cell", "active write p50/p99(us)", "lf write p50/p99(us)",
+		Title: "leader-follower: leased local reads vs ordered-path latency on an idle ring (degree 3)",
+		Columns: []string{"active write p50/p99(us)", "lf write p50/p99(us)",
 			"lf read p50/p99(us)"},
-	}
-	for _, r := range results {
-		tab.Rows = append(tab.Rows, []string{
-			r.cell.name,
-			usStr(r.activeW.p50) + "/" + usStr(r.activeW.p99),
-			usStr(r.lfW.p50) + "/" + usStr(r.lfW.p99),
-			usStr(r.lfRead.p50) + "/" + usStr(r.lfRead.p99),
-		})
+		Rows: [][]string{{
+			usStr(res.activeW.p50) + "/" + usStr(res.activeW.p99),
+			usStr(res.lfW.p50) + "/" + usStr(res.lfW.p99),
+			usStr(res.lfRead.p50) + "/" + usStr(res.lfRead.p99),
+		}},
 	}
 	tab.Notes = append(tab.Notes,
-		"writes enter the ordered stream (ACTIVE per-op total order; LF ack gate = the leader's own order delivery), so both scale with the idle-token hold",
-		"the leased read is served from replica-local state without entering totem: its latency must stay flat across the pacing sweep",
-		fmt.Sprintf("lf write p50 / active write p50 = %.2fx at default pacing", writeRatio),
+		"writes enter the ordered stream (ACTIVE per-op total order; LF ack gate = the leader's own order delivery), so both pay the parked token's wake-up",
+		"the leased read is served from replica-local state without entering totem",
+		fmt.Sprintf("lf write p50 / active write p50 = %.2fx", writeRatio),
 		fmt.Sprintf("leader-crash write blackout (crash to first answered write at the successor) = %.1fms", float64(blackout)/1e6),
 	)
 
 	if scale.Invocations >= FullScale.Invocations {
-		if readP50Max > lfReadP50Bound {
-			return tab, nil, fmt.Errorf("lf: leased read p50 %.1fus exceeds %.0fus bound (worst pacing cell)",
-				readP50Max, lfReadP50Bound)
+		if res.lfRead.p50 > lfReadP50Bound {
+			return tab, nil, fmt.Errorf("lf: leased read p50 %.1fus exceeds %.0fus bound",
+				res.lfRead.p50, lfReadP50Bound)
 		}
 	}
 
 	recs := []Record{
 		{
 			Name:    "lf/read",
-			Iters:   int64(scale.Invocations * len(cells)),
-			NsPerOp: readP50Max * 1e3,
+			Iters:   int64(scale.Invocations),
+			NsPerOp: res.lfRead.p50 * 1e3,
 			Extra: map[string]float64{
-				"read_p50_us":        readP50Max,
-				"read_p99_us":        readP99Max,
-				"read_p50_spread_us": readP50Max - readP50Min, // decoupling: spread across pacing cells
+				"read_p50_us": res.lfRead.p50,
+				"read_p99_us": res.lfRead.p99,
 			},
 		},
 		{
 			Name:    "lf/write",
 			Iters:   int64(scale.Invocations),
-			NsPerOp: base.lfW.p50 * 1e3,
+			NsPerOp: res.lfW.p50 * 1e3,
 			Extra: map[string]float64{
-				"write_p50_us":  base.lfW.p50,
-				"write_p99_us":  base.lfW.p99,
-				"active_p50_us": base.activeW.p50,
+				"write_p50_us":  res.lfW.p50,
+				"write_p99_us":  res.lfW.p99,
+				"active_p50_us": res.activeW.p50,
 				"vs_active":     writeRatio,
 			},
 		},
@@ -153,17 +108,16 @@ func LFLatencyRecords(scale Scale) (*Table, []Record, error) {
 	return tab, recs, nil
 }
 
-// lfBuildDomain is a 3-worker domain with explicit idle-token pacing, an
-// ACTIVE echo group, and an LF echo group with "size" leased.
-func lfBuildDomain(idle time.Duration) (*core.Domain, *replication.Proxy, *replication.Proxy, uint64, error) {
+// lfBuildDomain is a 3-worker domain with an ACTIVE echo group and an LF
+// echo group with "size" leased.
+func lfBuildDomain() (*core.Domain, *replication.Proxy, *replication.Proxy, uint64, error) {
 	names := []string{"n1", "n2", "n3", "client"}
 	d, err := core.NewDomain(core.Options{
-		Nodes:          names,
-		Net:            netConfig(),
-		Heartbeat:      heartbeat,
-		IdleTokenDelay: idle,
-		CallTimeout:    20 * time.Second,
-		RetryInterval:  50 * time.Millisecond,
+		Nodes:         names,
+		Net:           netConfig(),
+		Heartbeat:     heartbeat,
+		CallTimeout:   20 * time.Second,
+		RetryInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, nil, nil, 0, err
@@ -211,16 +165,16 @@ func lfBuildDomain(idle time.Duration) (*core.Domain, *replication.Proxy, *repli
 	return d, pA, pL, gidL, nil
 }
 
-// lfRunCell measures one pacing cell: ACTIVE write, LF write, leased read.
-func lfRunCell(c lfCell, scale Scale) (*lfResult, error) {
-	d, pA, pL, _, err := lfBuildDomain(c.idle)
+// lfRunCell measures the latency cell: ACTIVE write, LF write, leased read.
+func lfRunCell(scale Scale) (*lfResult, error) {
+	d, pA, pL, _, err := lfBuildDomain()
 	if err != nil {
 		return nil, err
 	}
 	defer d.Stop()
 
 	payload := cdr.OctetSeq(payloadOf(1024))
-	res := &lfResult{cell: c}
+	res := &lfResult{}
 	if res.activeW, err = measure(scale, func() error {
 		_, err := pA.Invoke("echo", payload)
 		return err
@@ -250,7 +204,7 @@ func lfRunCell(c lfCell, scale Scale) (*lfResult, error) {
 // LeaseDuration+LeaseGuard past takeover, so the blackout includes the
 // lease drain by design.
 func lfFailoverBlackout() (time.Duration, error) {
-	d, _, pL, gidL, err := lfBuildDomain(0)
+	d, _, pL, gidL, err := lfBuildDomain()
 	if err != nil {
 		return 0, err
 	}

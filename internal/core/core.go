@@ -39,13 +39,6 @@ type Options struct {
 	// (Partition, Heal, CrashNode's network isolation) only affect fabric
 	// traffic — chaos experiments need the default netsim transport.
 	Transport transport.Transport
-	// IdleTokenDelay overrides totem's idle-token pacing on every ring
-	// the domain builds: 0 keeps totem's default hold (right for the
-	// simulated fabric, whose timers bound CPU spin), negative disables
-	// the hold so the token rotates continuously (right for real-socket
-	// transports, where any timer-based hold floors idle-start latency
-	// at the host's timer resolution).
-	IdleTokenDelay time.Duration
 	// Heartbeat is the Totem gossip interval; all protocol timeouts derive
 	// from it (default 5ms — laptop-scale; raise for slow machines).
 	Heartbeat time.Duration
@@ -152,7 +145,6 @@ func (d *Domain) startNode(name string) (*Node, error) {
 		Universe:          d.opts.Nodes,
 		Port:              BaseRingPort,
 		HeartbeatInterval: d.opts.Heartbeat,
-		IdleTokenDelay:    d.opts.IdleTokenDelay,
 		Faults:            d.Notifier,
 	}, d.opts.Shards)
 	if err != nil {

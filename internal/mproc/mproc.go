@@ -65,19 +65,10 @@ type Config struct {
 	Shards   int
 	BasePort uint16
 	// Heartbeat is the totem gossip interval (JSON: nanoseconds).
-	Heartbeat time.Duration
-	// IdleTokenDelay overrides totem's idle-token pacing (0 keeps the
-	// 1ms default; negative disables the hold so the token rotates
-	// continuously). The default is tuned for the simulated fabric, where
-	// a token rotation is free but the simulation's timers are coarse; on
-	// a real transport deployments run eager rotation instead (classic
-	// Totem implementations spin the token continuously on real
-	// networks), because timer granularity would otherwise floor every
-	// idle-start invocation at the host's timer resolution.
-	IdleTokenDelay time.Duration
-	CallTimeout    time.Duration
-	RetryInterval  time.Duration
-	Groups         []GroupSpec
+	Heartbeat     time.Duration
+	CallTimeout   time.Duration
+	RetryInterval time.Duration
+	Groups        []GroupSpec
 }
 
 // Node is one running process's stack: rings over UDP plus the engine.
@@ -103,7 +94,6 @@ func StartNode(cfg Config, servants map[string]func() orb.Servant) (*Node, error
 		Universe:          cfg.Universe,
 		Port:              cfg.BasePort,
 		HeartbeatInterval: cfg.Heartbeat,
-		IdleTokenDelay:    cfg.IdleTokenDelay,
 	}, cfg.Shards)
 	if err != nil {
 		return nil, err

@@ -153,7 +153,7 @@ func TestCoalescedRetransmission(t *testing.T) {
 
 // TestSingletonFastPath checks the ring-of-one shortcut: messages
 // multicast on a singleton ring self-deliver in order without waiting for
-// the idle-token rotation, so a tight request/reply loop stays live.
+// the heartbeat's keepalive visit, so a tight request/reply loop stays live.
 func TestSingletonFastPath(t *testing.T) {
 	c := newCluster(t, netsim.Config{}, 1)
 	if err := c.rings["n1"].JoinGroup("solo"); err != nil {

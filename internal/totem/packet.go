@@ -107,18 +107,15 @@ type token struct {
 	Seq     uint64   // highest sequence number assigned on this ring
 	Aru     uint64   // min contiguous-received over nodes visited this round
 	LastAru uint64   // final Aru of the previous round (safe to prune <=)
-	Backlog uint32   // messages left queued ring-wide this round (eager release)
 	Rtr     []uint64 // sequence numbers requested for retransmission
 }
 
-// nudge asks the coordinator to resume token circulation: under eager
-// rotation (negative IdleTokenDelay) an idle ring parks the token at the
-// coordinator instead of spinning it, and under paced rotation (positive)
-// the coordinator withholds the token for the idle delay; a member that
-// queues new work sends a nudge so the token starts rotating again
-// immediately (instead of waiting out the hold or the coordinator's
-// heartbeat-paced keepalive rotation). Stale nudges — ring already
-// rotating, or from an old ring — are ignored, so senders may nudge on
+// nudge asks the coordinator to resume token circulation: an idle ring
+// parks the token at the coordinator instead of spinning it, and a member
+// that queues new work sends a nudge so the token starts rotating again
+// immediately instead of at the coordinator's heartbeat-paced keepalive
+// rotation (see pacing.go). Stale nudges — ring already rotating, or from
+// an old ring — cost at most one extra rotation, so senders may nudge on
 // suspicion.
 type nudge struct {
 	Ring RingID
@@ -330,7 +327,6 @@ func encodePacket(p any) ([]byte, error) {
 		e.WriteULongLong(v.Seq)
 		e.WriteULongLong(v.Aru)
 		e.WriteULongLong(v.LastAru)
-		e.WriteULong(v.Backlog)
 		e.WriteULong(uint32(len(v.Rtr)))
 		for _, s := range v.Rtr {
 			e.WriteULongLong(s)
@@ -383,9 +379,9 @@ func firstOctet(b []byte) byte {
 // packetSizeHint returns an upper bound on the encoded size of the
 // packets that dominate the wire — data frames (so a coalesced batch
 // marshals into one exact-size buffer) and the token (so the packet that
-// circulates continuously under eager rotation does not pay the pool's
-// 512-byte seed every hop). Other packets return 0: formation traffic is
-// rare and the default seed fits it.
+// circulates back to back under load does not pay the pool's 512-byte seed
+// every hop). Other packets return 0: formation traffic is rare and the
+// default seed fits it.
 func packetSizeHint(p any) int {
 	switch v := p.(type) {
 	case *data:
@@ -533,9 +529,6 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 			return nil, err
 		}
 		if v.LastAru, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Backlog, err = d.ReadULong(); err != nil {
 			return nil, err
 		}
 		n, err := d.ReadULong()

@@ -90,22 +90,6 @@ type Config struct {
 	// AcceptTimeout bounds the coordinator's wait for accepts (default 10
 	// heartbeats).
 	AcceptTimeout time.Duration
-	// IdleTokenDelay paces the token once the ring has been idle for two
-	// consecutive rounds: the coordinator withholds the forward for this
-	// long so an idle ring does not spin the CPU (default 1ms). Under load
-	// the hold is skipped entirely — the token carries a ring-wide backlog
-	// count, the first idle round after traffic rotates eagerly to pick up
-	// just-queued work, and locally queued work cancels a hold in progress
-	// — so back-to-back invocations pay token rotations, not idle holds.
-	//
-	// A negative value disables idle pacing entirely: the token rotates
-	// continuously even when the ring is idle, as classic Totem
-	// implementations do on real networks. That trades idle CPU (each
-	// rotation is a few socket syscalls per node) for never paying a hold
-	// when work arrives mid-rotation — the right trade on a real transport,
-	// where timer granularity (often ~1ms on virtualized hosts) would
-	// otherwise put a millisecond floor under every idle-start invocation.
-	IdleTokenDelay time.Duration
 	// StrictInvariants turns internal protocol invariant violations (e.g. a
 	// non-contiguous delivery) into panics. Tests run strict; production
 	// rings report the violation via Faults and recover by reformation.
@@ -135,9 +119,6 @@ func (c *Config) fill() {
 	}
 	if c.AcceptTimeout <= 0 {
 		c.AcceptTimeout = 10 * c.HeartbeatInterval
-	}
-	if c.IdleTokenDelay == 0 {
-		c.IdleTokenDelay = time.Millisecond
 	}
 }
 
@@ -178,21 +159,8 @@ type outMsg struct {
 	payload []byte
 }
 
-// eagerParkRounds is how many consecutive workless rounds an eager-mode
-// (negative IdleTokenDelay) ring rotates through before parking the token
-// at the coordinator. See the parking comment in handleToken.
-const eagerParkRounds = 64
-
-// fwdToken is an internal loop event: a paced token forward coming due.
-type fwdToken struct {
-	ring RingID
-	tok  *token
-	next string
-}
-
-// wake is an internal loop event: Multicast queued new local work. It
-// cancels an idle-token hold in progress and, on a singleton ring, triggers
-// immediate self-delivery instead of waiting for the self-token timer.
+// wake is an internal loop event: Multicast queued new local work, which
+// resumes a token parked here or nudges the coordinator (see pacing.go).
 type wake struct{}
 
 var wakeEvent = &wake{}
@@ -233,13 +201,7 @@ type Ring struct {
 	retained     *token
 	retainedNext string
 	groupMembers map[string]map[string]bool
-	idleRounds   int           // consecutive workless rounds (coordinator only)
-	paceCancel   chan struct{} // closes to release a held idle token early
-	parked       bool          // eager mode: token held at the idle coordinator
-	unparking    bool          // the re-handled visit must rotate, not re-park
-	nudged       bool          // a member announced fresh work: skip the next idle hold
-	quietRounds  int           // workless token visits observed here (any member)
-	lastSeqSeen  uint64        // token Seq at the previous visit (progress detection)
+	pace         pacer
 
 	packetCh   chan any
 	ctlCh      chan any     // priority lane: liveness/membership/token packets
@@ -373,10 +335,10 @@ func (r *Ring) Multicast(group string, payload []byte) error {
 	r.sendQ = append(r.sendQ, outMsg{group: group, payload: payload})
 	r.mu.Unlock()
 	if wasEmpty {
-		// Nudge the protocol loop: a held idle token should be released
-		// now, and a singleton ring can self-deliver immediately. Dropping
-		// the nudge when the loop is busy is fine — a busy loop is already
-		// processing a token and will see the queue.
+		// Wake the protocol loop: a token parked here should resume now,
+		// and a member may need to nudge the coordinator. Dropping the wake
+		// when the loop is busy is fine — a busy loop is already processing
+		// a token and will see the queue; the heartbeat backs up the rest.
 		select {
 		case r.packetCh <- wakeEvent:
 		default:
@@ -520,8 +482,8 @@ func (r *Ring) recvLoop() {
 		// payload-bearing packets the datagram is copied out exactly once
 		// and the decoder aliases that copy — one allocation per frame
 		// instead of one per batched message. Control packets (tokens
-		// above all: they circulate continuously under eager rotation)
-		// skip the frame copy and decode field-by-field off the transport
+		// above all: they circulate back to back under load) skip the
+		// frame copy and decode field-by-field off the transport
 		// buffer as before.
 		var pkt any
 		ch := r.ctlCh
@@ -777,37 +739,19 @@ func (r *Ring) tick() {
 			r.enterForming(now)
 			return
 		}
-		if r.parked {
-			// Keepalive rotation: a parked token is deliberate silence, which
-			// the other members cannot tell apart from token loss. One forced
-			// rotation per heartbeat refreshes every member's lastToken (the
-			// tick interval is far below the token timeout), drains any
-			// queue the pre-park race left behind, and re-parks if the ring
-			// is still idle — a handful of datagrams per heartbeat instead
-			// of a continuous spin.
-			r.unpark()
-		}
+		r.paceTick(now)
 		if now.Sub(r.lastToken) > tokenTimeoutBeats*r.cfg.HeartbeatInterval {
 			r.enterForming(now)
 			return
 		}
-		// Token retransmission: if the token is overdue by half the
-		// timeout and we were the last holder, resend our retained copy.
+		// Token retransmission: if the token is overdue by a quarter of
+		// the timeout, resend our retained copy (a stale round is dropped
+		// as a duplicate downstream). A quarter, not a half: each lost hop
+		// costs one resend delay before the next member sees the token,
+		// so two consecutive lost hops must fit inside one timeout.
 		if r.retained != nil && r.retained.Ring == r.ring &&
-			now.Sub(r.lastToken) > tokenTimeoutBeats*r.cfg.HeartbeatInterval/2 {
+			now.Sub(r.lastToken) > tokenTimeoutBeats*r.cfg.HeartbeatInterval/4 {
 			r.send(r.retainedNext, r.retained)
-		}
-		// Eager-mode nudge retry: queued work with no token visit for a
-		// while means our enqueue-time nudge raced the parking round (or was
-		// lost) — ask the coordinator again.
-		if r.cfg.IdleTokenDelay < 0 && r.ring.Coord != r.cfg.Node &&
-			now.Sub(r.lastToken) > r.cfg.HeartbeatInterval/2 {
-			r.mu.Lock()
-			pending := len(r.sendQ) > 0
-			r.mu.Unlock()
-			if pending {
-				r.send(r.ring.Coord, &nudge{Ring: r.ring, From: r.cfg.Node})
-			}
 		}
 	case stForming:
 		if len(alive) > 0 && alive[0] == r.cfg.Node && now.Sub(r.formingFrom) >= settleBeats*r.cfg.HeartbeatInterval {
@@ -828,7 +772,7 @@ func (r *Ring) enterForming(now time.Time) {
 	r.state = stForming
 	r.formingFrom = now
 	r.retained = nil
-	r.parked = false
+	r.pace = pacer{}
 }
 
 func (r *Ring) proposeRing(members []string) {
@@ -860,97 +804,25 @@ func (r *Ring) handlePacket(pkt any) {
 		r.handleData(v)
 	case *dataBatch:
 		r.handleDataBatch(v)
-	case *fwdToken:
-		if v.ring == r.ring && r.state == stOperational {
-			r.paceCancel = nil
-			r.send(v.next, v.tok)
-		}
 	case *nudge:
 		if v.Ring == r.ring {
-			if r.parked {
-				r.unpark()
-				break
-			}
-			if r.paceCancel != nil {
-				// Paced mode: release the in-progress idle hold so the
-				// nudger's freshly queued work rides the next rotation.
-				close(r.paceCancel)
-				r.paceCancel = nil
-			}
-			// The nudge usually races the hold it means to prevent: the
-			// nudger's multicast is queued while the token is in flight, so
-			// the nudge lands here BEFORE this coordinator's visit arms the
-			// hold (the token's backlog fields are a round stale and still
-			// read idle). Remember the announcement so the next pacing
-			// decision rotates instead of holding; a round that does real
-			// work clears it.
-			r.nudged = true
+			r.handleNudge()
 		}
 	case *wake:
 		r.handleWake()
 	}
 }
 
-// handleWake reacts to freshly queued local work: it ends an idle-token
-// hold early, unparks an eager-mode token, fast-paths a singleton ring
-// past token pacing entirely, and — at a non-coordinator in eager mode —
-// nudges the coordinator in case the token is parked there.
+// handleWake reacts to freshly queued local work: it resumes a token parked
+// here, and a member that has seen the ring go quiet nudges the coordinator,
+// where the token may be parked.
 func (r *Ring) handleWake() {
-	if r.state != stOperational {
+	if r.state != stOperational || r.unpark() {
 		return
 	}
-	if len(r.members) == 1 && r.retained != nil {
-		// Singleton ring: no token circulation is needed for ordering —
-		// reprocess the retained token now and self-deliver in order,
-		// instead of waiting out the self-token timer.
-		cp := *r.retained
-		cp.Rtr = append([]uint64(nil), r.retained.Rtr...)
-		r.handleToken(&cp)
-		return
+	if r.ring.Coord != r.cfg.Node && r.pace.quietRounds >= 1 {
+		r.sendNudge()
 	}
-	if r.parked {
-		r.unpark()
-		return
-	}
-	if r.paceCancel != nil {
-		close(r.paceCancel)
-		r.paceCancel = nil
-	}
-	// Non-coordinator with fresh work: the token may be sitting at the
-	// coordinator — parked (eager mode) or mid idle-hold (paced mode) —
-	// and this node cannot tell directly. It can tell whether the ring
-	// has looked idle from here: only after a workless visit can the
-	// coordinator be holding or parking (both require consecutive idle
-	// rounds, which this member witnessed as the token passed through).
-	// Nudge exactly then — a stale nudge costs one ignored ~50-byte
-	// datagram, while a suppressed one would stall this queue for the
-	// full idle hold (paced) or until the next keepalive tick (eager) —
-	// and stay silent on a visibly busy ring, where the rotating token
-	// collects the work anyway and a nudge per multicast would tax the
-	// hot path. Without the paced-mode nudge, any op whose first ring
-	// traffic originates off the coordinator — notably an LF leader's
-	// order multicast after a direct-lane submit — pays the whole
-	// IdleTokenDelay on an idle ring.
-	if r.ring.Coord != r.cfg.Node && r.quietRounds >= 1 {
-		r.send(r.ring.Coord, &nudge{Ring: r.ring, From: r.cfg.Node})
-	}
-}
-
-// unpark resumes a parked eager-mode token with one forced rotation. The
-// force matters: the re-handled visit sees the same idle ring the parking
-// visit saw, and without it the coordinator would re-park on the spot —
-// never draining a remote nudger's queue and never refreshing the other
-// members' token-loss timers.
-func (r *Ring) unpark() {
-	r.parked = false
-	if r.retained == nil || r.state != stOperational {
-		return
-	}
-	cp := *r.retained
-	cp.Rtr = append([]uint64(nil), r.retained.Rtr...)
-	r.unparking = true
-	r.handleToken(&cp)
-	r.unparking = false
 }
 
 func (r *Ring) handleHello(h *hello) {
@@ -1165,12 +1037,7 @@ func (r *Ring) handleInstall(ins *install) {
 	r.lastRound = 0
 	r.lastToken = time.Now()
 	r.retained = nil
-	r.idleRounds = 0
-	r.quietRounds = 0
-	r.lastSeqSeen = 0
-	r.paceCancel = nil
-	r.parked = false
-	r.nudged = false
+	r.pace = pacer{}
 
 	// Rebuild group membership from the collected subscriptions.
 	r.groupMembers = make(map[string]map[string]bool)
@@ -1236,19 +1103,15 @@ func (r *Ring) handleToken(t *token) {
 	if r.state != stOperational || t.Ring != r.ring {
 		return
 	}
-	var prevBacklog uint32
-	if r.ring.Coord == r.cfg.Node {
-		// The coordinator opens a new round: finalize last round's aru and
-		// collect the backlog members reported while the round circulated
-		// (drives the eager-release decision below).
+	coord := r.ring.Coord == r.cfg.Node
+	if coord {
+		// The coordinator opens a new round: finalize last round's aru.
 		t.Round++
 		t.LastAru = t.Aru
 		if t.LastAru == math.MaxUint64 {
 			t.LastAru = 0
 		}
 		t.Aru = math.MaxUint64
-		prevBacklog = t.Backlog
-		t.Backlog = 0
 	}
 	if t.Round <= r.lastRound {
 		return // duplicate (token retransmission raced the original)
@@ -1257,7 +1120,8 @@ func (r *Ring) handleToken(t *token) {
 	r.lastToken = time.Now()
 
 	// Serve retransmission requests we can satisfy.
-	if len(t.Rtr) > 0 {
+	hadRtr := len(t.Rtr) > 0
+	if hadRtr {
 		remaining := t.Rtr[:0]
 		for _, seq := range t.Rtr {
 			if m, ok := r.store[seq]; ok {
@@ -1299,37 +1163,12 @@ func (r *Ring) handleToken(t *token) {
 	} else {
 		r.sendQ = append([]outMsg(nil), r.sendQ[take:]...)
 	}
-	leftover := len(r.sendQ)
 	if take > 0 {
 		r.sendCond.Broadcast() // queue shrank: release backpressured senders
 	}
 	r.mu.Unlock()
 	if len(batch) > 0 {
 		r.sendBatch(t, batch)
-	}
-	// Report work this visit could not drain, so the coordinator keeps the
-	// token rotating eagerly instead of pacing.
-	t.Backlog += uint32(leftover)
-
-	// Every member tracks how quiet the ring looks from its own visits:
-	// nothing sent here, nothing requested, nothing outstanding, no
-	// backlog reported so far this round, and — the signal the others
-	// miss — no sequence progress since the last visit. The progress
-	// check matters because delivery outruns the token on a fast fabric:
-	// by the time the token returns, another member's multicast is
-	// already delivered everywhere and Seq == delivered again, so a
-	// delivered-only predicate reads a working ring as idle. handleWake
-	// consults the counter to decide whether fresh local work needs a
-	// nudge — on a visibly busy ring the token is rotating and will
-	// collect the work anyway, so nudging every multicast would just tax
-	// the hot path.
-	quiet := len(batch) == 0 && len(t.Rtr) == 0 && t.Seq == r.delivered &&
-		t.Backlog == 0 && t.Seq == r.lastSeqSeen
-	r.lastSeqSeen = t.Seq
-	if quiet {
-		r.quietRounds++
-	} else {
-		r.quietRounds = 0
 	}
 
 	// Aru bookkeeping and log pruning.
@@ -1348,81 +1187,20 @@ func (r *Ring) handleToken(t *token) {
 	cp.Rtr = append([]uint64(nil), t.Rtr...)
 	r.retained = &cp
 	r.retainedNext = next
-	// Idle pacing with eager release under load: withhold the forward only
-	// when this round did no work (nothing sent, requested, or outstanding
-	// locally), no member reported backlog — neither during the round that
-	// just closed nor at this visit — and the ring has already completed a
-	// full idle round. Requiring two consecutive idle rounds makes the
-	// first post-traffic rotation eager, so an invocation queued while the
-	// previous one was being delivered pays one token rotation, not an
-	// idle hold plus a rotation.
-	if r.ring.Coord == r.cfg.Node {
-		// quiet (computed above) includes the sequence-progress check:
-		// without it, traffic multicast by *other* members is invisible
-		// here — delivery completes before the token returns, so
-		// Seq == delivered again — and a coordinator that never sends
-		// would re-arm the hold every round, throttling the ring to one
-		// rotation per hold.
-		idle := quiet && prevBacklog == 0
-		if idle {
-			r.idleRounds++
-		} else {
-			r.idleRounds = 0
-			r.nudged = false // the announced work is flowing; holds may resume
-		}
-		if idle && next != r.cfg.Node && !r.unparking {
-			if r.cfg.IdleTokenDelay > 0 && r.idleRounds >= 2 {
-				if r.nudged {
-					// A member announced fresh work that this visit's (stale)
-					// backlog fields don't show yet: rotate once eagerly so the
-					// next visit at the nudger drains it, instead of arming a
-					// hold the nudge already tried to prevent.
-					r.nudged = false
-				} else {
-					r.paceForward(&cp, next)
-					return
-				}
-			}
-			if r.cfg.IdleTokenDelay < 0 && r.idleRounds >= eagerParkRounds {
-				// Eager mode: a genuinely quiet ring parks the token here
-				// instead of spinning it (demand-driven circulation). It
-				// resumes immediately on local work (handleWake), on a
-				// member's nudge, or — the backstop that keeps every
-				// member's token-loss detector satisfied — once per
-				// heartbeat tick. The threshold is deliberately much higher
-				// than the paced mode's two rounds: eager rotations are the
-				// mechanism that picks up work queued in the µs-scale gaps
-				// of an active op pipeline (a park/nudge/unpark cycle there
-				// costs more than the spin it saves), so only sustained
-				// silence — tens of workless rounds, far longer than any
-				// in-pipeline gap — parks the ring.
-				r.parked = true
-				return
-			}
-		}
+	worked := len(batch) > 0 || hadRtr || len(t.Rtr) > 0 || t.LastAru < t.Seq
+	if r.pace.visit(t.Seq, worked, coord) {
+		return
 	}
 	if next == r.cfg.Node {
-		// Singleton ring: nothing to pass; reprocess on next tick only if
-		// there is pending work, otherwise the retained token is resent by
-		// the timeout path. Pending work re-enqueues the token through the
-		// control lane rather than recursing: a producer that refills the
-		// queue as fast as visits drain it would recurse without bound and
-		// starve the heartbeat tick — no hello gossip, so a singleton under
-		// sustained load could never remerge with returning peers.
-		r.mu.Lock()
-		pending := len(r.sendQ) > 0
-		r.mu.Unlock()
-		if pending {
-			select {
-			case r.ctlCh <- &cp:
-			default:
-				// Lane momentarily full: the retained-token resend on the
-				// timeout path recovers circulation.
-			}
-		} else {
-			// Keep the token "arriving" so the timeout never fires.
-			r.lastToken = time.Now()
-			r.selfToken(&cp)
+		// Singleton ring: the token re-enqueues itself through the control
+		// lane rather than recursing: a producer that refills the queue as
+		// fast as visits drain it would recurse without bound and starve the
+		// heartbeat tick — no hello gossip, so a singleton under sustained
+		// load could never remerge with returning peers. A full lane drops
+		// the token; the retained-token resend recovers circulation.
+		select {
+		case r.ctlCh <- &cp:
+		default:
 		}
 		return
 	}
@@ -1480,50 +1258,6 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 		}
 	}
 	r.advanceDelivery()
-}
-
-// paceForward delays a token forward without blocking the protocol loop.
-// The hold ends early if local work arrives (handleWake closes the cancel
-// channel).
-func (r *Ring) paceForward(t *token, next string) {
-	cancel := make(chan struct{})
-	r.paceCancel = cancel
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		timer := time.NewTimer(r.cfg.IdleTokenDelay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-cancel:
-		case <-r.stopCh:
-			return
-		}
-		select {
-		case r.ctlCh <- &fwdToken{ring: t.Ring, tok: t, next: next}:
-		case <-r.stopCh:
-		}
-	}()
-}
-
-// selfToken re-enqueues the token to ourselves asynchronously so a
-// singleton ring keeps a live token without spinning.
-func (r *Ring) selfToken(t *token) {
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		timer := time.NewTimer(r.cfg.HeartbeatInterval)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-r.stopCh:
-			return
-		}
-		select {
-		case r.ctlCh <- t:
-		case <-r.stopCh:
-		}
-	}()
 }
 
 func containsSeq(list []uint64, seq uint64) bool {

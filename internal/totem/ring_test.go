@@ -106,7 +106,9 @@ func testConfig(node string, universe []string) Config {
 	}
 }
 
-func newCluster(t *testing.T, netCfg netsim.Config, n int) *cluster {
+// newCluster builds n rings on one fabric from testConfig; each opt may
+// adjust every node's Config before its ring is created.
+func newCluster(t *testing.T, netCfg netsim.Config, n int, opts ...func(*Config)) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:       t,
@@ -121,7 +123,11 @@ func newCluster(t *testing.T, netCfg netsim.Config, n int) *cluster {
 		c.fabric.AddNode(node)
 	}
 	for _, node := range c.nodes {
-		r, err := NewRing(c.fabric, testConfig(node, c.nodes))
+		cfg := testConfig(node, c.nodes)
+		for _, opt := range opts {
+			opt(&cfg)
+		}
+		r, err := NewRing(c.fabric, cfg)
 		if err != nil {
 			t.Fatalf("NewRing(%s): %v", node, err)
 		}
