@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 ## race: race-detect the concurrency-heavy layers — the delivery hand-off
-## queue, totem, replication, the transport
+## queue, the CDR intern table every decoder shares, totem, replication, the transport
 ## conformance suite on both backends (netsim and loopback UDP), and the
 ## two stores every node shares (WAL and DR store) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
@@ -25,7 +25,7 @@ test:
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
-	$(GO) test -race ./internal/fifo ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
+	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
 
 ## chaos: the full seeded fault-injection sweep under the race detector —
@@ -35,20 +35,24 @@ race:
 chaos:
 	CHAOS_SEEDS=7 $(GO) test -race -count=1 ./internal/chaos
 
-## totem-soak: repeat the totem tests that ride loss, token retransmission
-## and parking 50 times — a one-in-twenty flake there hides behind the
-## single run of the tier-1 gate
+## totem-soak: repeat the totem tests that ride loss, token retransmission,
+## parking, a lost install and the data-before-token receive order 50 times
+## — a one-in-twenty flake there hides behind the single run of the tier-1
+## gate
 totem-soak:
-	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops' ./internal/totem
+	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData' ./internal/totem
 
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is
 ## capped because shrinking inputs grown from the 12 KB window seed would
 ## otherwise take the whole budget. Then fuzz the storage decoder (segment
-## open over arbitrary file bytes) for 10 s.
+## open over arbitrary file bytes) for 10 s, then the totem wire decoder
+## (every packet kind; copying, owned and reused-storage decodes must agree)
+## for 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime 10s ./internal/totem
 
 ## bench: snapshot the PR2 hot-path + PR5 sharded-transport benchmarks,
 ## the full-profile SLO workload percentiles (~10^6-client population over

@@ -30,6 +30,9 @@ func New[T any]() *Queue[T] {
 }
 
 // Push appends v. It never blocks; once the queue is closed it drops v.
+// Only the push that makes the queue non-empty signals Ready: the consumer
+// takes everything in one Drain, so a push onto a non-empty queue is
+// covered by the signal its first item sent.
 func (q *Queue[T]) Push(v T) {
 	q.mu.Lock()
 	if q.closed {
@@ -37,13 +40,16 @@ func (q *Queue[T]) Push(v T) {
 		return
 	}
 	q.items = append(q.items, v)
+	first := len(q.items) == 1
 	q.mu.Unlock()
-	q.signal()
+	if first {
+		q.signal()
+	}
 }
 
-// Ready receives after a Push or Close. A consumer whose Drain came back
-// empty and open waits on it, then drains again; a wake-up may find the
-// queue already empty.
+// Ready receives after a Push onto an empty queue, or a Close. A consumer
+// whose Drain came back empty and open waits on it, then drains again; a
+// wake-up may find the queue already empty.
 func (q *Queue[T]) Ready() <-chan struct{} { return q.ready }
 
 // Drain returns every queued item in FIFO order and whether the queue is

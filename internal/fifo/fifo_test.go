@@ -170,3 +170,38 @@ func TestConcurrentProducersKeepPerProducerOrder(t *testing.T) {
 		}
 	}
 }
+
+// Only the push that makes the queue non-empty signals: a burst pushed
+// onto a non-empty queue leaves one wake-up, and one Drain after it takes
+// the whole burst. The first push after that drain wakes the parked
+// consumer again.
+func TestBurstSignalsOnceAndDrainsWhole(t *testing.T) {
+	q := New[int]()
+	const burst = 100
+	for i := 0; i < burst; i++ {
+		q.Push(i)
+	}
+	if !waitReady(q) {
+		t.Fatal("no wake-up for the burst")
+	}
+	select {
+	case <-q.Ready():
+		t.Fatal("a second wake-up pending for one burst")
+	default:
+	}
+	batch, _ := q.Drain(nil)
+	if len(batch) != burst {
+		t.Fatalf("one Drain after the wake-up took %d items, want %d", len(batch), burst)
+	}
+
+	woke := make(chan bool, 1)
+	go func() { woke <- waitReady(q) }()
+	time.Sleep(10 * time.Millisecond) // let the consumer park
+	q.Push(burst)
+	if !<-woke {
+		t.Fatal("the first push after a drain did not wake the parked consumer")
+	}
+	if batch, _ = q.Drain(batch); len(batch) != 1 || batch[0] != burst {
+		t.Fatalf("Drain after the wake-up = %v, want [%d]", batch, burst)
+	}
+}

@@ -613,12 +613,15 @@ type Datagram = transport.Datagram
 type DGram struct {
 	fabric *Fabric
 	addr   Addr
+	ready  chan struct{} // 1-slot: see transport.Port.Ready
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  dgramRing // data lane
-	ctlq   dgramRing // control lane: delivered first among due datagrams
-	closed bool
-	waker  *time.Timer // reused wakeup for not-yet-due heads (see Recv)
+	lanes  [2]dgramRing // indexed by transport.Class
+	err    error        // non-nil once closed
+	// waker fires Ready when the earliest not-yet-due head a TryRecv saw
+	// falls due; wakeAt is when it is armed for (zero: not armed). One
+	// timer per port, Reset on reuse.
+	waker  *time.Timer
+	wakeAt time.Time
 }
 
 var (
@@ -633,6 +636,8 @@ func (f *Fabric) Open(host string, port uint16) (transport.Port, error) {
 	return f.OpenPort(host, port)
 }
 
+// timedDatagram is a queued datagram and when it falls due; a zero due
+// time (no latency configured) is due at once, without reading the clock.
 type timedDatagram struct {
 	dg  Datagram
 	due time.Time
@@ -691,8 +696,7 @@ func (f *Fabric) OpenPort(host string, port uint16) (*DGram, error) {
 	if _, busy := n.dgrams[port]; busy {
 		return nil, ErrPortInUse
 	}
-	d := &DGram{fabric: f, addr: Addr{Node: host, Port: port}}
-	d.cond = sync.NewCond(&d.mu)
+	d := &DGram{fabric: f, addr: Addr{Node: host, Port: port}, ready: make(chan struct{}, 1)}
 	n.dgrams[port] = d
 	return d, nil
 }
@@ -746,84 +750,96 @@ func (d *DGram) SendClass(host string, port uint16, payload []byte, class transp
 		f.mu.Unlock()
 		return nil // no such port: dropped
 	}
-	due := time.Now().Add(f.delayLocked(d.addr.Node, host))
+	var due time.Time
+	if delay := f.delayLocked(d.addr.Node, host); delay > 0 {
+		due = time.Now().Add(delay)
+	}
 	f.mu.Unlock()
 
+	lane := &tgt.lanes[transport.ClassData]
+	if class == transport.ClassControl {
+		lane = &tgt.lanes[transport.ClassControl]
+	}
 	tgt.mu.Lock()
-	if !tgt.closed {
-		td := timedDatagram{dg: Datagram{From: d.addr.Node, Payload: payload}, due: due}
-		if class == transport.ClassControl {
-			tgt.ctlq.push(td)
-		} else {
-			tgt.queue.push(td)
-		}
-		tgt.cond.Broadcast()
+	wake := false
+	if tgt.err == nil {
+		wake = lane.len() == 0
+		lane.push(timedDatagram{dg: Datagram{From: d.addr.Node, Payload: payload}, due: due})
 	}
 	tgt.mu.Unlock()
+	if wake {
+		tgt.signal()
+	}
 	return nil
 }
 
 func (d *DGram) isClosed() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.closed
+	return d.err != nil
 }
 
-// Recv blocks until a datagram is deliverable (its latency has elapsed) or
-// the port is closed. The wakeup timer for a not-yet-due head is created
-// once per port and Reset on reuse — the old per-wait time.AfterFunc
-// allocated a timer for every latency-delayed delivery.
-func (d *DGram) Recv() (Datagram, error) {
+// Ready implements transport.Port: it fires when a datagram lands on an
+// empty lane, when a queued head falls due, and on close.
+func (d *DGram) Ready() <-chan struct{} { return d.ready }
+
+// TryRecv implements transport.Port: it pops the class's lane head if its
+// latency has elapsed. A head not yet due arms the port's waker, which
+// fires Ready when it matures. Payloads are never reused, so they stay
+// valid for as long as the receiver holds them.
+func (d *DGram) TryRecv(class transport.Class) (Datagram, bool) {
+	if class != transport.ClassControl {
+		class = transport.ClassData
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for {
-		// Control lane first: a due heartbeat/token is delivered ahead of
-		// any amount of queued data. Not-yet-due heads on either lane set
-		// the wakeup for whichever matures sooner.
-		var wait time.Duration
-		waiting := false
-		if d.ctlq.len() > 0 {
-			head := d.ctlq.peek()
-			now := time.Now()
-			if !head.due.After(now) {
-				return d.ctlq.pop(), nil
-			}
-			wait = head.due.Sub(now)
-			waiting = true
-		}
-		if d.queue.len() > 0 {
-			head := d.queue.peek()
-			now := time.Now()
-			if !head.due.After(now) {
-				return d.queue.pop(), nil
-			}
-			if w := head.due.Sub(now); !waiting || w < wait {
-				wait = w
-				waiting = true
-			}
-		}
-		if waiting {
-			if d.waker == nil {
-				d.waker = time.AfterFunc(wait, func() {
-					d.mu.Lock()
-					d.cond.Broadcast()
-					d.mu.Unlock()
-				})
-			} else {
-				d.waker.Reset(wait)
-			}
-			d.cond.Wait()
-			d.waker.Stop()
-			continue
-		}
-		if d.closed {
-			return Datagram{}, ErrClosed
-		}
-		d.cond.Wait()
+	lane := &d.lanes[class]
+	if lane.len() == 0 {
+		return Datagram{}, false
+	}
+	if due := lane.peek().due; !due.IsZero() && due.After(time.Now()) {
+		d.armLocked(due)
+		return Datagram{}, false
+	}
+	return lane.pop(), true
+}
+
+// armLocked makes sure Ready fires by due. A stale or early firing only
+// costs the consumer an empty poll, which re-arms.
+func (d *DGram) armLocked(due time.Time) {
+	if !d.wakeAt.IsZero() && !due.Before(d.wakeAt) {
+		return
+	}
+	d.wakeAt = due
+	wait := time.Until(due)
+	if d.waker == nil {
+		d.waker = time.AfterFunc(wait, func() {
+			d.mu.Lock()
+			d.wakeAt = time.Time{}
+			d.mu.Unlock()
+			d.signal()
+		})
+	} else {
+		d.waker.Reset(wait)
 	}
 }
 
-// Close releases the port; a blocked Recv returns ErrClosed.
+func (d *DGram) signal() {
+	select {
+	case d.ready <- struct{}{}:
+	default:
+	}
+}
+
+// Err implements transport.Port: ErrClosed after Close, ErrNodeDown after
+// the node crashed.
+func (d *DGram) Err() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
+}
+
+// Close releases the port and fires Ready.
 func (d *DGram) Close() error {
 	d.fabric.mu.Lock()
 	if n, ok := d.fabric.nodes[d.addr.Node]; ok {
@@ -838,7 +854,12 @@ func (d *DGram) Close() error {
 
 func (d *DGram) closeLocked(err error) {
 	d.mu.Lock()
-	d.closed = true
-	d.cond.Broadcast()
+	if d.err == nil {
+		d.err = err
+	}
+	if d.waker != nil {
+		d.waker.Stop()
+	}
 	d.mu.Unlock()
+	d.signal()
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 func newTestFabric(t *testing.T, cfg Config, nodes ...string) *Fabric {
@@ -239,12 +241,43 @@ func TestDatagramDelivery(t *testing.T) {
 	if err := pa.Send("b", 100, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	dg, err := pb.Recv()
+	dg, err := transport.Recv(pb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dg.From != "a" || string(dg.Payload) != "ping" {
 		t.Fatalf("got %+v", dg)
+	}
+}
+
+// TestReadyFiresWhenDelayedDatagramFallsDue pins the waker: a datagram
+// still in flight (latency not yet elapsed) is not receivable, and the
+// consumer that polled it early is woken through Ready once it is due,
+// without any further traffic.
+func TestReadyFiresWhenDelayedDatagramFallsDue(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	f := newTestFabric(t, Config{Latency: latency}, "a", "b")
+	pa, _ := f.OpenPort("a", 1)
+	pb, _ := f.OpenPort("b", 1)
+	sent := time.Now()
+	if err := pa.SendClass("b", 1, []byte("late"), transport.ClassControl); err != nil {
+		t.Fatal(err)
+	}
+	<-pb.Ready() // the arrival on an empty lane
+	if _, ok := pb.TryRecv(transport.ClassControl); ok {
+		t.Fatal("datagram receivable before its latency elapsed")
+	}
+	select {
+	case <-pb.Ready():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Ready never fired for the due datagram")
+	}
+	dg, ok := pb.TryRecv(transport.ClassControl)
+	if !ok || string(dg.Payload) != "late" {
+		t.Fatalf("TryRecv after the wake-up = %q, %v", dg.Payload, ok)
+	}
+	if waited := time.Since(sent); waited < latency {
+		t.Fatalf("delivered after %v, before the %v latency", waited, latency)
 	}
 }
 
@@ -257,7 +290,7 @@ func TestDatagramLossIsTotalAtFullLoss(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		pb.Recv()
+		transport.Recv(pb)
 		close(done)
 	}()
 	select {
@@ -277,7 +310,7 @@ func TestDatagramPartitionDrops(t *testing.T) {
 	pa.Send("b", 1, []byte("lost"))
 	f.Heal()
 	pa.Send("b", 1, []byte("kept"))
-	dg, err := pb.Recv()
+	dg, err := transport.Recv(pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +356,7 @@ func TestDeterministicLoss(t *testing.T) {
 		for {
 			ch := make(chan Datagram, 1)
 			go func() {
-				dg, err := pb.Recv()
+				dg, err := transport.Recv(pb)
 				if err == nil {
 					ch <- dg
 				}

@@ -713,7 +713,12 @@ func (e *Engine) onDeliver(d *totem.Deliver) {
 		e.completeCall(v)
 		if r := e.replicaFor(v.GroupID); r != nil {
 			r.markAnswered(v)
-			r.q.Push(task{msgID: d.MsgID, m: v})
+			// Only passive and LF replicas act on a reply (apply the
+			// update, settle a pending operation); an active replica's
+			// executor would take it as a no-op, so it is not woken.
+			if !r.def.Style.IsActive() {
+				r.q.Push(task{msgID: d.MsgID, m: v})
+			}
 		}
 		return
 	case *msgCheckpoint:

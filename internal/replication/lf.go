@@ -157,6 +157,14 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 		return
 	}
 	if logged != nil {
+		if logged.ExecMsgID > r.lfOrdered {
+			// Executed through the ordered path, but its order has not
+			// come back through agreed delivery yet. An ack now would let
+			// the client's next operation, whose low-water mark retires
+			// this one, be ordered ahead of the order, and followers would
+			// skip it. The ordered reply, FIFO after the order, answers.
+			return
+		}
 		// Retransmission of an already-answered operation: re-send the
 		// logged reply (FT-CORBA request retention) on the direct lane.
 		r.eng.stat.dupInvocations.Add(1)
@@ -366,6 +374,9 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 		// multicast on the new ring): the fence keeps them from mutating
 		// state the new leadership already owns.
 		return
+	}
+	if id := lfMsgID(m.Epoch, m.Seq); id > r.lfOrdered {
+		r.lfOrdered = id
 	}
 
 	if m.Leader == r.eng.cfg.Node {

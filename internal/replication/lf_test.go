@@ -380,7 +380,18 @@ func TestHealWithFreshIncarnationRecovers(t *testing.T) {
 
 // The write path must stay exactly-once when a direct-lane ack is lost
 // and the client retries through the ordered path.
-func TestLFFallbackDedup(t *testing.T) {
+func TestLFFallbackDedup(t *testing.T) { lfFallbackDedup(t, 10) }
+
+// TestLFDirectAckWaitsForOrder runs the fallback workload long enough to
+// hit the race where the ordered copy of a write executes at the leader
+// before its direct-lane copy arrives. The leader must not ack the direct
+// copy from the logged reply until the write's order has come back through
+// agreed delivery: otherwise the client's next write, whose low-water mark
+// retires this one, can be ordered ahead of the order, and the followers
+// skip the write.
+func TestLFDirectAckWaitsForOrder(t *testing.T) { lfFallbackDedup(t, 200) }
+
+func lfFallbackDedup(t *testing.T, writes int) {
 	c := newCluster(t, 4)
 	c.host(lfDef(1), "n1", "n2", "n3")
 	// A proxy with a microscopic attempt budget falls back constantly;
@@ -388,7 +399,7 @@ func TestLFFallbackDedup(t *testing.T) {
 	proxy := c.engines["n4"].Proxy(GroupRef{ID: 1},
 		WithLFFastPath("get"), WithLFAttemptTimeout(time.Microsecond))
 	var want int64
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= writes; i++ {
 		out, err := proxy.Invoke("add", cdr.Long(int32(i)))
 		if err != nil {
 			t.Fatalf("add %d: %v", i, err)
@@ -401,7 +412,7 @@ func TestLFFallbackDedup(t *testing.T) {
 	waitFor(t, 5*time.Second, "convergence", func() bool {
 		for _, node := range []string{"n1", "n2", "n3"} {
 			bal, ops := c.servants[node][1].snapshot()
-			if bal != want || ops != 10 {
+			if bal != want || ops != int64(writes) {
 				return false
 			}
 		}

@@ -148,6 +148,10 @@ type replica struct {
 	lfSeq     uint64                    // leader's assignment counter
 	lfPending map[uint64]lfPendingReply // direct replies awaiting the ack gate
 	lfHeld    []lfHeldOp                // ordered writes held behind the takeover fence
+	// lfOrdered is the highest lfMsgID whose order came back here through
+	// agreed delivery: a logged reply at or below it is safe to resend on
+	// the direct lane (see onLfSubmit).
+	lfOrdered uint64
 }
 
 // chanMutex is a tiny mutex built on a 1-buffered channel (keeps the

@@ -46,7 +46,7 @@ func BenchmarkPR2PacketRoundTrip(b *testing.B) {
 }
 
 // TestDecodeOwnedAllocBudget pins the receive-path allocation win that
-// PR 7's owned-frame decode bought: once recvLoop hands decodePacketOwned
+// PR 7's owned-frame decode bought: once the receive path hands decodePacketOwned
 // a buffer it owns, a 16-message coalesced batch must decode with the
 // sub-message payloads and group names aliasing that buffer — a handful
 // of fixed allocations (packet struct, slice headers, decoder) rather

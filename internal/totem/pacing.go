@@ -81,9 +81,7 @@ func (r *Ring) unpark() bool {
 	}
 	r.pace.parked = false
 	r.pace.skipPark = true
-	cp := *r.retained
-	cp.Rtr = append([]uint64(nil), r.retained.Rtr...)
-	r.handleToken(&cp)
+	r.rehandleRetained()
 	return true
 }
 

@@ -110,6 +110,13 @@ type token struct {
 	Rtr     []uint64 // sequence numbers requested for retransmission
 }
 
+// copyFrom makes t a copy of s, reusing t's Rtr storage.
+func (t *token) copyFrom(s *token) {
+	rtr := append(t.Rtr[:0], s.Rtr...)
+	*t = *s
+	t.Rtr = rtr
+}
+
 // nudge asks the coordinator to resume token circulation: an idle ring
 // parks the token at the coordinator instead of spinning it, and a member
 // that queues new work sends a nudge so the token starts rotating again
@@ -189,8 +196,10 @@ func decodeStrings(d *cdr.Decoder) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("totem: implausible string count %d", n)
+	// Each string takes at least its length word: a count the packet
+	// cannot hold must not size an allocation.
+	if int64(n)*4 > int64(d.Remaining()) {
+		return nil, fmt.Errorf("totem: string count %d overruns the packet", n)
 	}
 	out := make([]string, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -218,8 +227,9 @@ func decodeStoredMsgs(d *cdr.Decoder) ([]storedMsg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("totem: implausible message count %d", n)
+	// Each message takes at least its seq and three length words.
+	if int64(n)*20 > int64(d.Remaining()) {
+		return nil, fmt.Errorf("totem: message count %d overruns the packet", n)
 	}
 	out := make([]storedMsg, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -401,9 +411,9 @@ func packetSizeHint(p any) int {
 }
 
 // decodePacket unmarshals a datagram payload. Every variable-length field
-// is copied out, so the caller may reuse b (the transport Recv contract).
+// is copied out, so the caller may reuse b (the transport TryRecv contract).
 func decodePacket(b []byte) (any, error) {
-	return decodePacketIn(b, false)
+	return decodePacketIn(b, false, nil)
 }
 
 // decodePacketOwned unmarshals a datagram payload the caller owns and
@@ -413,10 +423,49 @@ func decodePacket(b []byte) (any, error) {
 // the difference between ~1 and ~2·batch allocations per delivered frame
 // on the multicast hot path.
 func decodePacketOwned(b []byte) (any, error) {
-	return decodePacketIn(b, true)
+	return decodePacketIn(b, true, nil)
 }
 
-func decodePacketIn(b []byte, owned bool) (any, error) {
+// hotPackets is decode storage a ring owns for the two packet kinds that
+// dominate the wire: the token, which circulates back to back under load,
+// and the coalesced data frame. Decoding into it reuses the structs and
+// their Rtr, Groups and Payloads storage, so receiving either allocates
+// nothing beyond the owned frame copy a data frame's payloads alias.
+//
+// Lifetime rule: a packet decoded here is valid until the next packet is
+// decoded; anything that must outlive it is copied into ring-owned storage
+// (the message store keeps each sub-message by value, and the retained
+// token is copied into its own buffers).
+type hotPackets struct {
+	tok   token
+	batch dataBatch
+}
+
+// token returns a token to decode into: h's storage, reset, or a fresh one
+// when h is nil.
+func (h *hotPackets) token() *token {
+	if h == nil {
+		return new(token)
+	}
+	h.tok = token{Rtr: h.tok.Rtr[:0]}
+	return &h.tok
+}
+
+// dataBatch returns a data frame to decode into, as token does. The reused
+// frame first drops its payload references, so it pins no frame it no
+// longer describes.
+func (h *hotPackets) dataBatch() *dataBatch {
+	if h == nil {
+		return new(dataBatch)
+	}
+	clear(h.batch.Payloads)
+	h.batch = dataBatch{Groups: h.batch.Groups[:0], Payloads: h.batch.Payloads[:0]}
+	return &h.batch
+}
+
+// decodePacketIn decodes b, aliasing it when owned. hot, when non-nil,
+// supplies reused storage for a token or a data frame (see hotPackets).
+func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 	d := cdr.NewDecoder(b, cdr.BigEndian)
 	if owned {
 		d.SetZeroCopy(true)
@@ -515,7 +564,7 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 		}
 		return v, nil
 	case pktToken:
-		v := &token{}
+		v := hot.token()
 		if v.Ring, err = decodeRingID(d); err != nil {
 			return nil, err
 		}
@@ -535,8 +584,8 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("totem: implausible rtr count %d", n)
+		if int64(n)*8 > int64(d.Remaining()) {
+			return nil, fmt.Errorf("totem: rtr count %d overruns the packet", n)
 		}
 		for i := uint32(0); i < n; i++ {
 			s, err := d.ReadULongLong()
@@ -568,7 +617,7 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 		}
 		return v, nil
 	case pktDataBatch:
-		v := &dataBatch{}
+		v := hot.dataBatch()
 		if v.Ring, err = decodeRingID(d); err != nil {
 			return nil, err
 		}
@@ -582,11 +631,14 @@ func decodePacketIn(b []byte, owned bool) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("totem: implausible batch count %d", n)
+		// Each sub-message takes at least its two length words.
+		if int64(n)*8 > int64(d.Remaining()) {
+			return nil, fmt.Errorf("totem: batch count %d overruns the packet", n)
 		}
-		v.Groups = make([]string, 0, n)
-		v.Payloads = make([][]byte, 0, n)
+		if cap(v.Payloads) < int(n) {
+			v.Groups = make([]string, 0, n)
+			v.Payloads = make([][]byte, 0, n)
+		}
 		for i := uint32(0); i < n; i++ {
 			g, err := d.ReadStringInterned()
 			if err != nil {

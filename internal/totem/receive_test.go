@@ -1,0 +1,289 @@
+package totem
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/transport"
+)
+
+// bareRing returns node n2's endpoint of the operational ring {n1,n2,n3}
+// (coordinator n1) on a fresh fabric, with its protocol loop not started:
+// the test drives the receive path itself. Nothing is bound at n1 or n3,
+// so whatever n2 sends is dropped unless the test opens their ports.
+func bareRing(t testing.TB) (*Ring, *netsim.Fabric) {
+	t.Helper()
+	return bareRingOf(t, "n2", []string{"n1", "n2", "n3"})
+}
+
+// bareRingOf returns node's endpoint of the operational ring of nodes
+// (coordinator nodes[0]), its protocol loop not started.
+func bareRingOf(t testing.TB, node string, nodes []string) (*Ring, *netsim.Fabric) {
+	t.Helper()
+	f := netsim.NewFabric(netsim.Config{})
+	for _, n := range nodes {
+		f.AddNode(n)
+	}
+	r, err := NewRing(f, testConfig(node, nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop)
+	r.ring = RingID{Epoch: 3, Coord: nodes[0]}
+	r.members = nodes
+	r.state = stOperational
+	r.lastToken = time.Now()
+	return r, f
+}
+
+// TestIdleSingletonParks drives a singleton ring's token through its wake
+// channel by hand: with no work it must park within the pacing rule's
+// quiet rounds instead of rotating forever, and queued work must resume it.
+func TestIdleSingletonParks(t *testing.T) {
+	r, _ := bareRingOf(t, "n1", []string{"n1"})
+	// wakes runs the loop's wake case until no self-token is due.
+	wakes := func(what string) {
+		t.Helper()
+		for i := 0; r.selfToken; i++ {
+			if i > 2*parkRounds+2 {
+				t.Fatalf("%s: the singleton's token still rotating after %d visits", what, i)
+			}
+			select {
+			case <-r.wakeCh:
+			default:
+				t.Fatalf("%s: self-token due but no wake signalled", what)
+			}
+			r.handleWake()
+		}
+	}
+	r.handleToken(&token{Ring: r.ring})
+	wakes("idle ring")
+	if !r.pace.parked {
+		t.Fatal("idle singleton did not park")
+	}
+	if err := r.Multicast("g", []byte("work")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-r.wakeCh:
+	default:
+		t.Fatal("Multicast did not signal the wake channel")
+	}
+	r.handleWake()
+	if r.delivered != 1 {
+		t.Fatalf("delivered %d after the wake, want 1", r.delivered)
+	}
+	wakes("after work")
+	if !r.pace.parked {
+		t.Fatal("singleton did not park again once the work was done")
+	}
+}
+
+func testBatch(firstSeq uint64, n int) *dataBatch {
+	b := &dataBatch{Ring: RingID{Epoch: 3, Coord: "n1"}, Sender: "n1", FirstSeq: firstSeq}
+	for i := 0; i < n; i++ {
+		b.Groups = append(b.Groups, "og/7")
+		b.Payloads = append(b.Payloads, bytes.Repeat([]byte{byte(i)}, 256))
+	}
+	return b
+}
+
+// TestReceiveBatchAllocs pins the data-frame receive path: a 16-message
+// coalesced frame costs one allocation, the owned copy its payloads alias.
+// The frame decodes into the ring's reused storage and every sub-message is
+// stored by value.
+func TestReceiveBatchAllocs(t *testing.T) {
+	const batch, runs = 16, 200
+	r, _ := bareRing(t)
+	frames := make([][]byte, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range frames {
+		frames[i] = mustEncodePacket(t, testBatch(uint64(i*batch+1), batch))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r.receive(transport.Datagram{From: "n1", Payload: frames[next]})
+		next++
+		for seq := range r.store { // the token's aru would prune these
+			delete(r.store, seq)
+		}
+	})
+	if r.delivered != uint64(len(frames)*batch) {
+		t.Fatalf("delivered %d messages, want %d", r.delivered, len(frames)*batch)
+	}
+	if allocs > 1 {
+		t.Fatalf("receiving a %d-message frame: %.0f allocs, want ≤ 1", batch, allocs)
+	}
+}
+
+// TestTokenHopAllocs pins the token path: decoding a token into the ring's
+// storage, handling it, retaining it and forwarding it costs at most the
+// one buffer the forwarded token is encoded into.
+func TestTokenHopAllocs(t *testing.T) {
+	const runs = 200
+	r, _ := bareRing(t)
+	toks := make([][]byte, runs+1)
+	for i := range toks {
+		toks[i] = mustEncodePacket(t, &token{
+			Ring: r.ring, Round: uint64(i + 1), Aru: 0, LastAru: 0,
+			Rtr: []uint64{7, 9, 11}, // requests n2 cannot serve: carried on
+		})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r.receive(transport.Datagram{From: "n1", Payload: toks[next]})
+		next++
+	})
+	if r.lastRound != uint64(len(toks)) || r.retained == nil || len(r.retained.Rtr) != 3 {
+		t.Fatalf("tokens not handled: lastRound %d, retained %+v", r.lastRound, r.retained)
+	}
+	if allocs > 1 {
+		t.Fatalf("one token hop: %.0f allocs, want ≤ 1", allocs)
+	}
+}
+
+// TestTokenAfterQueuedDataRequestsNoRetransmission pins the receive order:
+// a data frame queued on the data lane ahead of a token is handled before
+// the token, though the token's lane is served first. Otherwise the token
+// would leave asking the ring to resend messages already here.
+func TestTokenAfterQueuedDataRequestsNoRetransmission(t *testing.T) {
+	r, f := bareRing(t)
+	n1, err := f.OpenPort("n1", r.cfg.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n3, err := f.OpenPort("n3", r.cfg.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 4
+	if err := n1.SendClass("n2", r.cfg.Port, mustEncodePacket(t, testBatch(1, batch)), transport.ClassData); err != nil {
+		t.Fatal(err)
+	}
+	tok := &token{Ring: r.ring, Round: 1, Seq: batch, Aru: batch}
+	if err := n1.SendClass("n2", r.cfg.Port, mustEncodePacket(t, tok), transport.ClassControl); err != nil {
+		t.Fatal(err)
+	}
+	if r.serve() {
+		t.Fatal("serve stopped at its bound with two datagrams queued")
+	}
+	if r.delivered != batch {
+		t.Fatalf("delivered %d, want %d", r.delivered, batch)
+	}
+	dg, ok := n3.TryRecv(transport.ClassControl)
+	if !ok {
+		t.Fatal("n2 did not forward the token to n3")
+	}
+	pkt, err := decodePacket(dg.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fwd := pkt.(*token); len(fwd.Rtr) != 0 {
+		t.Fatalf("forwarded token requests %v for messages n2 already had", fwd.Rtr)
+	}
+}
+
+// everyPacketKind returns one encodable packet of every kind.
+func everyPacketKind() []any {
+	rid := RingID{Epoch: 4, Coord: "n1"}
+	return []any{
+		&hello{From: "n2", Alive: []string{"n1", "n2"}, MaxEpoch: 9, Ring: rid},
+		&propose{Ring: rid, Members: []string{"n1", "n2", "n3"}},
+		&accept{
+			Ring: rid, From: "n2", OldRing: RingID{Epoch: 3, Coord: "n1"}, Delivered: 17,
+			Stored: []storedMsg{{Seq: 18, Group: "g", Sender: "n1", Payload: []byte{1}}},
+			Groups: []string{"g"},
+		},
+		&install{
+			Ring: rid, Members: []string{"n1", "n2"},
+			Recovery: []recoverySet{{OldRing: RingID{Epoch: 3, Coord: "n1"},
+				Msgs: []storedMsg{{Seq: 18, Group: "g", Sender: "n1", Payload: []byte{1, 2}}}}},
+			Subs: []groupSub{{Node: "n1", Group: "g"}},
+		},
+		&token{Ring: rid, Round: 7, Seq: 100, Aru: 90, LastAru: 80, Rtr: []uint64{91, 95}},
+		&token{Ring: rid, Round: 8, Seq: 100, Aru: 100, LastAru: 90},
+		&data{Ring: rid, Seq: 101, Group: "g", Sender: "n1", Payload: []byte("p"), Resend: true},
+		testBatch(102, 3),
+		&dataBatch{Ring: rid, Sender: "n1", FirstSeq: 200},
+		&nudge{Ring: rid, From: "n3"},
+		&direct{From: "n3", Group: "g", Payload: []byte("d")},
+	}
+}
+
+// dirtyScratch returns hot decode storage that last held a larger batch
+// and a token with a long retransmission list, so a decode that fails to
+// reset a field shows as a mismatch.
+func dirtyScratch() *hotPackets {
+	h := &hotPackets{}
+	h.batch = *testBatch(9000, 64)
+	h.tok = token{Ring: RingID{Epoch: 99, Coord: "zz"}, Round: 5, Seq: 6, Aru: 7, LastAru: 8}
+	for i := 0; i < 64; i++ {
+		h.tok.Rtr = append(h.tok.Rtr, uint64(i))
+	}
+	return h
+}
+
+// FuzzDecodePacket runs the totem wire decoder over arbitrary datagrams.
+// The copying decode, the owned (aliasing) decode and the ring's reuse
+// decode into dirty scratch storage — in both modes — must agree field for
+// field on every input, error or not, and none may panic.
+func FuzzDecodePacket(f *testing.F) {
+	for _, p := range everyPacketKind() {
+		f.Add(mustEncodePacket(f, p))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ref, refErr := decodePacket(b)
+		decoders := []struct {
+			name   string
+			decode func() (any, error)
+		}{
+			{"owned", func() (any, error) { return decodePacketOwned(bytes.Clone(b)) }},
+			{"hot", func() (any, error) { return decodePacketIn(b, false, dirtyScratch()) }},
+			{"hot owned", func() (any, error) { return decodePacketIn(bytes.Clone(b), true, dirtyScratch()) }},
+		}
+		for _, d := range decoders {
+			got, err := d.decode()
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s decode error %v, copying decode error %v", d.name, err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(normalized(got), normalized(ref)) {
+				t.Fatalf("%s decode disagrees:\n got %+v\nwant %+v", d.name, got, ref)
+			}
+		}
+	})
+}
+
+// normalized returns a deep copy of a decoded packet with every empty
+// slice set to nil: decoders may leave either, and the difference is not a
+// field value.
+func normalized(p any) any {
+	v := reflect.New(reflect.TypeOf(p).Elem())
+	v.Elem().Set(normalize(reflect.ValueOf(p).Elem()))
+	return v.Interface()
+}
+
+func normalize(v reflect.Value) reflect.Value {
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Len() == 0 {
+			return reflect.Zero(v.Type())
+		}
+		out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		for i := 0; i < v.Len(); i++ {
+			out.Index(i).Set(normalize(v.Index(i)))
+		}
+		return out
+	case reflect.Struct:
+		out := reflect.New(v.Type()).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			out.Field(i).Set(normalize(v.Field(i)))
+		}
+		return out
+	}
+	return v
+}

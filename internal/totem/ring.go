@@ -145,6 +145,12 @@ const (
 	// queue (backpressure), so overload degrades to throttling instead of
 	// unbounded memory growth.
 	maxSendQueue = 8192
+	// serveBudget bounds the datagrams the protocol loop handles per
+	// wake-up of the port, so a saturated port cannot starve the heartbeat
+	// tick (liveness gossip and the failure detector hang off it).
+	serveBudget = 128
+	// tokenDrain bounds the data frames handled ahead of a token.
+	tokenDrain = 256
 )
 
 // ring states.
@@ -159,11 +165,15 @@ type outMsg struct {
 	payload []byte
 }
 
-// wake is an internal loop event: Multicast queued new local work, which
-// resumes a token parked here or nudges the coordinator (see pacing.go).
-type wake struct{}
-
-var wakeEvent = &wake{}
+// backlog is a closed channel: the protocol loop selects on it in place of
+// the port's Ready when a wake-up stopped at serveBudget with datagrams
+// left, so it comes straight back once stop, the tick and wakes have had
+// their turn.
+var backlog = func() <-chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Ring is one node's endpoint of the group communication layer.
 type Ring struct {
@@ -193,18 +203,33 @@ type Ring struct {
 	formMembers []string
 	accepts     map[string]*accept
 
-	store        map[uint64]storedMsg
-	delivered    uint64
-	pruned       uint64
-	lastToken    time.Time
-	lastRound    uint64
+	store     map[uint64]storedMsg
+	delivered uint64
+	pruned    uint64
+	lastToken time.Time
+	lastRound uint64
+	// retained is the token this node last handled (the resend and unpark
+	// source). It points into tokBuf, which double-buffers it: a handled
+	// token is copied into the buffer retained does not point at, reusing
+	// its Rtr storage, instead of into a fresh copy every hop.
 	retained     *token
+	tokBuf       [2]token
 	retainedNext string
 	groupMembers map[string]map[string]bool
 	pace         pacer
+	rx           hotPackets // decode storage for received tokens and data frames
+	// installRaw is the coordinator's encoded install for the ring it
+	// formed, resent with the retained token until the first token round
+	// returns — proof that every member installed.
+	installRaw []byte
+	// selfToken marks the token of a singleton ring as due back here; the
+	// loop's wake channel carries it.
+	selfToken bool
 
-	packetCh   chan any
-	ctlCh      chan any     // priority lane: liveness/membership/token packets
+	// wakeCh (1-slot) wakes the protocol loop for local events: Multicast
+	// queued work (resume a parked token, or nudge the coordinator) and a
+	// singleton ring's self-addressed token.
+	wakeCh     chan struct{}
 	directCh   chan *direct // unordered point-to-point lane (SendDirect)
 	stopCh     chan struct{}
 	wg         sync.WaitGroup
@@ -258,8 +283,7 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 		peerFD:       make(map[string]*fault.Suspicion),
 		store:        make(map[uint64]storedMsg),
 		groupMembers: make(map[string]map[string]bool),
-		packetCh:     make(chan any, 1024),
-		ctlCh:        make(chan any, 256),
+		wakeCh:       make(chan struct{}, 1),
 		directCh:     make(chan *direct, 1024),
 		stopCh:       make(chan struct{}),
 		state:        stForming,
@@ -273,8 +297,7 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 
 // Start launches the protocol goroutines.
 func (r *Ring) Start() {
-	r.wg.Add(3)
-	go r.recvLoop()
+	r.wg.Add(2)
 	go r.run()
 	go r.runDirect()
 }
@@ -336,13 +359,8 @@ func (r *Ring) Multicast(group string, payload []byte) error {
 	r.mu.Unlock()
 	if wasEmpty {
 		// Wake the protocol loop: a token parked here should resume now,
-		// and a member may need to nudge the coordinator. Dropping the wake
-		// when the loop is busy is fine — a busy loop is already processing
-		// a token and will see the queue; the heartbeat backs up the rest.
-		select {
-		case r.packetCh <- wakeEvent:
-		default:
-		}
+		// and a member may need to nudge the coordinator.
+		r.wake()
 	}
 	return nil
 }
@@ -471,55 +489,12 @@ func decodeCtl(b []byte) (op byte, node, group string, err error) {
 
 // --- Goroutines ----------------------------------------------------------
 
-func (r *Ring) recvLoop() {
-	defer r.wg.Done()
-	for {
-		dg, err := r.port.Recv()
-		if err != nil {
-			return
-		}
-		// The transport's payload is only valid until the next Recv. For
-		// payload-bearing packets the datagram is copied out exactly once
-		// and the decoder aliases that copy — one allocation per frame
-		// instead of one per batched message. Control packets (tokens
-		// above all: they circulate back to back under load) skip the
-		// frame copy and decode field-by-field off the transport
-		// buffer as before.
-		var pkt any
-		ch := r.ctlCh
-		switch t := pktType(firstOctet(dg.Payload)); t {
-		case pktData, pktDataBatch, pktDirect:
-			owned := append(make([]byte, 0, len(dg.Payload)), dg.Payload...)
-			pkt, err = decodePacketOwned(owned)
-			ch = r.packetCh
-		default:
-			pkt, err = decodePacket(dg.Payload)
-		}
-		if err != nil {
-			continue // corrupt datagram: drop, like UDP
-		}
-		// Direct packets skip the protocol loop entirely: they carry no
-		// ordering state, so routing them through packetCh would only
-		// couple their latency to token processing. They get their own
-		// lane and goroutine; a full lane drops (UDP semantics).
-		if d, ok := pkt.(*direct); ok {
-			select {
-			case r.directCh <- d:
-			default:
-			}
-			continue
-		}
-		// Control packets (hello, membership, token, nudge) ride their own
-		// channel so the protocol loop can serve them ahead of a multicast
-		// backlog — the in-process half of the priority lane. A heartbeat
-		// that queued behind a thousand dataBatch frames reads exactly like
-		// a dead peer; this is what used to turn provisioning storms into
-		// eviction cascades.
-		select {
-		case ch <- pkt:
-		case <-r.stopCh:
-			return
-		}
+// wake signals the protocol loop's wake channel; a wake already pending
+// covers this one.
+func (r *Ring) wake() {
+	select {
+	case r.wakeCh <- struct{}{}:
+	default:
 	}
 }
 
@@ -542,77 +517,91 @@ func (r *Ring) runDirect() {
 	}
 }
 
+// run is the protocol loop. It owns the transport port's receive side: a
+// datagram goes from the port's lane to its handler with no goroutine in
+// between.
 func (r *Ring) run() {
 	defer r.wg.Done()
 	ticker := time.NewTicker(r.cfg.HeartbeatInterval)
 	defer ticker.Stop()
+	ready := r.port.Ready()
 	for {
-		// Control-plane priority: drain pending control packets before
-		// considering data. Bounded so a saturated control stream cannot
-		// starve the heartbeat tick.
-		for n := 0; n < 64; n++ {
-			select {
-			case pkt := <-r.ctlCh:
-				r.handleCtl(pkt)
-				continue
-			default:
-			}
-			break
-		}
 		select {
 		case <-r.stopCh:
 			return
-		case pkt := <-r.ctlCh:
-			r.handleCtl(pkt)
-		case pkt := <-r.packetCh:
-			r.handlePacket(pkt)
-			// Drain what queued behind it with nonblocking receives: a
-			// single-case select compiles to a cheap channel poll, while
-			// re-entering the four-way select costs a full selectgo pass
-			// per packet — measurably hot at the ~10^5 packets/s a busy
-			// ring sustains. The drain is bounded so a saturated packet
-			// stream cannot starve the heartbeat tick (liveness gossip and
-			// the failure detector hang off it), and polls the control lane
-			// first on every iteration so a heartbeat or token arriving
-			// mid-backlog is served before the next data frame.
-			for n := 0; n < 128; n++ {
-				select {
-				case pkt := <-r.ctlCh:
-					r.handleCtl(pkt)
-					continue
-				default:
-				}
-				select {
-				case pkt := <-r.packetCh:
-					r.handlePacket(pkt)
-					continue
-				default:
-				}
-				break
-			}
 		case <-ticker.C:
 			r.tick()
+		case <-r.wakeCh:
+			r.handleWake()
+		case <-ready:
+			ready = r.port.Ready()
+			if r.serve() {
+				ready = backlog
+			}
 		}
 	}
 }
 
-// handleCtl processes a control-lane packet. The token is the one control
-// packet whose handling depends on data frames already received: computing
-// the retransmission-request list while those frames sit unprocessed in
-// packetCh would ask the ring to resend messages that are already here. So
-// queued data is drained (bounded) before a token is handled — priority
-// for liveness, arrival order for the token's view of the store.
-func (r *Ring) handleCtl(pkt any) {
-	if _, ok := pkt.(*token); ok {
-		for n := 0; n < 256; n++ {
-			select {
-			case dp := <-r.packetCh:
-				r.handlePacket(dp)
-				continue
-			default:
+// serve handles up to serveBudget due datagrams, polling the control lane
+// before each data frame so a heartbeat or token arriving mid-backlog is
+// served first, and reports whether it stopped at the bound.
+//
+// The token is the one control packet whose handling depends on the data
+// frames already received: computing its retransmission-request list while
+// those frames sit unread would ask the ring to resend messages that are
+// already here. So the data lane is drained (bounded) before a token is
+// decoded — priority for liveness, arrival order for the token's view of
+// the store. The token's bytes stay valid meanwhile: a payload lives until
+// the next TryRecv on its own lane.
+func (r *Ring) serve() bool {
+	for n := 0; n < serveBudget; n++ {
+		if dg, ok := r.port.TryRecv(transport.ClassControl); ok {
+			if pktType(firstOctet(dg.Payload)) == pktToken {
+				for i := 0; i < tokenDrain; i++ {
+					d, ok := r.port.TryRecv(transport.ClassData)
+					if !ok {
+						break
+					}
+					r.receive(d)
+				}
 			}
-			break
+			r.receive(dg)
+			continue
 		}
+		dg, ok := r.port.TryRecv(transport.ClassData)
+		if !ok {
+			return false
+		}
+		r.receive(dg)
+	}
+	return true
+}
+
+// receive decodes and handles one datagram. Payload-bearing packets are
+// copied off the transport buffer exactly once and their payloads alias
+// that copy — one allocation per frame instead of one per batched message.
+// Everything else decodes off the transport buffer; tokens and data frames
+// land in the ring's hot decode storage (see hotPackets for how long a
+// decoded packet lives).
+func (r *Ring) receive(dg transport.Datagram) {
+	b, owned := dg.Payload, false
+	switch pktType(firstOctet(b)) {
+	case pktData, pktDataBatch, pktDirect:
+		b, owned = append(make([]byte, 0, len(b)), b...), true
+	}
+	pkt, err := decodePacketIn(b, owned, &r.rx)
+	if err != nil {
+		return // corrupt datagram: drop, like UDP
+	}
+	// Direct packets carry no ordering state: they go to their own lane
+	// and goroutine, so their latency is not coupled to token processing.
+	// A full lane drops (UDP semantics).
+	if d, ok := pkt.(*direct); ok {
+		select {
+		case r.directCh <- d:
+		default:
+		}
+		return
 	}
 	r.handlePacket(pkt)
 }
@@ -673,14 +662,18 @@ func (r *Ring) broadcastMembers(pkt any, includeSelf bool) {
 		}
 		return
 	}
-	for _, m := range r.members {
-		if m == r.cfg.Node {
-			continue
-		}
-		r.sendRaw(m, raw)
-	}
+	r.sendToMembers(raw)
 	if includeSelf {
 		r.handlePacket(pkt)
+	}
+}
+
+// sendToMembers sends an encoded packet to every other ring member.
+func (r *Ring) sendToMembers(raw []byte) {
+	for _, m := range r.members {
+		if m != r.cfg.Node {
+			r.sendRaw(m, raw)
+		}
 	}
 }
 
@@ -749,8 +742,14 @@ func (r *Ring) tick() {
 		// as a duplicate downstream). A quarter, not a half: each lost hop
 		// costs one resend delay before the next member sees the token,
 		// so two consecutive lost hops must fit inside one timeout.
+		// A member that missed the install ignores the new ring's token, so
+		// until the first round returns the install goes out again with it
+		// (members that have it drop the duplicate).
 		if r.retained != nil && r.retained.Ring == r.ring &&
 			now.Sub(r.lastToken) > tokenTimeoutBeats*r.cfg.HeartbeatInterval/4 {
+			if r.installRaw != nil {
+				r.sendToMembers(r.installRaw)
+			}
 			r.send(r.retainedNext, r.retained)
 		}
 	case stForming:
@@ -772,6 +771,8 @@ func (r *Ring) enterForming(now time.Time) {
 	r.state = stForming
 	r.formingFrom = now
 	r.retained = nil
+	r.selfToken = false
+	r.installRaw = nil
 	r.pace = pacer{}
 }
 
@@ -808,15 +809,25 @@ func (r *Ring) handlePacket(pkt any) {
 		if v.Ring == r.ring {
 			r.handleNudge()
 		}
-	case *wake:
-		r.handleWake()
 	}
 }
 
-// handleWake reacts to freshly queued local work: it resumes a token parked
-// here, and a member that has seen the ring go quiet nudges the coordinator,
+// handleWake serves the wake channel: a singleton ring's token due back
+// here, or freshly queued local work, which resumes a token parked here —
+// and a member that has seen the ring go quiet nudges the coordinator,
 // where the token may be parked.
 func (r *Ring) handleWake() {
+	if r.selfToken {
+		// The singleton's next visit also collects any work whose wake this
+		// one absorbed: that work was queued before its wake was sent. Going
+		// on to unpark would undo a park this visit just made, and the idle
+		// singleton would spin.
+		r.selfToken = false
+		if r.retained != nil {
+			r.rehandleRetained()
+		}
+		return
+	}
 	if r.state != stOperational || r.unpark() {
 		return
 	}
@@ -986,6 +997,9 @@ func (r *Ring) finishFormation() {
 		}
 	}
 	r.handleInstall(ins)
+	if r.ring == ins.Ring && len(r.members) > 1 {
+		r.installRaw = raw
+	}
 }
 
 func (r *Ring) handleInstall(ins *install) {
@@ -1037,6 +1051,8 @@ func (r *Ring) handleInstall(ins *install) {
 	r.lastRound = 0
 	r.lastToken = time.Now()
 	r.retained = nil
+	r.selfToken = false
+	r.installRaw = nil
 	r.pace = pacer{}
 
 	// Rebuild group membership from the collected subscriptions.
@@ -1118,6 +1134,9 @@ func (r *Ring) handleToken(t *token) {
 	}
 	r.lastRound = t.Round
 	r.lastToken = time.Now()
+	if coord && t.Round > 1 {
+		r.installRaw = nil // the first round came back: every member installed
+	}
 
 	// Serve retransmission requests we can satisfy.
 	hadRtr := len(t.Rtr) > 0
@@ -1183,28 +1202,50 @@ func (r *Ring) handleToken(t *token) {
 	}
 
 	next := r.successor()
-	cp := *t
-	cp.Rtr = append([]uint64(nil), t.Rtr...)
-	r.retained = &cp
-	r.retainedNext = next
+	r.retain(t, next)
 	worked := len(batch) > 0 || hadRtr || len(t.Rtr) > 0 || t.LastAru < t.Seq
 	if r.pace.visit(t.Seq, worked, coord) {
 		return
 	}
 	if next == r.cfg.Node {
-		// Singleton ring: the token re-enqueues itself through the control
-		// lane rather than recursing: a producer that refills the queue as
-		// fast as visits drain it would recurse without bound and starve the
-		// heartbeat tick — no hello gossip, so a singleton under sustained
-		// load could never remerge with returning peers. A full lane drops
-		// the token; the retained-token resend recovers circulation.
-		select {
-		case r.ctlCh <- &cp:
-		default:
-		}
+		// Singleton ring: the token comes back through the loop's wake
+		// channel rather than recursing: a producer that refills the queue
+		// as fast as visits drain it would recurse without bound and starve
+		// the heartbeat tick — no hello gossip, so a singleton under
+		// sustained load could never remerge with returning peers.
+		r.selfToken = true
+		r.wake()
 		return
 	}
-	r.send(next, &cp)
+	r.send(next, r.retained)
+}
+
+// retain makes t the retained token, forwarded next to next. t is copied
+// into the token buffer retained does not point at, unless it already is
+// that buffer.
+func (r *Ring) retain(t *token, next string) {
+	b := r.spareToken()
+	if t != b {
+		b.copyFrom(t)
+	}
+	r.retained = b
+	r.retainedNext = next
+}
+
+// spareToken returns the token buffer the retained token does not occupy.
+func (r *Ring) spareToken() *token {
+	if r.retained == &r.tokBuf[0] {
+		return &r.tokBuf[1]
+	}
+	return &r.tokBuf[0]
+}
+
+// rehandleRetained handles a copy of the retained token as if it had just
+// arrived (a parked token resuming, a singleton's next visit).
+func (r *Ring) rehandleRetained() {
+	t := r.spareToken()
+	t.copyFrom(r.retained)
+	r.handleToken(t)
 }
 
 // sendBatch assigns contiguous sequence numbers to one token visit's

@@ -333,6 +333,54 @@ func TestCrashReformsRing(t *testing.T) {
 	})
 }
 
+// TestLostInstallIsResent drops the first install sent to a joining
+// member. The member keeps ignoring the new ring's token until it installs,
+// so the coordinator resends the install with the retained token until the
+// first round returns: the ring forms once, with no re-formation after the
+// token timeout.
+func TestLostInstallIsResent(t *testing.T) {
+	const hb = 10 * time.Millisecond
+	c := newCluster(t, netsim.Config{}, 3, withHeartbeat(hb))
+	c.rings["n1"].Start()
+	c.rings["n2"].Start()
+	c.waitStableRing(3*time.Second, []string{"n1", "n2"})
+	forms := map[string]uint64{}
+	for _, n := range c.nodes {
+		forms[n] = c.rings[n].Stats().Formations
+	}
+
+	var mu sync.Mutex
+	dropped := false
+	c.fabric.SetDropFilter(func(from, to string, port uint16, payload []byte) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if dropped || to != "n3" || firstOctet(payload) != byte(pktInstall) {
+			return false
+		}
+		dropped = true
+		return true
+	})
+	defer c.fabric.SetDropFilter(nil)
+	c.rings["n3"].Start()
+	c.waitStableRing(3*time.Second, c.nodes)
+	mu.Lock()
+	if !dropped {
+		t.Fatal("the drop filter never saw an install for n3")
+	}
+	mu.Unlock()
+	rid, _ := c.rings["n1"].CurrentRing()
+	time.Sleep(3 * tokenTimeoutBeats * hb) // past any token timeout
+
+	for _, n := range c.nodes {
+		if id, members := c.rings[n].CurrentRing(); id != rid || len(members) != 3 {
+			t.Fatalf("%s left ring %v for %v %v", n, rid, id, members)
+		}
+		if got := c.rings[n].Stats().Formations - forms[n]; got != 1 {
+			t.Errorf("%s: %d formations after n3 joined, want 1", n, got)
+		}
+	}
+}
+
 func TestPartitionBothComponentsOperate(t *testing.T) {
 	c := newCluster(t, netsim.Config{}, 4)
 	c.startAll()

@@ -117,7 +117,7 @@ func NewSequencer(tp transport.Transport, node string, members []string, port ui
 func (s *Sequencer) recvLoop() {
 	defer s.wg.Done()
 	for {
-		dg, err := s.port.Recv()
+		dg, err := transport.Recv(s.port)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 // Package conformance is the executable contract of the transport seam:
 // one test suite run against every backend, so the properties the totem
-// layer depends on — delivery with sender identity, close-unblocks-recv,
+// layer depends on — delivery with sender identity, Ready wake-ups,
+// per-lane FIFO order, close-unblocks-recv, the per-lane payload lifetime,
 // port rebinding, large datagrams, concurrent senders — are pinned by
 // tests instead of by whichever backend happened to come first.
 //
@@ -31,6 +32,9 @@ func Run(t *testing.T, newBackend Factory) {
 	t.Run("Local", func(t *testing.T) { testLocal(t, newBackend) })
 	t.Run("PortReuse", func(t *testing.T) { testPortReuse(t, newBackend) })
 	t.Run("CloseUnblocksRecv", func(t *testing.T) { testCloseUnblocksRecv(t, newBackend) })
+	t.Run("Ready", func(t *testing.T) { testReady(t, newBackend) })
+	t.Run("LaneOrder", func(t *testing.T) { testLaneOrder(t, newBackend) })
+	t.Run("PayloadLifetime", func(t *testing.T) { testPayloadLifetime(t, newBackend) })
 	t.Run("LargeDatagram", func(t *testing.T) { testLargeDatagram(t, newBackend) })
 	t.Run("ConcurrentSend", func(t *testing.T) { testConcurrentSend(t, newBackend) })
 	t.Run("PriorityLane", func(t *testing.T) { testPriorityLane(t, newBackend) })
@@ -39,8 +43,8 @@ func Run(t *testing.T, newBackend Factory) {
 
 const recvWait = 5 * time.Second
 
-// recvOne runs Recv on its own goroutine with a deadline, copying the
-// payload so assertions outlive the next Recv.
+// recvOne runs transport.Recv on its own goroutine with a deadline,
+// copying the payload so assertions outlive the next Recv.
 func recvOne(t *testing.T, p transport.Port) transport.Datagram {
 	t.Helper()
 	type res struct {
@@ -49,7 +53,7 @@ func recvOne(t *testing.T, p transport.Port) transport.Datagram {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		dg, err := p.Recv()
+		dg, err := transport.Recv(p)
 		dg.Payload = append([]byte(nil), dg.Payload...)
 		ch <- res{dg, err}
 	}()
@@ -146,7 +150,7 @@ func testCloseUnblocksRecv(t *testing.T, newBackend Factory) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := p.Recv()
+		_, err := transport.Recv(p)
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let Recv block
@@ -162,8 +166,176 @@ func testCloseUnblocksRecv(t *testing.T, newBackend Factory) {
 		t.Fatalf("Recv still blocked %v after Close", recvWait)
 	}
 	// Recv after Close also errors (no hang, no zero-value success).
-	if _, err := p.Recv(); err == nil {
+	if _, err := transport.Recv(p); err == nil {
 		t.Fatalf("Recv on closed port returned nil error")
+	}
+	if p.Err() == nil {
+		t.Fatalf("Err() is nil after Close")
+	}
+}
+
+// waitReady reports whether p's Ready fires within the suite's deadline.
+func waitReady(p transport.Port) bool {
+	select {
+	case <-p.Ready():
+		return true
+	case <-time.After(recvWait):
+		return false
+	}
+}
+
+// tryRecvWithin polls one lane, waiting on Ready between polls, until a
+// datagram is due or the deadline passes.
+func tryRecvWithin(t *testing.T, p transport.Port, class transport.Class) transport.Datagram {
+	t.Helper()
+	deadline := time.Now().Add(recvWait)
+	for {
+		if dg, ok := p.TryRecv(class); ok {
+			return dg
+		}
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			t.Fatalf("TryRecv(%d): nothing due within %v", class, recvWait)
+		}
+		select {
+		case <-p.Ready():
+		case <-time.After(wait):
+		}
+	}
+}
+
+// testReady pins the wake-up half of the non-blocking contract: an idle,
+// drained port reports nothing, a datagram landing on it fires Ready, and
+// Close fires Ready for a consumer parked on it. Err is nil until Close.
+func testReady(t *testing.T, newBackend Factory) {
+	tp := newBackend(t, []string{"a", "b"})
+	pa := open(t, tp, "a", 350)
+	pb, err := tp.Open("b", 350)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for _, c := range []transport.Class{transport.ClassControl, transport.ClassData} {
+		if _, ok := pb.TryRecv(c); ok {
+			t.Fatalf("TryRecv(%d) on an idle port returned a datagram", c)
+		}
+	}
+	if pb.Err() != nil {
+		t.Fatalf("Err() = %v on an open port", pb.Err())
+	}
+	// Drop a wake-up left over from opening, if any: what follows must be
+	// caused by the send.
+	select {
+	case <-pb.Ready():
+	default:
+	}
+	if err := pa.Send("b", 350, []byte("wake")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if !waitReady(pb) {
+		t.Fatalf("Ready did not fire for a datagram on an idle port")
+	}
+	if dg := tryRecvWithin(t, pb, transport.ClassData); string(dg.Payload) != "wake" || dg.From != "a" {
+		t.Fatalf("got %q from %q, want \"wake\" from a", dg.Payload, dg.From)
+	}
+	if _, ok := pb.TryRecv(transport.ClassData); ok {
+		t.Fatalf("TryRecv returned a second datagram after one send")
+	}
+
+	fired := make(chan bool, 1)
+	go func() { fired <- waitReady(pb) }()
+	time.Sleep(20 * time.Millisecond) // let the waiter park
+	if err := pb.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !<-fired {
+		t.Fatalf("Close did not fire Ready")
+	}
+	if pb.Err() == nil {
+		t.Fatalf("Err() is nil after Close")
+	}
+	if _, ok := pb.TryRecv(transport.ClassData); ok {
+		t.Fatalf("TryRecv on a closed, drained port returned a datagram")
+	}
+}
+
+// testLaneOrder pins per-lane FIFO order: datagrams sent interleaved on
+// the two classes come out of each lane in send order, whichever lane the
+// consumer polls first. A backend without a control lane delivers all of
+// them, in order, on the data lane.
+func testLaneOrder(t *testing.T, newBackend Factory) {
+	tp := newBackend(t, []string{"a", "b"})
+	pa := open(t, tp, "a", 360)
+	pb := open(t, tp, "b", 360)
+	const n = 32
+	var wantCtl, wantData []string
+	for i := 0; i < n; i++ {
+		class := transport.ClassData
+		if i%3 == 0 {
+			class = transport.ClassControl
+		}
+		msg := fmt.Sprintf("m%d", i)
+		if err := transport.SendClass(pa, "b", 360, []byte(msg), class); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if class == transport.ClassControl {
+			wantCtl = append(wantCtl, msg)
+		} else {
+			wantData = append(wantData, msg)
+		}
+	}
+	if _, hasLane := pa.(transport.ClassSender); !hasLane {
+		wantData = nil
+		for i := 0; i < n; i++ {
+			wantData = append(wantData, fmt.Sprintf("m%d", i))
+		}
+		wantCtl = nil
+	}
+	// Data first: polling the data lane must not disturb the control lane.
+	for i, want := range wantData {
+		if got := string(tryRecvWithin(t, pb, transport.ClassData).Payload); got != want {
+			t.Fatalf("data lane datagram %d = %q, want %q", i, got, want)
+		}
+	}
+	for i, want := range wantCtl {
+		if got := string(tryRecvWithin(t, pb, transport.ClassControl).Payload); got != want {
+			t.Fatalf("control lane datagram %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// testPayloadLifetime pins the per-lane payload contract the totem loop
+// relies on: it takes a token off the control lane and drains the data
+// lane before decoding the token, so a control payload must survive any
+// number of data-lane receives (and fresh arrivals reusing receive
+// buffers) until the next control-lane TryRecv.
+func testPayloadLifetime(t *testing.T, newBackend Factory) {
+	tp := newBackend(t, []string{"a", "b"})
+	pa := open(t, tp, "a", 370)
+	pb := open(t, tp, "b", 370)
+	if _, hasLane := pa.(transport.ClassSender); !hasLane {
+		t.Skip("backend has no control lane")
+	}
+	ctl := bytes.Repeat([]byte("control-payload/"), 8)
+	if err := transport.SendClass(pa, "b", 370, ctl, transport.ClassControl); err != nil {
+		t.Fatalf("control send: %v", err)
+	}
+	held := tryRecvWithin(t, pb, transport.ClassControl)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 16; i++ {
+			msg := bytes.Repeat([]byte{byte('a' + i)}, len(ctl))
+			if err := pa.Send("b", 370, msg); err != nil {
+				t.Fatalf("data send: %v", err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			dg := tryRecvWithin(t, pb, transport.ClassData)
+			if want := bytes.Repeat([]byte{byte('a' + i)}, len(ctl)); !bytes.Equal(dg.Payload, want) {
+				t.Fatalf("data datagram %d corrupted: %q", i, dg.Payload)
+			}
+		}
+		if !bytes.Equal(held.Payload, ctl) {
+			t.Fatalf("control payload overwritten by data-lane receives: %q", held.Payload)
+		}
 	}
 }
 
@@ -272,7 +444,7 @@ func testConcurrentSend(t *testing.T, newBackend Factory) {
 	recvd := make(chan got, senders*perSender)
 	go func() {
 		for {
-			dg, err := rx.Recv()
+			dg, err := transport.Recv(rx)
 			if err != nil {
 				close(recvd)
 				return

@@ -22,19 +22,25 @@ package transport
 type Datagram struct {
 	// From is the logical node name of the sender.
 	From string
-	// Payload is the datagram body. Ownership is the receiver's, but the
-	// bytes are only guaranteed valid until the next Recv call on the same
-	// Port: backends may reuse receive buffers (the udp backend does).
-	// Consumers that retain payload bytes past the next Recv must copy
-	// them first; the totem layer decodes (copying) before its next Recv.
+	// Payload is the datagram body. The bytes are only guaranteed valid
+	// until the next TryRecv on the same lane of the same Port: backends
+	// may reuse receive buffers (the udp backend does). A consumer that
+	// retains payload bytes past that must copy them first.
 	Payload []byte
 }
 
 // Port is one bound unreliable datagram endpoint on a node.
 //
-// Send is safe for concurrent use. Recv is single-consumer: one goroutine
-// drains the port (the totem receive loop), which is what makes the
-// valid-until-next-Recv payload contract usable.
+// Receiving is non-blocking and per lane: Ready signals that a datagram
+// may be due, and TryRecv takes one due datagram from one lane. The
+// consumer drives its own loop — the totem protocol loop selects on Ready
+// next to its timers, so a datagram crosses one goroutine hand-off from the
+// network to the protocol. Recv (below) is the blocking form for consumers
+// that want one.
+//
+// Send is safe for concurrent use. Ready, TryRecv and Err are
+// single-consumer: one goroutine drains the port, which is what makes the
+// valid-until-next-TryRecv payload contract usable.
 type Port interface {
 	// Send transmits a datagram to the named node's logical port. Like
 	// UDP, it never blocks awaiting delivery and never reports remote
@@ -43,13 +49,43 @@ type Port interface {
 	// takes ownership without mutating it (netsim does; udp copies into
 	// its own scratch buffer).
 	Send(node string, port uint16, payload []byte) error
-	// Recv blocks until a datagram arrives or the port closes; after
-	// Close it returns a non-nil error.
-	Recv() (Datagram, error)
+	// Ready receives after a datagram arrives on an empty lane, when a
+	// queued datagram falls due, and after Close. It holds at most one
+	// pending signal, so a consumer drains both lanes (TryRecv until false)
+	// per wake-up; a wake-up may find nothing due.
+	Ready() <-chan struct{}
+	// TryRecv returns the next due datagram on the class's lane, or false
+	// when none is due. It never blocks. A port without a control lane
+	// queues everything on ClassData.
+	TryRecv(class Class) (Datagram, bool)
+	// Err is nil while the port is open and reports why it closed after
+	// (Close, a crashed node, a failed socket). Datagrams queued before
+	// the close stay receivable.
+	Err() error
 	// Local reports the port's own node name and logical port.
 	Local() (node string, port uint16)
-	// Close releases the endpoint and unblocks a pending Recv.
+	// Close releases the endpoint and fires Ready.
 	Close() error
+}
+
+// Recv blocks until a datagram is due on p, serving the control lane
+// first, or until p has closed with both lanes drained. The payload is
+// valid until the next Recv. It is the blocking form of the Port contract
+// for consumers with no loop of their own (the fixed-sequencer baseline,
+// the conformance suite).
+func Recv(p Port) (Datagram, error) {
+	for {
+		if dg, ok := p.TryRecv(ClassControl); ok {
+			return dg, nil
+		}
+		if dg, ok := p.TryRecv(ClassData); ok {
+			return dg, nil
+		}
+		if err := p.Err(); err != nil {
+			return Datagram{}, err
+		}
+		<-p.Ready()
+	}
 }
 
 // Transport opens datagram ports on behalf of named local nodes. A

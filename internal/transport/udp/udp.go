@@ -16,8 +16,8 @@
 // the kernel picked, not from its listening base. The class byte carries
 // the control-plane priority lane: the kernel socket buffer is strictly
 // FIFO, so a dedicated reader goroutine drains it eagerly into two
-// in-process queues and Recv serves the control queue first — a heartbeat
-// or token never waits behind a multicast backlog.
+// in-process lanes, and the consumer takes from the control lane first —
+// a heartbeat or token never waits behind a multicast backlog.
 package udp
 
 import (
@@ -163,9 +163,9 @@ func (t *Transport) Open(node string, lport uint16) (transport.Port, error) {
 		t:       t,
 		conn:    conn,
 		logical: lport,
+		ready:   make(chan struct{}, 1),
 		names:   make(map[string]string),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	p.recvBufs.New = func() any { b := make([]byte, maxDatagram); return &b }
 	p.smallBufs.New = func() any { b := make([]byte, smallBuf); return &b }
 	go p.readLoop()
@@ -194,7 +194,7 @@ const laneBudget = 8 << 20
 const smallBuf = 2048
 
 // udpDgram is one received datagram staged between the reader goroutine
-// and Recv, keeping its pooled backing buffer alive until recycled.
+// and TryRecv, keeping its pooled backing buffer alive until recycled.
 type udpDgram struct {
 	from    string
 	payload []byte
@@ -241,17 +241,15 @@ type port struct {
 	t       *Transport
 	conn    *net.UDPConn
 	logical uint16
+	ready   chan struct{} // 1-slot: see transport.Port.Ready
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	ctlq    dgramQueue // control lane: served first
-	dataq   dgramQueue
-	closed  bool
-	readErr error
-	// prev is the pooled buffer backing the payload handed out by the last
-	// Recv; it is recycled on the next call — the valid-until-next-Recv
-	// contract of transport.Port.
-	prev *[]byte
+	mu    sync.Mutex
+	lanes [2]dgramQueue // indexed by transport.Class
+	err   error         // non-nil once closed
+	// prev holds, per lane, the pooled buffer backing the payload the last
+	// TryRecv on that lane handed out; it is recycled on the lane's next
+	// TryRecv — the valid-until-next-TryRecv contract of transport.Port.
+	prev [2]*[]byte
 
 	recvBufs  sync.Pool // *[]byte of maxDatagram for the reader goroutine
 	smallBufs sync.Pool // *[]byte of smallBuf for compacted small payloads
@@ -313,13 +311,7 @@ func (p *port) readLoop() {
 		n, _, err := p.conn.ReadFromUDPAddrPort(b)
 		if err != nil {
 			p.recvBufs.Put(bp)
-			p.mu.Lock()
-			if p.readErr == nil {
-				p.readErr = err
-			}
-			p.closed = true
-			p.cond.Broadcast()
-			p.mu.Unlock()
+			p.close(err)
 			return
 		}
 		if n < 2 {
@@ -336,7 +328,10 @@ func (p *port) readLoop() {
 			from = string(b[1 : 1+nl])
 			p.names[from] = from
 		}
-		class := transport.Class(b[1+nl])
+		class := transport.ClassData
+		if transport.Class(b[1+nl]) == transport.ClassControl {
+			class = transport.ClassControl
+		}
 		payload := b[2+nl : n]
 		if len(payload) <= smallBuf {
 			sp := p.smallBufs.Get().(*[]byte)
@@ -345,58 +340,77 @@ func (p *port) readLoop() {
 			p.recvBufs.Put(bp)
 			bp = sp
 		}
-		d := udpDgram{from: from, payload: payload, buf: bp}
 		p.mu.Lock()
-		q := &p.dataq
-		if class == transport.ClassControl {
-			q = &p.ctlq
-		}
-		if p.closed || q.bytes >= laneBudget {
+		q := &p.lanes[class]
+		if p.err != nil || q.bytes >= laneBudget {
 			p.mu.Unlock()
 			p.recycle(bp)
 			continue
 		}
-		q.push(d)
-		p.cond.Broadcast()
+		wake := q.len() == 0
+		q.push(udpDgram{from: from, payload: payload, buf: bp})
 		p.mu.Unlock()
+		if wake {
+			p.signal()
+		}
 	}
 }
 
-func (p *port) Recv() (transport.Datagram, error) {
+// Ready implements transport.Port: it fires when a datagram lands on an
+// empty lane and on close.
+func (p *port) Ready() <-chan struct{} { return p.ready }
+
+// TryRecv implements transport.Port. The lane's previous payload buffer
+// goes back to its pool here, so a payload is valid until the next
+// TryRecv on the same lane.
+func (p *port) TryRecv(class transport.Class) (transport.Datagram, bool) {
+	if class != transport.ClassControl {
+		class = transport.ClassData
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.prev != nil {
-		p.recycle(p.prev)
-		p.prev = nil
+	if bp := p.prev[class]; bp != nil {
+		p.recycle(bp)
+		p.prev[class] = nil
 	}
-	for {
-		if p.ctlq.len() > 0 {
-			d := p.ctlq.pop()
-			p.prev = d.buf
-			return transport.Datagram{From: d.from, Payload: d.payload}, nil
-		}
-		if p.dataq.len() > 0 {
-			d := p.dataq.pop()
-			p.prev = d.buf
-			return transport.Datagram{From: d.from, Payload: d.payload}, nil
-		}
-		if p.closed {
-			return transport.Datagram{}, p.readErr
-		}
-		p.cond.Wait()
+	q := &p.lanes[class]
+	if q.len() == 0 {
+		return transport.Datagram{}, false
 	}
+	d := q.pop()
+	p.prev[class] = d.buf
+	return transport.Datagram{From: d.from, Payload: d.payload}, true
+}
+
+// Err implements transport.Port.
+func (p *port) Err() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
 }
 
 func (p *port) Local() (string, uint16) { return p.t.node, p.logical }
 
 func (p *port) Close() error {
 	err := p.conn.Close()
-	p.mu.Lock()
-	p.closed = true
-	if p.readErr == nil {
-		p.readErr = net.ErrClosed
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.close(net.ErrClosed)
 	return err
+}
+
+// close records why the port closed (the first reason wins) and fires
+// Ready.
+func (p *port) close(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	p.mu.Unlock()
+	p.signal()
+}
+
+func (p *port) signal() {
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
 }
