@@ -36,11 +36,11 @@ chaos:
 	CHAOS_SEEDS=7 $(GO) test -race -count=1 ./internal/chaos
 
 ## totem-soak: repeat the totem tests that ride loss, token retransmission,
-## parking, a lost install and the data-before-token receive order 50 times
-## — a one-in-twenty flake there hides behind the single run of the tier-1
-## gate
+## parking, a lost install, the data-before-token receive order and the
+## withdrawal of queued messages 50 times — a one-in-twenty flake there
+## hides behind the single run of the tier-1 gate
 totem-soak:
-	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData' ./internal/totem
+	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData|Withdraw' ./internal/totem
 
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is
@@ -48,11 +48,14 @@ totem-soak:
 ## otherwise take the whole budget. Then fuzz the storage decoder (segment
 ## open over arbitrary file bytes) for 10 s, then the totem wire decoder
 ## (every packet kind; copying, owned and reused-storage decodes must agree)
-## for 10 s.
+## for 10 s, then the GIOP frame decoder (copying and zero-copy decodes must
+## agree) and the CDR value-sequence decoder for 10 s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime 10s ./internal/totem
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/giop
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime 10s ./internal/cdr
 
 ## bench: snapshot the PR2 hot-path + PR5 sharded-transport benchmarks,
 ## the full-profile SLO workload percentiles (~10^6-client population over

@@ -301,12 +301,9 @@ func DecodeValue(d *Decoder) (Value, error) {
 		v, err := d.ReadOctetSeq()
 		return OctetSeq(v), err
 	case KindSeq:
-		n, err := d.ReadULong()
+		n, err := readValueCount(d)
 		if err != nil {
 			return Value{}, err
-		}
-		if n > MaxSeqLen {
-			return Value{}, ErrSeqTooLong
 		}
 		seq := make([]Value, 0, n)
 		for i := uint32(0); i < n; i++ {
@@ -322,6 +319,24 @@ func DecodeValue(d *Decoder) (Value, error) {
 	}
 }
 
+// readValueCount reads the count of a value sequence. It refuses a count
+// the remaining bytes cannot hold — every value takes at least its tag
+// byte — before the caller sizes an allocation by it: a five-byte input
+// must not reserve gigabytes.
+func readValueCount(d *Decoder) (uint32, error) {
+	n, err := d.ReadULong()
+	if err != nil {
+		return 0, err
+	}
+	if n > MaxSeqLen {
+		return 0, ErrSeqTooLong
+	}
+	if int(n) > d.Remaining() {
+		return 0, ErrTruncated
+	}
+	return n, nil
+}
+
 // EncodeValues writes a counted sequence of values (a request body).
 func EncodeValues(e *Encoder, vs []Value) {
 	e.WriteULong(uint32(len(vs)))
@@ -332,12 +347,9 @@ func EncodeValues(e *Encoder, vs []Value) {
 
 // DecodeValues reads a counted sequence of values.
 func DecodeValues(d *Decoder) ([]Value, error) {
-	n, err := d.ReadULong()
+	n, err := readValueCount(d)
 	if err != nil {
 		return nil, err
-	}
-	if n > MaxSeqLen {
-		return nil, ErrSeqTooLong
 	}
 	vs := make([]Value, 0, n)
 	for i := uint32(0); i < n; i++ {

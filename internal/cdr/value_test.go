@@ -1,8 +1,11 @@
 package cdr
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -235,4 +238,71 @@ func TestValueEqualReflexiveQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestDecodeValuesRefusesUnbackedCount: a sequence count the remaining
+// bytes cannot hold is refused before anything is sized by it.
+func TestDecodeValuesRefusesUnbackedCount(t *testing.T) {
+	e := NewEncoder(BigEndian)
+	e.WriteULong(1 << 20) // a million values promised, none present
+	top := e.Bytes()
+	nested := append([]byte{0, 0, 0, 1, byte(KindSeq), 0, 0, 0}, top...) // one seq value, padded to its count
+	for name, b := range map[string][]byte{"values": top, "nested seq": nested} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeValues(NewDecoder(b, BigEndian))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err %v, want ErrTruncated", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(b), grew)
+		}
+	}
+}
+
+// encodeValues is the canonical encoding of vs.
+func encodeValues(vs []Value, order byte) []byte {
+	e := NewEncoder(order)
+	EncodeValues(e, vs)
+	return e.Bytes()
+}
+
+// FuzzDecodeValues runs the value-sequence decoder (a request body or
+// reply result) over arbitrary bytes in both byte orders. The copying and
+// zero-copy decodes must agree, and a decoded sequence must re-encode to
+// bytes that decode back to the same encoding; nothing may panic.
+func FuzzDecodeValues(f *testing.F) {
+	vals := append(allScalarValues(), Seq(Long(1), Str("nested"), Seq(Bool(true), OctetSeq([]byte{9}))))
+	for _, order := range []byte{BigEndian, LittleEndian} {
+		f.Add(encodeValues(vals, order), order == LittleEndian)
+		f.Add(encodeValues(nil, order), order == LittleEndian)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, little bool) {
+		order := byte(BigEndian)
+		if little {
+			order = LittleEndian
+		}
+		vs, err := DecodeValues(NewDecoder(b, order))
+		zd := NewDecoder(b, order)
+		zd.SetZeroCopy(true)
+		zvs, zerr := DecodeValues(zd)
+		if (err == nil) != (zerr == nil) {
+			t.Fatalf("copying decode error %v, zero-copy decode error %v", err, zerr)
+		}
+		if err != nil {
+			return
+		}
+		enc := encodeValues(vs, order)
+		if zenc := encodeValues(zvs, order); !bytes.Equal(enc, zenc) {
+			t.Fatalf("zero-copy decode disagrees:\n got %v\nwant %v", zvs, vs)
+		}
+		again, err := DecodeValues(NewDecoder(enc, order))
+		if err != nil {
+			t.Fatalf("re-encoded values do not decode: %v", err)
+		}
+		if enc2 := encodeValues(again, order); !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", enc, enc2)
+		}
+	})
 }

@@ -1,0 +1,76 @@
+package giop
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
+
+// FuzzUnmarshal runs the GIOP frame decoder over arbitrary bytes. The
+// copying decode (Unmarshal) and the zero-copy decode of the pooled read
+// path must agree field for field on every input, error or not; a decoded
+// message must survive a Marshal/Unmarshal round trip; nothing may panic.
+func FuzzUnmarshal(f *testing.F) {
+	for _, m := range []Message{
+		sampleRequest(),
+		&Reply{RequestID: 2, Status: ReplySystemException, Body: SystemException{RepoID: ExcCommFailure, Minor: 1, Completed: CompletedMaybe}.Encode()},
+		&Reply{RequestID: 3, Contexts: []ServiceContext{{ID: SvcFTGroupVersion, Data: FTGroupVersion{Version: 3}.Encode()}}},
+		&CancelRequest{RequestID: 3},
+		&LocateRequest{RequestID: 4, ObjectKey: []byte("where")},
+		&LocateReply{RequestID: 6, Status: LocateForward, Body: []byte("ref")},
+		&CloseConnection{},
+		&MessageError{},
+	} {
+		f.Add(Marshal(m))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		ref, refErr := Unmarshal(frame)
+		zc, zcErr := unmarshal(bytes.Clone(frame), true)
+		if (refErr == nil) != (zcErr == nil) {
+			t.Fatalf("zero-copy decode error %v, copying decode error %v", zcErr, refErr)
+		}
+		if refErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(normalized(zc), normalized(ref)) {
+			t.Fatalf("zero-copy decode disagrees:\n got %+v\nwant %+v", zc, ref)
+		}
+		again, err := Unmarshal(Marshal(ref))
+		if err != nil {
+			t.Fatalf("re-marshalled %T does not decode: %v", ref, err)
+		}
+		if !reflect.DeepEqual(normalized(again), normalized(ref)) {
+			t.Fatalf("round trip changed the message:\n got %+v\nwant %+v", again, ref)
+		}
+	})
+}
+
+// normalized returns a deep copy of a decoded message with every empty
+// slice set to nil: decoders may leave either, and the difference is not a
+// field value.
+func normalized(m Message) any {
+	v := reflect.New(reflect.TypeOf(m).Elem())
+	v.Elem().Set(normalize(reflect.ValueOf(m).Elem()))
+	return v.Interface()
+}
+
+func normalize(v reflect.Value) reflect.Value {
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Len() == 0 {
+			return reflect.Zero(v.Type())
+		}
+		out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		for i := 0; i < v.Len(); i++ {
+			out.Index(i).Set(normalize(v.Index(i)))
+		}
+		return out
+	case reflect.Struct:
+		out := reflect.New(v.Type()).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			out.Field(i).Set(normalize(v.Field(i)))
+		}
+		return out
+	}
+	return v
+}

@@ -136,7 +136,7 @@ func (e *Engine) now() time.Time { return e.cfg.Clock() }
 type Stats struct {
 	Executions        uint64 // servant dispatches performed
 	DupInvocations    uint64 // duplicate invocations suppressed (receiver side)
-	SuppressedReplies uint64 // replies suppressed (sender side)
+	SuppressedReplies uint64 // replies suppressed (sender side): not queued, or withdrawn from the rings' send queues
 	DupReplies        uint64 // duplicate replies discarded (receiver side)
 	Replays           uint64 // operations re-executed during failover
 	Fulfillments      uint64 // fulfillment operations re-invoked after remerge
@@ -423,7 +423,7 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Executions:        e.stat.executions.Load(),
 		DupInvocations:    e.stat.dupInvocations.Load(),
-		SuppressedReplies: e.stat.suppressedReplies.Load(),
+		SuppressedReplies: e.stat.suppressedReplies.Load() + totem.AggregateStats(e.cfg.Rings).Withdrawn,
 		DupReplies:        e.stat.dupReplies.Load(),
 		Replays:           e.stat.replays.Load(),
 		Fulfillments:      e.stat.fulfillments.Load(),

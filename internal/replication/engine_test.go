@@ -350,33 +350,49 @@ func TestColdPassiveFailoverReplaysLog(t *testing.T) {
 	}
 }
 
+// gatedAccount is an account whose first dispatch blocks until release
+// is closed.
+type gatedAccount struct {
+	account
+	first   sync.Once
+	release chan struct{}
+}
+
+func (g *gatedAccount) Dispatch(inv *orb.Invocation) ([]cdr.Value, error) {
+	g.first.Do(func() { <-g.release })
+	return g.account.Dispatch(inv)
+}
+
 func TestDuplicateInvocationSuppression(t *testing.T) {
 	c := newCluster(t, 2)
 	def := GroupDef{ID: 5, Name: "dup", Style: Active}
-	c.host(def, "n1")
-	// An aggressive retry interval forces retransmissions of the same
-	// logical operation.
+	// The replica's first dispatch is held past several retry intervals,
+	// so the client always retransmits the operation while it executes.
+	gated := &gatedAccount{release: make(chan struct{})}
+	if err := c.engines["n1"].HostReplica(def, gated, true); err != nil {
+		t.Fatal(err)
+	}
+	c.waitMembers(def.ID, []string{"n1"})
 	proxy := c.engines["n2"].Proxy(GroupRef{ID: 5}, WithRetryInterval(3*time.Millisecond))
 
-	slowDone := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		defer close(slowDone)
-		if _, err := proxy.Invoke("add", cdr.Long(1)); err != nil {
-			t.Errorf("add: %v", err)
-		}
+		_, err := proxy.Invoke("add", cdr.Long(1))
+		done <- err
 	}()
-	<-slowDone
-	time.Sleep(50 * time.Millisecond)
-
-	bal, ops := c.servants["n1"][5].snapshot()
-	if bal != 1 || ops != 1 {
+	waitFor(t, 5*time.Second, "client retransmissions", func() bool {
+		return c.engines["n2"].Stats().Retries >= 3
+	})
+	close(gated.release)
+	if err := <-done; err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	waitFor(t, 5*time.Second, "receiver-side duplicate suppression", func() bool {
+		return c.engines["n1"].Stats().DupInvocations > 0
+	})
+	time.Sleep(20 * time.Millisecond)
+	if bal, ops := gated.snapshot(); bal != 1 || ops != 1 {
 		t.Fatalf("retransmissions corrupted state: balance=%d ops=%d", bal, ops)
-	}
-	if c.engines["n2"].Stats().Retries == 0 {
-		t.Skip("no retransmission happened (fast network); suppression not exercised")
-	}
-	if c.engines["n1"].Stats().DupInvocations == 0 {
-		t.Error("duplicates were retransmitted but none suppressed")
 	}
 }
 

@@ -543,12 +543,18 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 	}
 	r.mu.unlock()
 
-	if send {
-		r.multicastReply(rep)
-	} else {
-		// Another replica's response was delivered before we transmitted
-		// ours: sender-side suppression (the paper's Figure 2).
+	switch {
+	case !send:
+		// Another replica's response was delivered before this one was
+		// even queued.
 		r.eng.stat.suppressedReplies.Add(1)
+	case r.def.Style == Active || r.def.Style == Stateless:
+		// Sender-side suppression (the paper's Figure 2) at transmission
+		// time: the ring withdraws the queued reply if another replica's
+		// reply to the operation is delivered before the token takes it.
+		r.multicastReplyOnce(rep)
+	default:
+		r.multicastReply(rep)
 	}
 
 	r.maybeCheckpoint()
@@ -628,9 +634,16 @@ func (r *replica) sendCheckpoint(reason uint8) {
 }
 
 func (r *replica) multicastReply(rep *msgReply) {
-	if payload := r.eng.encodeOrReport(rep); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).Multicast(repGroupName(r.def.ID), payload)
-	}
+	payload, _ := encodeReply(rep)
+	_ = r.eng.ringFor(r.def.ID).Multicast(repGroupName(r.def.ID), payload)
+}
+
+// multicastReplyOnce multicasts a reply that another replica's reply to
+// the same operation withdraws while it is still queued (writeReply's
+// withdraw key). The reply stays logged in its record either way.
+func (r *replica) multicastReplyOnce(rep *msgReply) {
+	payload, keyLen := encodeReply(rep)
+	_ = r.eng.ringFor(r.def.ID).MulticastOnce(repGroupName(r.def.ID), payload, keyLen)
 }
 
 // onReply applies passive state updates and clears covered pending

@@ -367,15 +367,7 @@ func encodeWire(m any) ([]byte, error) {
 		e.WriteBool(v.Fulfillment)
 		e.WriteULongLong(v.Done)
 	case *msgReply:
-		e.WriteOctet(byte(wireReply))
-		e.WriteULongLong(v.GroupID)
-		encodeOpKey(e, v.Key)
-		e.WriteULong(v.Status)
-		e.WriteOctetSeq(v.Body)
-		e.WriteString(v.Node)
-		e.WriteULongLong(v.ExecMsgID)
-		e.WriteOctetSeq(v.Update)
-		e.WriteBool(v.UpdateFull)
+		writeReply(e, v)
 	case *msgCheckpoint:
 		e.WriteOctet(byte(wireCheckpoint))
 		e.WriteULongLong(v.GroupID)
@@ -432,6 +424,35 @@ func encodeWire(m any) ([]byte, error) {
 	out := e.TakeBytes()
 	e.Release()
 	return out, nil
+}
+
+// writeReply encodes a reply and returns the length of its withdraw key
+// (totem.Ring.MulticastOnce): the encoding up to the end of the op key —
+// kind, GroupID and opKey. Replies from different replicas to one
+// operation share it; replies to different operations or groups never do,
+// since every field in it is fixed-width or length-prefixed.
+func writeReply(e *cdr.Encoder, v *msgReply) (keyLen int) {
+	e.WriteOctet(byte(wireReply))
+	e.WriteULongLong(v.GroupID)
+	encodeOpKey(e, v.Key)
+	keyLen = e.Len()
+	e.WriteULong(v.Status)
+	e.WriteOctetSeq(v.Body)
+	e.WriteString(v.Node)
+	e.WriteULongLong(v.ExecMsgID)
+	e.WriteOctetSeq(v.Update)
+	e.WriteBool(v.UpdateFull)
+	return keyLen
+}
+
+// encodeReply is encodeWire for a reply, returning its withdraw key length
+// along with the caller-owned encoding.
+func encodeReply(v *msgReply) (payload []byte, keyLen int) {
+	e := cdr.GetEncoder(cdr.BigEndian)
+	keyLen = writeReply(e, v)
+	payload = e.TakeBytes()
+	e.Release()
+	return payload, keyLen
 }
 
 func decodeWire(b []byte) (any, error) {

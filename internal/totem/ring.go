@@ -33,11 +33,13 @@
 package totem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cdr"
@@ -163,6 +165,9 @@ const (
 type outMsg struct {
 	group   string
 	payload []byte
+	// keyLen > 0 makes the message withdrawable: payload[:keyLen] is its
+	// withdraw key (see MulticastOnce).
+	keyLen int
 }
 
 // backlog is a closed channel: the protocol loop selects on it in place of
@@ -185,8 +190,12 @@ type Ring struct {
 	mu       sync.Mutex
 	sendCond *sync.Cond // signaled when sendQ shrinks or the ring stops
 	sendQ    []outMsg
-	subs     map[string]bool
-	stopped  bool
+	// keyed counts the withdrawable entries in sendQ. It changes under mu;
+	// delivery reads it without the lock, so a ring with nothing keyed
+	// queued pays one atomic load per delivered message.
+	keyed   atomic.Int64
+	subs    map[string]bool
+	stopped bool
 	// Published snapshots, updated by the protocol loop.
 	pubRing    RingID
 	pubMembers []string
@@ -249,6 +258,7 @@ type Ring struct {
 	statRetrans   uint64
 	statForms     uint64
 	statBatches   uint64
+	statWithdrawn uint64
 }
 
 // Stats is a snapshot of protocol counters.
@@ -258,6 +268,7 @@ type Stats struct {
 	Retransmit uint64 // retransmissions this node served
 	Formations uint64 // ring formations participated in
 	Batches    uint64 // coalesced multi-message frames this node emitted
+	Withdrawn  uint64 // queued messages withdrawn before sending (MulticastOnce)
 	// QueueHighWater is the largest batch the consumer drained from the
 	// ordered stream: how far delivery ran ahead of the application.
 	QueueHighWater uint64
@@ -346,6 +357,21 @@ func (r *Ring) Ready() <-chan struct{} { return r.events.Ready() }
 // token drains the queue (or the ring stops): overload applies backpressure
 // to producers instead of growing memory without bound.
 func (r *Ring) Multicast(group string, payload []byte) error {
+	return r.MulticastOnce(group, payload, 0)
+}
+
+// MulticastOnce is Multicast for a message that only one of several
+// senders needs to get onto the wire: its first keyLen bytes are a withdraw
+// key. While the message waits in this node's send queue, the delivery of
+// a message from another sender in the same group whose payload starts
+// with the same key bytes withdraws it: it is never sent. Once the token
+// has taken it, it is sent like any other. keyLen 0 is Multicast.
+//
+// The matching message is delivered, in the same total order, to every
+// member of the configuration, so a receiver that waits for any one of the
+// senders' messages misses nothing when the others are withdrawn.
+func (r *Ring) MulticastOnce(group string, payload []byte, keyLen int) error {
+	keyLen = min(max(keyLen, 0), len(payload))
 	r.mu.Lock()
 	for !r.stopped && len(r.sendQ) >= maxSendQueue {
 		r.sendCond.Wait()
@@ -355,7 +381,10 @@ func (r *Ring) Multicast(group string, payload []byte) error {
 		return ErrStopped
 	}
 	wasEmpty := len(r.sendQ) == 0
-	r.sendQ = append(r.sendQ, outMsg{group: group, payload: payload})
+	r.sendQ = append(r.sendQ, outMsg{group: group, payload: payload, keyLen: keyLen})
+	if keyLen > 0 {
+		r.keyed.Add(1)
+	}
 	r.mu.Unlock()
 	if wasEmpty {
 		// Wake the protocol loop: a token parked here should resume now,
@@ -363,6 +392,33 @@ func (r *Ring) Multicast(group string, payload []byte) error {
 		r.wake()
 	}
 	return nil
+}
+
+// withdraw drops every queued withdrawable message whose key the delivered
+// message m (from another sender) matches, and releases backpressured
+// senders if the queue shrank.
+func (r *Ring) withdraw(m storedMsg) {
+	r.mu.Lock()
+	q := r.sendQ[:0]
+	for _, om := range r.sendQ {
+		if om.keyLen > 0 && om.group == m.Group && bytes.HasPrefix(m.Payload, om.payload[:om.keyLen]) {
+			continue
+		}
+		q = append(q, om)
+	}
+	n := len(r.sendQ) - len(q)
+	if n > 0 {
+		clear(r.sendQ[len(q):]) // drop the withdrawn payloads' references
+		r.sendQ = q
+		r.keyed.Add(-int64(n))
+		r.sendCond.Broadcast() // queue shrank: release backpressured senders
+	}
+	r.mu.Unlock()
+	if n > 0 {
+		r.statMu.Lock()
+		r.statWithdrawn += uint64(n)
+		r.statMu.Unlock()
+	}
 }
 
 // SetDirectHandler registers the callback invoked for every direct
@@ -461,6 +517,7 @@ func (r *Ring) Stats() Stats {
 		Retransmit:     r.statRetrans,
 		Formations:     r.statForms,
 		Batches:        r.statBatches,
+		Withdrawn:      r.statWithdrawn,
 		QueueHighWater: high,
 	}
 }
@@ -1168,13 +1225,19 @@ func (r *Ring) handleToken(t *token) {
 	// Multicast queued messages, bounded per visit by both count and
 	// bytes (token-driven flow control).
 	r.mu.Lock()
-	take, bytes := 0, 0
+	take, bytes, keyed := 0, 0, int64(0)
 	for take < len(r.sendQ) && take < maxBatch {
 		bytes += len(r.sendQ[take].payload)
+		if r.sendQ[take].keyLen > 0 {
+			keyed++
+		}
 		take++
 		if bytes >= maxBatchBytes {
 			break
 		}
+	}
+	if keyed > 0 {
+		r.keyed.Add(-keyed) // taken by the token: no longer withdrawable
 	}
 	batch := r.sendQ[:take]
 	if take == len(r.sendQ) {
@@ -1385,6 +1448,9 @@ func (r *Ring) deliverMsg(rid RingID, m storedMsg) {
 	r.statMu.Lock()
 	r.statDelivered++
 	r.statMu.Unlock()
+	if r.keyed.Load() > 0 && m.Sender != r.cfg.Node {
+		r.withdraw(m)
+	}
 	if r.cfg.Observer != nil {
 		r.cfg.Observer(Deliver{
 			MsgID:   MsgIDFor(rid.Epoch, m.Seq),

@@ -76,6 +76,7 @@ func AggregateStats(rings []*Ring) Stats {
 		total.Retransmit += s.Retransmit
 		total.Formations += s.Formations
 		total.Batches += s.Batches
+		total.Withdrawn += s.Withdrawn
 		total.QueueHighWater = max(total.QueueHighWater, s.QueueHighWater)
 	}
 	return total
