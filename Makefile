@@ -17,7 +17,9 @@ test:
 	$(GO) test ./...
 
 ## race: race-detect the concurrency-heavy layers — the delivery hand-off
-## queue, the CDR intern table every decoder shares, totem, replication, the transport
+## queue, the CDR intern table every decoder shares, the ORB and the
+## deterministic-execution context (whose objects replication builds per
+## execution), totem, replication, the transport
 ## conformance suite on both backends (netsim and loopback UDP), and the
 ## two stores every node shares (WAL and DR store) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
@@ -25,7 +27,7 @@ test:
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
-	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
+	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/orb ./internal/nondet ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
 
 ## chaos: the full seeded fault-injection sweep under the race detector —

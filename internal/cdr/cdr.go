@@ -14,6 +14,7 @@
 package cdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -44,10 +45,12 @@ var (
 // Alignment is computed relative to the start of the buffer, so an Encoder
 // used for a GIOP message body must be seeded with the 12-byte header (or
 // the header must be accounted for with Align) before body fields are
-// written. GIOP helpers in package giop handle this.
+// written. GIOP helpers in package giop handle this. Inside a region
+// (BeginRegion) alignment is relative to the region's first byte instead.
 type Encoder struct {
 	buf    []byte
 	little bool
+	origin int // offset alignment is computed from: 0, or an open region's start
 }
 
 // NewEncoder returns an Encoder writing in the given byte order
@@ -72,12 +75,48 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset discards encoded data, retaining the allocation and byte order.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+func (e *Encoder) Reset() { e.buf, e.origin = e.buf[:0], 0 }
+
+// Region is an open length-prefixed region of an Encoder's buffer (see
+// BeginRegion).
+type Region struct {
+	at     int // offset of the region's ulong length prefix
+	origin int // the enclosing alignment origin, restored by EndRegion
+}
+
+// BeginRegion opens a sequence<octet> whose bytes are encoded in place: it
+// writes a placeholder length and makes the region's first byte the
+// alignment origin, as if its contents were encoded into a buffer of their
+// own. EndRegion patches the length and restores the enclosing origin.
+// The encoding is byte-identical to encoding the contents separately and
+// writing them with WriteOctetSeq, without the second buffer and the copy.
+func (e *Encoder) BeginRegion() Region {
+	e.WriteULong(0)
+	r := Region{at: len(e.buf) - 4, origin: e.origin}
+	e.origin = len(e.buf)
+	return r
+}
+
+// EndRegion closes r, patching its length prefix with the number of bytes
+// written since BeginRegion, and returns the offsets of the region's
+// contents in the buffer. A caller that needs the contents slices them
+// out of the finished buffer (TakeBytes): later writes may move it.
+func (e *Encoder) EndRegion(r Region) (start, end int) {
+	start, end = r.at+4, len(e.buf)
+	if e.little {
+		binary.LittleEndian.PutUint32(e.buf[r.at:], uint32(end-start))
+	} else {
+		binary.BigEndian.PutUint32(e.buf[r.at:], uint32(end-start))
+	}
+	e.origin = r.origin
+	return start, end
+}
 
 // Align pads the buffer with zero bytes so the next write begins at a
-// multiple of n (n must be a power of two: 1, 2, 4, or 8).
+// multiple of n (n must be a power of two: 1, 2, 4, or 8) from the
+// alignment origin.
 func (e *Encoder) Align(n int) {
-	rem := len(e.buf) & (n - 1)
+	rem := (len(e.buf) - e.origin) & (n - 1)
 	if rem == 0 {
 		return
 	}

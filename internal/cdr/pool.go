@@ -23,6 +23,7 @@ const initialBufCap = 512
 func GetEncoder(order byte) *Encoder {
 	e := encPool.Get().(*Encoder)
 	e.little = order == LittleEndian
+	e.origin = 0
 	if e.buf == nil {
 		e.buf = make([]byte, 0, initialBufCap)
 	} else {
@@ -42,6 +43,7 @@ func GetEncoder(order byte) *Encoder {
 func GetEncoderSized(order byte, capHint int) *Encoder {
 	e := encPool.Get().(*Encoder)
 	e.little = order == LittleEndian
+	e.origin = 0
 	switch {
 	case capHint <= 0:
 		capHint = initialBufCap
@@ -86,6 +88,6 @@ func (e *Encoder) Release() {
 // a marshalled frame handed to the network layer).
 func (e *Encoder) TakeBytes() []byte {
 	b := e.buf
-	e.buf = nil
+	e.buf, e.origin = nil, 0
 	return b
 }

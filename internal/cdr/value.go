@@ -346,18 +346,27 @@ func EncodeValues(e *Encoder, vs []Value) {
 }
 
 // DecodeValues reads a counted sequence of values.
-func DecodeValues(d *Decoder) ([]Value, error) {
+func DecodeValues(d *Decoder) ([]Value, error) { return AppendValues(nil, d) }
+
+// AppendValues reads a counted sequence of values and appends them to dst,
+// allocating only when dst lacks the room: a caller decoding into storage
+// it owns pays nothing for the slice. With a nil dst it is DecodeValues.
+func AppendValues(dst []Value, d *Decoder) ([]Value, error) {
 	n, err := readValueCount(d)
 	if err != nil {
 		return nil, err
 	}
-	vs := make([]Value, 0, n)
+	if dst == nil || cap(dst)-len(dst) < int(n) {
+		grown := make([]Value, len(dst), len(dst)+int(n))
+		copy(grown, dst)
+		dst = grown
+	}
 	for i := uint32(0); i < n; i++ {
 		v, err := DecodeValue(d)
 		if err != nil {
 			return nil, err
 		}
-		vs = append(vs, v)
+		dst = append(dst, v)
 	}
-	return vs, nil
+	return dst, nil
 }

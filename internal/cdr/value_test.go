@@ -306,3 +306,69 @@ func FuzzDecodeValues(f *testing.F) {
 		}
 	})
 }
+
+// TestRegionMatchesSeparateEncoding: values encoded in place as a region
+// produce the bytes of encoding them into a buffer of their own and
+// writing that with WriteOctetSeq, at every offset modulo 8 the region
+// can start at, in both byte orders, with a region nested inside it and
+// 8-aligned fields after both.
+func TestRegionMatchesSeparateEncoding(t *testing.T) {
+	body := append(allScalarValues(), Seq(Long(1), Str("nested"), Seq(Bool(true), OctetSeq([]byte{9}))))
+	for _, order := range []byte{BigEndian, LittleEndian} {
+		sep := NewEncoder(order)
+		EncodeValues(sep, body)
+		sep.WriteOctetSeq(encodeValues(body[:3], order))
+		sep.WriteDouble(0.5)
+		for prefix := 0; prefix < 8; prefix++ {
+			want := NewEncoder(order)
+			want.WriteRaw(make([]byte, prefix))
+			want.WriteOctetSeq(sep.Bytes())
+			want.WriteULongLong(7)
+
+			got := GetEncoder(order)
+			got.WriteRaw(make([]byte, prefix))
+			outer := got.BeginRegion()
+			EncodeValues(got, body)
+			inner := got.BeginRegion()
+			EncodeValues(got, body[:3])
+			got.EndRegion(inner)
+			got.WriteDouble(0.5)
+			start, end := got.EndRegion(outer)
+			got.WriteULongLong(7)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("order %d, prefix %d: region encoding\n got %x\nwant %x", order, prefix, got.Bytes(), want.Bytes())
+			}
+			if !bytes.Equal(got.Bytes()[start:end], sep.Bytes()) {
+				t.Fatalf("order %d, prefix %d: region offsets [%d,%d) do not frame the contents", order, prefix, start, end)
+			}
+			got.Release()
+		}
+	}
+}
+
+// TestAppendValuesIntoRoom: decoding into a slice with room, zero-copy,
+// allocates nothing (octet sequences alias the input); without room it
+// allocates the slice once; with a nil destination it is DecodeValues.
+func TestAppendValuesIntoRoom(t *testing.T) {
+	vals := []Value{ULongLong(9), OctetSeq([]byte{1, 2, 3}), Double(0.5)}
+	b := encodeValues(vals, BigEndian)
+	var room [4]Value
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(b, BigEndian)
+		d.SetZeroCopy(true)
+		got, err := AppendValues(room[:0], d)
+		if err != nil || len(got) != len(vals) || &got[0] != &room[0] {
+			t.Fatalf("AppendValues = %v, %v; want the values in room", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("zero-copy AppendValues into room: %.0f allocs, want 0", allocs)
+	}
+	got, err := AppendValues(room[:2], NewDecoder(b, BigEndian))
+	if err != nil || len(got) != 5 || !got[4].Equal(vals[2]) {
+		t.Fatalf("AppendValues past room = %v, %v", got, err)
+	}
+	if empty, err := AppendValues(nil, NewDecoder(encodeValues(nil, BigEndian), BigEndian)); err != nil || empty == nil {
+		t.Fatalf("AppendValues(nil) of no values = %#v, %v; want an empty non-nil slice like DecodeValues", empty, err)
+	}
+}

@@ -172,13 +172,19 @@ func (s SystemException) Error() string {
 
 // Encode renders the exception as a reply body.
 func (s SystemException) Encode() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
+	e := cdr.GetEncoderSized(cdr.BigEndian, len(s.RepoID)+13)
+	s.EncodeTo(e)
+	out := e.TakeBytes()
+	e.Release()
+	return out
+}
+
+// EncodeTo writes the exception's reply-body encoding into e (Encode's
+// bytes, at e's alignment origin).
+func (s SystemException) EncodeTo(e *cdr.Encoder) {
 	e.WriteString(s.RepoID)
 	e.WriteULong(s.Minor)
 	e.WriteULong(s.Completed)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
 }
 
 // DecodeSystemException parses a system exception reply body.

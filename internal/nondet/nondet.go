@@ -45,11 +45,18 @@ type Context struct {
 // randomness, and rngSource seeding dominates dispatch cost if paid
 // unconditionally on every invocation.
 func NewContext(gid uint64, msgID uint64, epochStart time.Time) *Context {
-	return &Context{
-		msgID: msgID,
-		base:  epochStart,
-		seed:  int64(gid*0x9E3779B97F4A7C15 ^ msgID*0xBF58476D1CE4E5B9),
-	}
+	c := new(Context)
+	c.Init(gid, msgID, epochStart)
+	return c
+}
+
+// Init makes the zero Context c the context NewContext(gid, msgID,
+// epochStart) returns, in place: a caller that embeds a Context in a
+// larger per-invocation record builds both in one allocation.
+func (c *Context) Init(gid uint64, msgID uint64, epochStart time.Time) {
+	c.msgID = msgID
+	c.base = epochStart
+	c.seed = int64(gid*0x9E3779B97F4A7C15 ^ msgID*0xBF58476D1CE4E5B9)
 }
 
 // random returns the deterministic source, creating it on first use.

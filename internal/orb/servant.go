@@ -21,6 +21,24 @@ import (
 )
 
 // Invocation carries one request through dispatch.
+//
+// Lifetime contract. An Invocation and everything it points to belong to
+// the dispatching layer and are valid only while Dispatch runs:
+//
+//   - Args are read-only. A servant must not modify them (nor the bytes
+//     of an octet sequence among them).
+//   - Under replication, octet-sequence arguments (AsOctetSeq) alias the
+//     delivered message frame instead of being copied out of it. Frames
+//     are never recycled, so a kept slice stays intact, but it pins the
+//     whole frame in memory: a servant that keeps one past Dispatch
+//     should copy it.
+//   - Det and Caller are valid only during Dispatch: the replication
+//     engine builds them, with the Invocation itself, in one record per
+//     execution, and a nested invocation must be issued before Dispatch
+//     returns.
+//
+// Results a servant returns may alias its arguments: they are marshalled
+// before the invocation's storage is dropped.
 type Invocation struct {
 	// Operation is the IDL operation name.
 	Operation string
@@ -144,11 +162,17 @@ var ErrNoServant = errors.New("orb: no servant for object key")
 // EncodeReplyBody renders result values for a NO_EXCEPTION reply.
 func EncodeReplyBody(results []cdr.Value) []byte {
 	e := cdr.GetEncoder(cdr.BigEndian)
-	cdr.EncodeValues(e, results)
+	WriteReplyBody(e, results)
 	out := e.TakeBytes()
 	e.Release()
 	return out
 }
+
+// WriteReplyBody writes the NO_EXCEPTION reply body for results into e:
+// EncodeReplyBody's bytes, laid out from e's alignment origin. Writing into
+// a region (cdr.Encoder.BeginRegion) of the message that carries the body
+// costs no buffer of its own.
+func WriteReplyBody(e *cdr.Encoder, results []cdr.Value) { cdr.EncodeValues(e, results) }
 
 // DecodeReplyBody parses a NO_EXCEPTION reply body.
 func DecodeReplyBody(body []byte) ([]cdr.Value, error) {
@@ -163,19 +187,43 @@ func EncodeRequestBody(args []cdr.Value) []byte {
 	return EncodeReplyBody(args)
 }
 
+// WriteRequestBody writes the request body for args into e, as
+// WriteReplyBody does for results.
+func WriteRequestBody(e *cdr.Encoder, args []cdr.Value) { WriteReplyBody(e, args) }
+
 // DecodeRequestBody parses request arguments.
 func DecodeRequestBody(body []byte) ([]cdr.Value, error) {
 	return DecodeReplyBody(body)
 }
 
+// AppendRequestArgs decodes request arguments in place: the values are
+// appended to dst, so a caller with room there allocates no slice, and
+// octet sequences alias body instead of being copied out of it. The result
+// shares body's lifetime (see the Invocation lifetime contract). An empty
+// body decodes to no arguments and leaves dst as it is.
+func AppendRequestArgs(dst []cdr.Value, body []byte) ([]cdr.Value, error) {
+	if len(body) == 0 {
+		return dst, nil
+	}
+	d := cdr.NewDecoder(body, cdr.BigEndian)
+	d.SetZeroCopy(true)
+	return cdr.AppendValues(dst, d)
+}
+
 // EncodeUserException renders a user exception reply body.
 func EncodeUserException(exc *UserException) []byte {
 	e := cdr.GetEncoder(cdr.BigEndian)
-	e.WriteString(exc.Name)
-	cdr.EncodeValues(e, exc.Info)
+	WriteUserException(e, exc)
 	out := e.TakeBytes()
 	e.Release()
 	return out
+}
+
+// WriteUserException writes the user exception reply body for exc into e,
+// as WriteReplyBody does for results.
+func WriteUserException(e *cdr.Encoder, exc *UserException) {
+	e.WriteString(exc.Name)
+	cdr.EncodeValues(e, exc.Info)
 }
 
 // DecodeUserException parses a user exception reply body.

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -201,6 +202,8 @@ type Engine struct {
 	wg     sync.WaitGroup
 }
 
+// pendingCall is a client call waiting for its reply. Only a voting call
+// (votesNeeded > 1) collects votes, keyed by replying node.
 type pendingCall struct {
 	votesNeeded int
 	votes       map[string]*msgReply
@@ -570,10 +573,10 @@ func (e *Engine) startHosting(def GroupDef, r *replica) error {
 		})
 	}
 	ring := e.ringFor(def.ID)
-	if err := ring.JoinGroup(invGroupName(def.ID)); err != nil {
+	if err := ring.JoinGroup(r.names.inv); err != nil {
 		return fmt.Errorf("replication: join group: %w", err)
 	}
-	if err := ring.JoinGroup(repGroupName(def.ID)); err != nil {
+	if err := ring.JoinGroup(r.names.rep); err != nil {
 		return fmt.Errorf("replication: join reply group: %w", err)
 	}
 	e.mu.Lock()
@@ -600,7 +603,7 @@ func (e *Engine) RemoveReplica(gid uint64) {
 		return
 	}
 	r.q.Close()
-	_ = e.ringFor(gid).LeaveGroup(invGroupName(gid))
+	_ = e.ringFor(gid).LeaveGroup(r.names.inv)
 	// Stay in the reply group: this node may still act as a client.
 }
 
@@ -645,7 +648,7 @@ func (e *Engine) ensureReplyJoined(gid uint64) {
 	stopped := e.stopped
 	e.mu.Unlock()
 	if !joined && !stopped {
-		_ = e.ringFor(gid).JoinGroup(repGroupName(gid))
+		_ = e.ringFor(gid).JoinGroup(namesOf(gid).rep)
 	}
 }
 
@@ -740,8 +743,8 @@ func (e *Engine) onDeliver(d *totem.Deliver) {
 func (e *Engine) onGroupView(gv totem.GroupView) {
 	e.mu.RLock()
 	var target *replica
-	for gid, r := range e.hosted {
-		if gv.Group == invGroupName(gid) {
+	for _, r := range e.hosted {
+		if gv.Group == r.names.inv {
 			target = r
 			break
 		}
@@ -783,58 +786,52 @@ func (e *Engine) completeCall(m *msgReply) {
 		e.stat.dupReplies.Add(1)
 		return
 	}
-	if _, seen := p.votes[m.Node]; seen {
-		e.mu.Unlock()
-		e.stat.dupReplies.Add(1)
-		return
-	}
-	p.votes[m.Node] = m
-	if len(p.votes) < p.votesNeeded {
-		e.mu.Unlock()
-		return
-	}
-	delete(e.pending, m.Key)
 	winner := m
 	if p.votesNeeded > 1 {
+		if _, seen := p.votes[m.Node]; seen {
+			e.mu.Unlock()
+			e.stat.dupReplies.Add(1)
+			return
+		}
+		p.votes[m.Node] = m
+		if len(p.votes) < p.votesNeeded {
+			e.mu.Unlock()
+			return
+		}
 		winner = majorityReply(p.votes)
 	}
+	delete(e.pending, m.Key)
 	e.mu.Unlock()
 	p.ch <- winner
 }
 
-// majorityReply picks the most common (status, body) outcome among votes.
-// Only called when more than one vote was collected; the single-vote styles
-// take the reply directly and skip the signature hashing.
+// majorityReply picks the most common outcome among votes: replies agree
+// when their status and body bytes are equal. Only called when more than
+// one vote was collected; the single-vote styles take the reply directly.
 func majorityReply(votes map[string]*msgReply) *msgReply {
-	type bucket struct {
-		rep   *msgReply
-		count int
-	}
-	buckets := make(map[string]*bucket, len(votes))
-	var best *bucket
+	var best *msgReply
+	bestCount := 0
 	for _, v := range votes {
-		sig := fmt.Sprintf("%d|%x", v.Status, v.Body)
-		b, ok := buckets[sig]
-		if !ok {
-			b = &bucket{rep: v}
-			buckets[sig] = b
+		count := 0
+		for _, o := range votes {
+			if o.Status == v.Status && bytes.Equal(o.Body, v.Body) {
+				count++
+			}
 		}
-		b.count++
-		if best == nil || b.count > best.count {
-			best = b
+		if count > bestCount {
+			best, bestCount = v, count
 		}
 	}
-	return best.rep
+	return best
 }
 
 func (e *Engine) registerCall(key opKey, votes int) (*pendingCall, error) {
 	if votes < 1 {
 		votes = 1
 	}
-	p := &pendingCall{
-		votesNeeded: votes,
-		votes:       make(map[string]*msgReply, votes),
-		ch:          make(chan *msgReply, 1),
+	p := &pendingCall{votesNeeded: votes, ch: make(chan *msgReply, 1)}
+	if votes > 1 {
+		p.votes = make(map[string]*msgReply, votes)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -460,6 +461,123 @@ func TestVotingMajority(t *testing.T) {
 		if out[0].AsLongLong() != want {
 			t.Fatalf("voted result = %d, want %d", out[0].AsLongLong(), want)
 		}
+	}
+}
+
+// divergent is a replica whose servant computes a wrong result: it runs
+// the account but reports every balance off by one.
+type divergent struct{ account }
+
+func (d *divergent) Dispatch(inv *orb.Invocation) ([]cdr.Value, error) {
+	out, err := d.account.Dispatch(inv)
+	if err == nil && len(out) > 0 {
+		out[0] = cdr.LongLong(out[0].AsLongLong() + 1)
+	}
+	return out, err
+}
+
+// TestVotingMajorityMasksDivergentReplica: one of three ACTIVE_WITH_VOTING
+// replicas returns a different result on every call, and the client gets
+// the other two replicas' agreed one every time.
+func TestVotingMajorityMasksDivergentReplica(t *testing.T) {
+	c := newCluster(t, 4)
+	def := GroupDef{ID: 14, Name: "vote-mask", Style: ActiveWithVoting}
+	for _, node := range []string{"n1", "n2"} {
+		a := &account{}
+		c.servants[node][def.ID] = a
+		if err := c.engines[node].HostReplica(def, a, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.engines["n3"].HostReplica(def, &divergent{}, true); err != nil {
+		t.Fatal(err)
+	}
+	c.waitMembers(def.ID, []string{"n1", "n2", "n3"})
+	proxy := c.engines["n4"].Proxy(GroupRef{ID: def.ID}, WithVotes(3))
+	var want int64
+	for i := 1; i <= 20; i++ {
+		out, err := proxy.Invoke("add", cdr.Long(int32(i)))
+		if err != nil {
+			t.Fatalf("voted add %d: %v", i, err)
+		}
+		want += int64(i)
+		if got := out[0].AsLongLong(); got != want {
+			t.Fatalf("voted add %d = %d, want the majority's %d", i, got, want)
+		}
+	}
+}
+
+// keeper keeps the octet-sequence argument of its first "keep" call
+// without copying it, against the lifetime contract's advice, and
+// overwrites a buffer of its own with every later one.
+type keeper struct {
+	mu   sync.Mutex
+	kept []byte
+	last []byte
+}
+
+func (k *keeper) RepoID() string { return "IDL:repro/Keeper:1.0" }
+
+func (k *keeper) Dispatch(inv *orb.Invocation) ([]cdr.Value, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	b := inv.Args[0].AsOctetSeq()
+	if k.kept == nil {
+		k.kept = b
+	}
+	k.last = append(k.last[:0], b...)
+	return nil, nil
+}
+
+// TestKeptArgumentSurvivesLaterDeliveries pins the buffer-lifetime rule
+// the zero-copy argument decode relies on: delivered frames are never
+// recycled, so an octet-sequence argument a servant keeps past Dispatch
+// (aliasing the frame it arrived in) still reads unchanged after 1000
+// further deliveries.
+func TestKeptArgumentSurvivesLaterDeliveries(t *testing.T) {
+	c := newCluster(t, 2)
+	def := GroupDef{ID: 15, Name: "keeper", Style: Active}
+	k := &keeper{}
+	if err := c.engines["n1"].HostReplica(def, k, true); err != nil {
+		t.Fatal(err)
+	}
+	c.waitMembers(def.ID, []string{"n1"})
+	proxy := c.engines["n2"].Proxy(GroupRef{ID: def.ID})
+	// The kept argument arrives in the largest frame of the test: a
+	// transport that reused frame storage would write later frames over it.
+	first := make([]byte, 4096)
+	for i := range first {
+		first[i] = byte(i*7 + 1)
+	}
+	want := append([]byte(nil), first...)
+	if _, err := proxy.Invoke("keep", cdr.OctetSeq(first)); err != nil {
+		t.Fatal(err)
+	}
+	// 1000 more deliveries from 8 concurrent callers, so the ring
+	// coalesces them into frames as it does under load.
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < 1000; i += 8 {
+				if _, err := proxy.Invoke("keep", cdr.OctetSeq(bytes.Repeat([]byte{byte(i)}, 1+i%256))); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if !bytes.Equal(k.kept, want) {
+		t.Fatalf("kept argument changed after 1000 deliveries:\n got %x\nwant %x", k.kept, want)
 	}
 }
 

@@ -41,9 +41,6 @@ package replication
 import (
 	"time"
 
-	"repro/internal/cdr"
-	"repro/internal/nondet"
-	"repro/internal/orb"
 	"repro/internal/totem"
 	"repro/internal/wal"
 )
@@ -100,7 +97,7 @@ func (r *replica) lfLeaseLiveLocked(now time.Time) bool {
 // lfSendReply sends a direct-lane reply back to the submitting node.
 func (r *replica) lfSendReply(to string, m *msgLfReply) {
 	if payload := r.eng.encodeOrReport(m); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).SendDirect(to, repGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).SendDirect(to, r.names.rep, payload)
 	}
 }
 
@@ -238,16 +235,7 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 		return
 	}
 
-	args, err := orb.DecodeRequestBody(m.Args)
-	var results []cdr.Value
-	if err == nil {
-		det := nondet.NewContext(r.def.ID, lfMsgID(leaseEpoch, applied), epochAnchor)
-		results, err = r.servant.Dispatch(&orb.Invocation{
-			Operation: m.Operation,
-			Args:      args,
-			Det:       det,
-		})
-	}
+	x := execute(r.servant, r.def.ID, lfMsgID(leaseEpoch, applied), m.Operation, m.Args, nil)
 	r.eng.stat.lfReads.Add(1)
 	rep := &msgLfReply{
 		GroupID: r.def.ID,
@@ -255,7 +243,7 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 		Node:    r.eng.cfg.Node,
 		Seq:     applied,
 	}
-	rep.Status, rep.Body = outcomeToWire(results, err)
+	rep.Status, rep.Body = outcomeToWire(x.results, x.err)
 	r.lfSendReply(m.From, rep)
 }
 
@@ -298,7 +286,7 @@ func (r *replica) lfAssign(key opKey, done uint64, op string, args []byte, onewa
 	wrec := wal.Record{Kind: wal.KindUpdate, MsgID: id, Op: opRecInvoke + op, Data: data}
 	r.logUpdate(wrec)
 	r.shipUpdate(wrec)
-	_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), data)
+	_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, data)
 
 	rep := r.lfExecute(order, rec)
 	r.maybeCheckpoint()
@@ -311,18 +299,7 @@ func (r *replica) lfAssign(key opKey, done uint64, op string, args []byte, onewa
 // know, so timestamps and nested-call identifiers agree everywhere.
 func (r *replica) lfExecute(m *msgLfOrder, rec *opRecord) *msgReply {
 	id := lfMsgID(m.Epoch, m.Seq)
-	det := nondet.NewContext(r.def.ID, id, epochAnchor)
-	args, err := orb.DecodeRequestBody(m.Args)
-	var results []cdr.Value
-	if err == nil {
-		inv := &orb.Invocation{
-			Operation: m.Operation,
-			Args:      args,
-			Det:       det,
-			Caller:    &CallCtx{eng: r.eng, gid: r.def.ID, msgID: id, det: det},
-		}
-		results, err = r.servant.Dispatch(inv)
-	}
+	x := execute(r.servant, r.def.ID, id, m.Operation, m.Args, r.eng)
 	r.eng.stat.executions.Add(1)
 
 	rep := &msgReply{
@@ -331,7 +308,7 @@ func (r *replica) lfExecute(m *msgLfOrder, rec *opRecord) *msgReply {
 		Node:      r.eng.cfg.Node,
 		ExecMsgID: id,
 	}
-	rep.Status, rep.Body = outcomeToWire(results, err)
+	rep.Status, rep.Body = outcomeToWire(x.results, x.err)
 
 	r.mu.lock()
 	if id > r.lastExec {
@@ -459,7 +436,7 @@ func (r *replica) lfMaybeGrant() {
 		Leader:  r.eng.cfg.Node,
 		Dur:     r.eng.cfg.LeaseDuration,
 	}); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
 	}
 }
 

@@ -129,6 +129,7 @@ func WithRetryInterval(d time.Duration) ProxyOption {
 type Proxy struct {
 	eng      *Engine
 	gid      uint64
+	names    groupNames
 	votes    int
 	shard    int // 1-based explicit shard pin; 0 = engine routing
 	timeout  time.Duration
@@ -149,6 +150,7 @@ func (e *Engine) Proxy(ref GroupRef, opts ...ProxyOption) *Proxy {
 	p := &Proxy{
 		eng:       e,
 		gid:       ref.ID,
+		names:     namesOf(ref.ID),
 		votes:     1,
 		timeout:   e.cfg.CallTimeout,
 		retry:     e.cfg.RetryInterval,
@@ -275,10 +277,11 @@ func (p *Proxy) lfBump(seq uint64) {
 // client's critical path entirely. Reads rotate across all replicas
 // (served under their leases), writes go to the leader. One redirect is
 // honored; any other failure returns ok=false and the caller falls
-// back to the ordered path with the same operation key.
-func (p *Proxy) lfCall(key opKey, done uint64, op string, args []cdr.Value) ([]cdr.Value, error, bool) {
+// back to the ordered path with the same operation key. args is the
+// encoded argument body.
+func (p *Proxy) lfCall(key opKey, done uint64, op string, args []byte) ([]cdr.Value, error, bool) {
 	ring := p.eng.ringFor(p.gid)
-	members := ring.GroupMembers(invGroupName(p.gid))
+	members := ring.GroupMembers(p.names.inv)
 	if len(members) == 0 {
 		return nil, nil, false
 	}
@@ -291,7 +294,7 @@ func (p *Proxy) lfCall(key opKey, done uint64, op string, args []cdr.Value) ([]c
 		GroupID:   p.gid,
 		Key:       key,
 		Operation: op,
-		Args:      orb.EncodeRequestBody(args),
+		Args:      args,
 		ReadOnly:  read,
 		MinSeq:    p.lfSeq.Load(),
 		From:      p.eng.cfg.Node,
@@ -307,7 +310,7 @@ func (p *Proxy) lfCall(key opKey, done uint64, op string, args []cdr.Value) ([]c
 		if rerr != nil {
 			return nil, rerr, true
 		}
-		if serr := ring.SendDirect(target, invGroupName(p.gid), payload); serr != nil {
+		if serr := ring.SendDirect(target, p.names.inv, payload); serr != nil {
 			p.eng.unregisterCall(key)
 			return nil, nil, false
 		}
@@ -352,25 +355,22 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 		defer p.eng.roots.close(key.OpSeq)
 		done = p.eng.roots.done()
 	}
-	inv := &msgInvocation{
+	// The arguments are encoded once, straight into the wire payload;
+	// argBody is their encoding inside it, for the direct-lane submit.
+	payload, argBody := encodeInvocation(&msgInvocation{
 		GroupID:   p.gid,
 		Key:       key,
 		Operation: op,
-		Args:      orb.EncodeRequestBody(args),
 		Oneway:    oneway,
 		Done:      done,
-	}
-	payload, err := encodeWire(inv)
-	if err != nil {
-		return nil, err
-	}
+	}, args)
 
 	if oneway {
-		return nil, p.eng.ringFor(p.gid).Multicast(invGroupName(p.gid), payload)
+		return nil, p.eng.ringFor(p.gid).Multicast(p.names.inv, payload)
 	}
 
 	if p.lf && p.votes == 1 {
-		if out, lfErr, ok := p.lfCall(key, done, op, args); ok {
+		if out, lfErr, ok := p.lfCall(key, done, op, argBody); ok {
 			return out, lfErr
 		}
 		// Fast path declined (timeout, redirect exhaustion, no view yet):
@@ -388,7 +388,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 	}
 	defer p.eng.unregisterCall(key)
 
-	if err := p.eng.ringFor(p.gid).Multicast(invGroupName(p.gid), payload); err != nil {
+	if err := p.eng.ringFor(p.gid).Multicast(p.names.inv, payload); err != nil {
 		return nil, err
 	}
 
@@ -417,7 +417,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 			// by MaxRetryInterval) so a partitioned or failing-over group is
 			// not hammered at a fixed rate by every blocked client.
 			p.eng.stat.retries.Add(1)
-			if err := p.eng.ringFor(p.gid).Multicast(invGroupName(p.gid), payload); err != nil {
+			if err := p.eng.ringFor(p.gid).Multicast(p.names.inv, payload); err != nil {
 				return nil, err
 			}
 			attempt++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/nondet"
 	"repro/internal/orb"
 	"repro/internal/wal"
 )
@@ -91,21 +90,14 @@ func applyRecord(def GroupDef, servant orb.Servant, rec wal.Record) (key opKey, 
 		if !ok {
 			return key, false, false
 		}
-		args, aerr := orb.DecodeRequestBody(argBytes)
-		if aerr != nil {
-			return key, false, false
-		}
 		// The deterministic context is keyed on the record's message id (for
 		// LF records that id is lfMsgID(epoch, seq) — exactly what the
-		// original execution used).
-		det := nondet.NewContext(def.ID, rec.MsgID, epochAnchor)
-		// Dispatch errors (user exceptions) are outcomes, not replay
-		// failures: the original execution produced them too.
-		_, _ = servant.Dispatch(&orb.Invocation{
-			Operation: op,
-			Args:      args,
-			Det:       det,
-		})
+		// original execution used). Dispatch errors (user exceptions) are
+		// outcomes, not replay failures: the original execution produced
+		// them too.
+		if x := execute(servant, def.ID, rec.MsgID, op, argBytes, nil); !x.dispatched {
+			return key, false, false
+		}
 		return k, true, true
 	case rec.Op == opRecUpdateFull:
 		ck, ok := servant.(orb.Checkpointable)

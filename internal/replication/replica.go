@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"errors"
 	"sort"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fifo"
 	"repro/internal/giop"
-	"repro/internal/nondet"
 	"repro/internal/orb"
 	"repro/internal/wal"
 )
@@ -107,6 +105,7 @@ type fulfillRec struct {
 type replica struct {
 	eng     *Engine
 	def     GroupDef
+	names   groupNames
 	servant orb.Servant
 	q       *taskQueue
 	log     wal.Log
@@ -175,6 +174,7 @@ func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log 
 	return &replica{
 		eng:       e,
 		def:       def,
+		names:     namesOf(def.ID),
 		servant:   servant,
 		q:         newTaskQueue(),
 		log:       log,
@@ -484,18 +484,7 @@ func (r *replica) refuseEvicted(t taskInvoke) {
 // run executes one invocation on the local servant and multicasts the
 // reply (unless suppressed).
 func (r *replica) run(t taskInvoke, rec *opRecord) {
-	det := nondet.NewContext(r.def.ID, t.msgID, epochAnchor)
-	args, err := orb.DecodeRequestBody(t.m.Args)
-	var results []cdr.Value
-	if err == nil {
-		inv := &orb.Invocation{
-			Operation: t.m.Operation,
-			Args:      args,
-			Det:       det,
-			Caller:    &CallCtx{eng: r.eng, gid: r.def.ID, msgID: t.msgID, det: det},
-		}
-		results, err = r.servant.Dispatch(inv)
-	}
+	x := execute(r.servant, r.def.ID, t.msgID, t.m.Operation, t.m.Args, r.eng)
 	r.eng.stat.executions.Add(1)
 
 	rep := &msgReply{
@@ -504,7 +493,6 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 		Node:      r.eng.cfg.Node,
 		ExecMsgID: t.msgID,
 	}
-	rep.Status, rep.Body = outcomeToWire(results, err)
 
 	// Passive primaries piggyback the state update on the reply.
 	if r.def.Style == WarmPassive {
@@ -527,6 +515,9 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 			r.shipUpdate(rec)
 		}
 	}
+	// The outcome is encoded once, straight into the reply's wire payload;
+	// rep.Body then points into it.
+	payload, keyLen := encodeExecReply(rep, x.results, x.err)
 
 	r.mu.lock()
 	r.lastExec = t.msgID
@@ -552,9 +543,9 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 		// Sender-side suppression (the paper's Figure 2) at transmission
 		// time: the ring withdraws the queued reply if another replica's
 		// reply to the operation is delivered before the token takes it.
-		r.multicastReplyOnce(rep)
+		_ = r.eng.ringFor(r.def.ID).MulticastOnce(r.names.rep, payload, keyLen)
 	default:
-		r.multicastReply(rep)
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.rep, payload)
 	}
 
 	r.maybeCheckpoint()
@@ -629,21 +620,13 @@ func (r *replica) sendCheckpoint(reason uint8) {
 		Covered:   covered,
 		LfSeq:     lfSeq,
 	}); payload != nil {
-		_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
 	}
 }
 
 func (r *replica) multicastReply(rep *msgReply) {
 	payload, _ := encodeReply(rep)
-	_ = r.eng.ringFor(r.def.ID).Multicast(repGroupName(r.def.ID), payload)
-}
-
-// multicastReplyOnce multicasts a reply that another replica's reply to
-// the same operation withdraws while it is still queued (writeReply's
-// withdraw key). The reply stays logged in its record either way.
-func (r *replica) multicastReplyOnce(rep *msgReply) {
-	payload, keyLen := encodeReply(rep)
-	_ = r.eng.ringFor(r.def.ID).MulticastOnce(repGroupName(r.def.ID), payload, keyLen)
+	_ = r.eng.ringFor(r.def.ID).Multicast(r.names.rep, payload)
 }
 
 // onReply applies passive state updates and clears covered pending
@@ -906,7 +889,7 @@ func (r *replica) sendFulfillments() {
 			Oneway:      true,
 			Fulfillment: true,
 		}); payload != nil {
-			_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+			_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
 		}
 	}
 }
@@ -1017,7 +1000,7 @@ func (r *replica) onView(t taskView) {
 			myExec := r.lastExec
 			r.mu.unlock()
 			if payload := r.eng.encodeOrReport(&msgStateReq{GroupID: r.def.ID, From: r.eng.cfg.Node, LastExec: myExec}); payload != nil {
-				_ = r.eng.ringFor(r.def.ID).Multicast(invGroupName(r.def.ID), payload)
+				_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
 			}
 			return
 		}
@@ -1186,27 +1169,6 @@ func (r *replica) replayOne(t taskInvoke) {
 		return
 	}
 	r.run(t, rec)
-}
-
-// outcomeToWire converts a Dispatch outcome to reply status + body.
-func outcomeToWire(results []cdr.Value, err error) (uint32, []byte) {
-	switch {
-	case err == nil:
-		return replyOK, orb.EncodeReplyBody(results)
-	default:
-		var uexc *orb.UserException
-		if errors.As(err, &uexc) {
-			return replyUserExc, orb.EncodeUserException(uexc)
-		}
-		var sysExc giop.SystemException
-		if errors.As(err, &sysExc) {
-			return replySysExc, sysExc.Encode()
-		}
-		return replySysExc, giop.SystemException{
-			RepoID:    giop.ExcInternal,
-			Completed: giop.CompletedMaybe,
-		}.Encode()
-	}
 }
 
 // wireToOutcome converts reply status + body back to Dispatch form.

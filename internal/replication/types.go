@@ -29,10 +29,14 @@
 package replication
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
+	"repro/internal/orb"
 )
 
 // Style selects the replication style of an object group.
@@ -147,11 +151,20 @@ func ShardFor(gid uint64, shards int) int {
 
 // invGroupName is the totem process group carrying a group's invocations
 // and checkpoints.
-func invGroupName(gid uint64) string { return fmt.Sprintf("og/%d", gid) }
+func invGroupName(gid uint64) string { return "og/" + strconv.FormatUint(gid, 10) }
 
-// repGroupName is the totem process group carrying a group's replies (and,
-// for warm passive, the piggybacked state updates).
-func repGroupName(gid uint64) string { return fmt.Sprintf("og/%d/r", gid) }
+// groupNames holds an object group's two totem process groups: inv
+// (invGroupName) and rep, which carries the group's replies (and, for warm
+// passive, the piggybacked state updates). Replicas and proxies compute
+// them once instead of formatting them per message.
+type groupNames struct {
+	inv, rep string
+}
+
+func namesOf(gid uint64) groupNames {
+	inv := invGroupName(gid)
+	return groupNames{inv: inv, rep: inv + "/r"}
+}
 
 // opKey identifies a logical operation for duplicate detection: identical
 // for duplicate invocations from different replicas of the same client and
@@ -353,19 +366,17 @@ func decodeOpKey(d *cdr.Decoder) (opKey, error) {
 // buffer comes from the shared encoder pool and is handed to
 // Ring.Multicast, which takes ownership (no defensive copies anywhere on
 // the path). An unknown message type is a local programming error reported
-// to the caller instead of panicking on the invocation path.
+// to the caller instead of panicking on the invocation path. The two hot
+// messages also have typed writers that encode their bodies in place:
+// encodeInvocation (a proxy's call) and encodeExecReply (an execution's
+// reply).
 func encodeWire(m any) ([]byte, error) {
 	e := cdr.GetEncoder(cdr.BigEndian)
 	switch v := m.(type) {
 	case *msgInvocation:
-		e.WriteOctet(byte(wireInvocation))
-		e.WriteULongLong(v.GroupID)
-		encodeOpKey(e, v.Key)
-		e.WriteString(v.Operation)
+		writeInvocationHead(e, v)
 		e.WriteOctetSeq(v.Args)
-		e.WriteBool(v.Oneway)
-		e.WriteBool(v.Fulfillment)
-		e.WriteULongLong(v.Done)
+		writeInvocationTail(e, v)
 	case *msgReply:
 		writeReply(e, v)
 	case *msgCheckpoint:
@@ -426,23 +437,68 @@ func encodeWire(m any) ([]byte, error) {
 	return out, nil
 }
 
+// writeInvocationHead writes an invocation's fields up to its Args body and
+// writeInvocationTail the fields after it; the caller writes the body
+// between them.
+func writeInvocationHead(e *cdr.Encoder, v *msgInvocation) {
+	e.WriteOctet(byte(wireInvocation))
+	e.WriteULongLong(v.GroupID)
+	encodeOpKey(e, v.Key)
+	e.WriteString(v.Operation)
+}
+
+func writeInvocationTail(e *cdr.Encoder, v *msgInvocation) {
+	e.WriteBool(v.Oneway)
+	e.WriteBool(v.Fulfillment)
+	e.WriteULongLong(v.Done)
+}
+
+// encodeInvocation marshals v with args written in place as its Args body
+// (v.Args is not read): the arguments are encoded once, into the payload
+// itself, as a length-prefixed region whose alignment starts at its first
+// byte, so the payload is byte-identical to encodeWire's for v with Args
+// set to orb.EncodeRequestBody(args). It also returns the body: the Args a
+// decoder of payload sees, a view into payload.
+func encodeInvocation(v *msgInvocation, args []cdr.Value) (payload, body []byte) {
+	e := cdr.GetEncoder(cdr.BigEndian)
+	writeInvocationHead(e, v)
+	reg := e.BeginRegion()
+	orb.WriteRequestBody(e, args)
+	at, end := e.EndRegion(reg)
+	writeInvocationTail(e, v)
+	payload = e.TakeBytes()
+	e.Release()
+	return payload, payload[at:end:end]
+}
+
 // writeReply encodes a reply and returns the length of its withdraw key
 // (totem.Ring.MulticastOnce): the encoding up to the end of the op key —
 // kind, GroupID and opKey. Replies from different replicas to one
 // operation share it; replies to different operations or groups never do,
 // since every field in it is fixed-width or length-prefixed.
 func writeReply(e *cdr.Encoder, v *msgReply) (keyLen int) {
+	keyLen = writeReplyHead(e, v)
+	e.WriteOctetSeq(v.Body)
+	writeReplyTail(e, v)
+	return keyLen
+}
+
+// writeReplyHead writes a reply's fields up to its Body and returns the
+// withdraw key length; writeReplyTail writes the fields after the Body.
+func writeReplyHead(e *cdr.Encoder, v *msgReply) (keyLen int) {
 	e.WriteOctet(byte(wireReply))
 	e.WriteULongLong(v.GroupID)
 	encodeOpKey(e, v.Key)
 	keyLen = e.Len()
 	e.WriteULong(v.Status)
-	e.WriteOctetSeq(v.Body)
+	return keyLen
+}
+
+func writeReplyTail(e *cdr.Encoder, v *msgReply) {
 	e.WriteString(v.Node)
 	e.WriteULongLong(v.ExecMsgID)
 	e.WriteOctetSeq(v.Update)
 	e.WriteBool(v.UpdateFull)
-	return keyLen
 }
 
 // encodeReply is encodeWire for a reply, returning its withdraw key length
@@ -455,11 +511,81 @@ func encodeReply(v *msgReply) (payload []byte, keyLen int) {
 	return payload, keyLen
 }
 
+// encodeExecReply marshals v with the outcome of the execution it answers
+// written in place as its Body, as encodeInvocation does for arguments. It
+// sets v.Status and points v.Body at the body inside the returned payload,
+// so a record that logs v keeps no second copy.
+func encodeExecReply(v *msgReply, results []cdr.Value, err error) (payload []byte, keyLen int) {
+	o := outcomeOf(results, err)
+	v.Status = o.status
+	e := cdr.GetEncoder(cdr.BigEndian)
+	keyLen = writeReplyHead(e, v)
+	reg := e.BeginRegion()
+	o.writeBody(e)
+	at, end := e.EndRegion(reg)
+	writeReplyTail(e, v)
+	payload = e.TakeBytes()
+	e.Release()
+	v.Body = payload[at:end:end]
+	return payload, keyLen
+}
+
+// outcome is a Dispatch outcome classified into its reply status: results,
+// a user exception, or a system exception (any other error becomes an
+// INTERNAL one).
+type outcome struct {
+	status  uint32
+	results []cdr.Value
+	user    *orb.UserException
+	sys     giop.SystemException
+}
+
+func outcomeOf(results []cdr.Value, err error) outcome {
+	if err == nil {
+		return outcome{status: replyOK, results: results}
+	}
+	var uexc *orb.UserException
+	if errors.As(err, &uexc) {
+		return outcome{status: replyUserExc, user: uexc}
+	}
+	var sysExc giop.SystemException
+	if !errors.As(err, &sysExc) {
+		sysExc = giop.SystemException{RepoID: giop.ExcInternal, Completed: giop.CompletedMaybe}
+	}
+	return outcome{status: replySysExc, sys: sysExc}
+}
+
+// writeBody writes the reply body for o into e.
+func (o *outcome) writeBody(e *cdr.Encoder) {
+	switch o.status {
+	case replyOK:
+		orb.WriteReplyBody(e, o.results)
+	case replyUserExc:
+		orb.WriteUserException(e, o.user)
+	default:
+		o.sys.EncodeTo(e)
+	}
+}
+
+// outcomeToWire converts a Dispatch outcome to reply status + body, for
+// the replies whose body is carried in a message of its own (the
+// leader-follower paths).
+func outcomeToWire(results []cdr.Value, err error) (uint32, []byte) {
+	o := outcomeOf(results, err)
+	e := cdr.GetEncoder(cdr.BigEndian)
+	o.writeBody(e)
+	body := e.TakeBytes()
+	e.Release()
+	return o.status, body
+}
+
 func decodeWire(b []byte) (any, error) {
 	// Callers hand decodeWire buffers they own and never modify — a totem
 	// delivery (copied off the transport once by the ring) or a WAL
-	// record — so Args/Body/Covered may alias b instead of copying. The servant
-	// boundary still copies: DecodeValues materializes argument values.
+	// record — so Args/Body/Covered may alias b instead of copying. Frames
+	// are never recycled, so the aliases stay valid for as long as they
+	// are kept; the servant boundary decodes arguments in place too
+	// (orb.AppendRequestArgs), its octet sequences aliasing b.
 	d := cdr.NewDecoder(b, cdr.BigEndian)
 	d.SetZeroCopy(true)
 	t, err := d.ReadOctet()

@@ -190,6 +190,11 @@ type Ring struct {
 	mu       sync.Mutex
 	sendCond *sync.Cond // signaled when sendQ shrinks or the ring stops
 	sendQ    []outMsg
+	// sendSpare is sendQ's second buffer, owned by the protocol loop: a
+	// token visit moves what it leaves queued into it, makes it the queue,
+	// and keeps the taken batch's storage, emptied once sent, as the next
+	// spare. The queue thus never regrows from empty.
+	sendSpare []outMsg
 	// keyed counts the withdrawable entries in sendQ. It changes under mu;
 	// delivery reads it without the lock, so a ring with nothing keyed
 	// queued pays one atomic load per delivered message.
@@ -227,6 +232,7 @@ type Ring struct {
 	groupMembers map[string]map[string]bool
 	pace         pacer
 	rx           hotPackets // decode storage for received tokens and data frames
+	tx           dataBatch  // the data frame sendBatch builds, reused frame to frame
 	// installRaw is the coordinator's encoded install for the ring it
 	// formed, resent with the retained token until the first token round
 	// returns — proof that every member installed.
@@ -1240,17 +1246,15 @@ func (r *Ring) handleToken(t *token) {
 		r.keyed.Add(-keyed) // taken by the token: no longer withdrawable
 	}
 	batch := r.sendQ[:take]
-	if take == len(r.sendQ) {
-		r.sendQ = nil
-	} else {
-		r.sendQ = append([]outMsg(nil), r.sendQ[take:]...)
-	}
 	if take > 0 {
+		r.sendQ = append(r.sendSpare[:0], r.sendQ[take:]...)
 		r.sendCond.Broadcast() // queue shrank: release backpressured senders
 	}
 	r.mu.Unlock()
 	if len(batch) > 0 {
 		r.sendBatch(t, batch)
+		clear(batch) // drop the sent payloads' references
+		r.sendSpare = batch[:0]
 	}
 
 	// Aru bookkeeping and log pruning.
@@ -1329,38 +1333,35 @@ func (r *Ring) sendBatch(t *token, batch []outMsg) {
 		}
 		return
 	}
+	// Each frame is built in r.tx and encoded (copied) into its datagram;
+	// broadcastMembers without loopback keeps no reference to it, so the
+	// next frame reuses its slices.
+	b := &r.tx
 	i := 0
 	for i < len(batch) {
-		firstSeq := t.Seq + 1
-		groups := make([]string, 0, len(batch)-i)
-		payloads := make([][]byte, 0, len(batch)-i)
+		*b = dataBatch{Ring: r.ring, Sender: r.cfg.Node, FirstSeq: t.Seq + 1, Groups: b.Groups[:0], Payloads: b.Payloads[:0]}
 		frameBytes := 0
 		for i < len(batch) {
 			sz := len(batch[i].payload)
-			if len(payloads) > 0 && frameBytes+sz > maxFrameBytes {
+			if len(b.Payloads) > 0 && frameBytes+sz > maxFrameBytes {
 				break // frame full; an oversized single still goes alone
 			}
 			t.Seq++
 			m := storedMsg{Seq: t.Seq, Group: batch[i].group, Sender: r.cfg.Node, Payload: batch[i].payload}
 			r.store[m.Seq] = m
-			groups = append(groups, m.Group)
-			payloads = append(payloads, m.Payload)
+			b.Groups = append(b.Groups, m.Group)
+			b.Payloads = append(b.Payloads, m.Payload)
 			frameBytes += sz
 			i++
 		}
-		r.broadcastMembers(&dataBatch{
-			Ring:     r.ring,
-			Sender:   r.cfg.Node,
-			FirstSeq: firstSeq,
-			Groups:   groups,
-			Payloads: payloads,
-		}, false)
-		if len(payloads) > 1 {
+		r.broadcastMembers(b, false)
+		if len(b.Payloads) > 1 {
 			r.statMu.Lock()
 			r.statBatches++
 			r.statMu.Unlock()
 		}
 	}
+	clear(b.Payloads[:cap(b.Payloads)]) // drop the sent payloads' references
 	r.advanceDelivery()
 }
 
