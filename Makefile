@@ -23,12 +23,15 @@ test:
 ## conformance suite on both backends (netsim and loopback UDP), and the
 ## two stores every node shares (WAL and DR store) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
-## assembly and the SLO harness. The second set runs after the first: the
+## assembly and the SLO harness — then the GIOP and IIOP codecs and
+## connections, object references, the interceptor chain and the naming
+## service. Each set runs after the one before: the
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
 	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/orb ./internal/nondet ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
+	$(GO) test -race ./internal/giop ./internal/iiop ./internal/ior ./internal/interception ./internal/naming
 
 ## chaos: the full seeded fault-injection sweep under the race detector —
 ## single-ring (7 seeds x 3 replication styles = 21 schedules) plus the

@@ -193,7 +193,9 @@ func (s *mirror) AppendUpdate(gid uint64, rec wal.Record) error {
 		if !g.acceptUpdate(rec) || g.seg == nil {
 			return nil
 		}
-		return g.seg.Append(rec)
+		// The segment keeps the Data it is handed: give it the store's
+		// own copy, not the caller's buffer.
+		return g.seg.Append(g.updates[len(g.updates)-1])
 	})
 }
 

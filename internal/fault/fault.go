@@ -35,6 +35,10 @@ const (
 	// its client finished with it: the operation may have run, so it is
 	// not run again. Member names the client.
 	RetentionOverflow
+	// DRShipFailure reports a record or checkpoint the disaster-recovery
+	// store refused: the standby may lack an acknowledged operation. Detail
+	// names what failed to ship and the store's error.
+	DRShipFailure
 )
 
 var kindNames = map[Kind]string{
@@ -43,6 +47,7 @@ var kindNames = map[Kind]string{
 	NodeCrash:          "node-crash",
 	InvariantViolation: "invariant-violation",
 	RetentionOverflow:  "retention-overflow",
+	DRShipFailure:      "dr-ship-failure",
 }
 
 // String names the kind.

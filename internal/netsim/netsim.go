@@ -52,7 +52,13 @@ func (*timeoutError) Temporary() bool { return true }
 
 // Config sets the fabric-wide link characteristics.
 type Config struct {
-	// Latency is the one-way delivery delay for every message.
+	// Latency is the one-way delivery delay for every message. A delayed
+	// datagram waits on a runtime timer, and where timers resolve to about
+	// a millisecond each delayed hop pays about that however small Latency
+	// is: serial ACTIVE calls on a 4-node ring (2 vCPUs) measured a p50 of
+	// 0.08 ms at Latency 0, 1.1 ms at 10 µs, 2.6 ms at 50 µs and 4.8 ms at
+	// 200 µs, and the heartbeat interval barely moves it. Leave Latency 0
+	// where a test or benchmark measures µs-range call latency.
 	Latency time.Duration
 	// Jitter adds a uniform random extra delay in [0, Jitter).
 	Jitter time.Duration

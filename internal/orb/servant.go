@@ -84,7 +84,9 @@ type Servant interface {
 // restored — required for passive replication, state transfer to new
 // replicas, and recovery.
 type Checkpointable interface {
-	// GetState serializes the full application state.
+	// GetState serializes the full application state. The returned slice
+	// belongs to the caller: the servant must not keep it or write it
+	// again, because replication logs it as it is (wal.Log.Append).
 	GetState() ([]byte, error)
 	// SetState replaces the application state.
 	SetState([]byte) error
@@ -94,7 +96,10 @@ type Checkpointable interface {
 // apply incremental updates (postimages), avoiding full-state transfer
 // after every operation under warm passive replication.
 type Updatable interface {
-	// LastUpdate returns the postimage of the most recent operation.
+	// LastUpdate returns the postimage of the most recent operation. The
+	// returned slice belongs to the caller, as with GetState. An empty
+	// non-nil postimage means the operation changed nothing (a read); nil
+	// makes a warm-passive primary ship the full state instead.
 	LastUpdate() ([]byte, error)
 	// ApplyUpdate applies a postimage produced by LastUpdate.
 	ApplyUpdate([]byte) error

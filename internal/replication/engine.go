@@ -152,6 +152,7 @@ type Stats struct {
 	DedupRecords      uint64 // live duplicate-suppression records over hosted replicas (a gauge)
 	DedupRetired      uint64 // records dropped because their client's low-water mark passed them
 	DedupOverflows    uint64 // invocations refused because the record cap had evicted their record
+	DRShipErrors      uint64 // updates and checkpoints the DR store refused (each reported as fault.DRShipFailure)
 }
 
 type engineStats struct {
@@ -171,6 +172,7 @@ type engineStats struct {
 	healNudges        atomic.Uint64
 	dedupRetired      atomic.Uint64
 	dedupOverflows    atomic.Uint64
+	drShipErrors      atomic.Uint64
 }
 
 // Engine is one node's replication runtime: it hosts replicas of object
@@ -441,6 +443,7 @@ func (e *Engine) Stats() Stats {
 		DedupRecords:      uint64(records),
 		DedupRetired:      e.stat.dedupRetired.Load(),
 		DedupOverflows:    e.stat.dedupOverflows.Load(),
+		DRShipErrors:      e.stat.drShipErrors.Load(),
 	}
 }
 
@@ -495,8 +498,10 @@ func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.L
 // HostRecoveredReplica hosts a group restored from a shipped
 // disaster-recovery snapshot — the standby-promotion path. The servant
 // already carries the recovered state (core.Standby staged it from the
-// store); window is the last shipped checkpoint's duplicate-suppression
-// window and replayed the logged invocations the standby applied after it.
+// store) and state is its snapshot, which the replica's log keeps (the
+// caller does not write it again); window is the last shipped checkpoint's
+// duplicate-suppression window and replayed the logged invocations the
+// standby applied after it.
 // The replica starts operational with lastExec 0: message ids from the
 // source domain's ring lineage don't compare against this domain's, so
 // exactly-once for shipped operations rests entirely on the duplicate

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -137,6 +138,11 @@ type replica struct {
 	opsSinceCk   int
 	bytesSinceCk int    // update-record bytes appended since the last checkpoint
 	lastLogged   uint64 // newest update-record MsgID appended to the WAL (task-loop owned)
+	// gap is set when a warm backup failed to apply a primary's postimage:
+	// its state no longer follows lastExec, so it applies no further delta
+	// (a full snapshot repairs it) and requests a state transfer at the
+	// next marker.
+	gap          bool
 	fulfillSeq   uint64
 	everHadView  bool
 	stuck        map[string]uint64 // members awaiting state transfer → their advertised lastExec
@@ -300,7 +306,26 @@ func (r *replica) shipsDRActive() bool {
 // member is the group's shipper).
 func (r *replica) shipUpdate(rec wal.Record) {
 	if r.shipsDR() {
-		_ = r.eng.cfg.DR.AppendUpdate(r.def.ID, rec)
+		r.reportShipError(r.eng.cfg.DR.AppendUpdate(r.def.ID, rec), "update", rec.MsgID)
+	}
+}
+
+// reportShipError counts a shipment the DR store refused and reports it as
+// a fault: the standby may now lack what the client was (or will be) told
+// is done.
+func (r *replica) reportShipError(err error, what string, msgID uint64) {
+	if err == nil {
+		return
+	}
+	r.eng.stat.drShipErrors.Add(1)
+	if n := r.eng.cfg.Notifier; n != nil {
+		n.Push(fault.Report{
+			Kind:     fault.DRShipFailure,
+			Node:     r.eng.cfg.Node,
+			GroupID:  r.def.ID,
+			Detail:   fmt.Sprintf("ship %s at msg %d: %v", what, msgID, err),
+			Detected: time.Now(),
+		})
 	}
 }
 
@@ -319,7 +344,8 @@ func (r *replica) logUpdate(rec wal.Record) {
 // (in its wire encoding, passed through unparsed) to the DR store.
 func (r *replica) shipCheckpoint(upTo uint64, state []byte, window []byte) {
 	if r.shipsDR() {
-		_ = r.eng.cfg.DR.PutCheckpoint(r.def.ID, drstore.Checkpoint{UpToMsgID: upTo, State: state, Covered: window})
+		err := r.eng.cfg.DR.PutCheckpoint(r.def.ID, drstore.Checkpoint{UpToMsgID: upTo, State: state, Covered: window})
+		r.reportShipError(err, "checkpoint", upTo)
 	}
 }
 
@@ -420,12 +446,13 @@ func (r *replica) process(t taskInvoke) {
 	if r.def.Style.IsActive() && r.def.Style != Stateless && r.shipsDRActive() {
 		if data, err := encodeWire(t.m); err == nil {
 			r.bytesSinceCk += len(data)
-			_ = r.eng.cfg.DR.AppendUpdate(r.def.ID, wal.Record{
+			err := r.eng.cfg.DR.AppendUpdate(r.def.ID, wal.Record{
 				Kind:  wal.KindUpdate,
 				MsgID: t.msgID,
 				Op:    opRecInvoke + t.m.Operation,
 				Data:  data,
 			})
+			r.reportShipError(err, "update", t.msgID)
 		}
 	}
 
@@ -567,7 +594,11 @@ func (r *replica) maybeCheckpoint() {
 		}
 		r.opsSinceCk = 0
 		r.bytesSinceCk = 0
-		r.sendCheckpoint(ckptPeriodic)
+		if r.def.Style == WarmPassive {
+			r.sendMarker()
+		} else {
+			r.sendCheckpoint(ckptPeriodic)
+		}
 		return
 	}
 	if r.def.Style.IsActive() && r.def.Style != Stateless && r.shipsDR() {
@@ -624,6 +655,35 @@ func (r *replica) sendCheckpoint(reason uint8) {
 	}
 }
 
+// sendMarker is a warm-passive primary's periodic checkpoint. Every backup
+// already holds the state, having applied each reply's postimage, so the
+// marker carries only a point in the total order: each member snapshots
+// its own state when the marker reaches it (onMarker). The DR shipper
+// still ships a full snapshot to the store, as sendCheckpoint does.
+func (r *replica) sendMarker() {
+	ck, ok := r.servant.(orb.Checkpointable)
+	if !ok {
+		return
+	}
+	if r.shipsDR() {
+		if state, err := ck.GetState(); err == nil {
+			upTo, covered := r.coveredWindow()
+			r.shipCheckpoint(upTo, state, covered)
+		}
+	}
+	r.mu.lock()
+	upTo := r.lastExec
+	r.mu.unlock()
+	r.eng.stat.checkpoints.Add(1)
+	if payload := r.eng.encodeOrReport(&msgCheckpoint{
+		GroupID:   r.def.ID,
+		Reason:    ckptMarker,
+		UpToMsgID: upTo,
+	}); payload != nil {
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
+	}
+}
+
 func (r *replica) multicastReply(rep *msgReply) {
 	payload, _ := encodeReply(rep)
 	_ = r.eng.ringFor(r.def.ID).Multicast(r.names.rep, payload)
@@ -643,28 +703,12 @@ func (r *replica) onReply(t taskReply) {
 		r.buffer = append(r.buffer, t)
 		return
 	}
-	if r.def.Style == WarmPassive && m.Node != r.eng.cfg.Node && len(m.Update) > 0 {
+	if r.def.Style == WarmPassive && m.Node != r.eng.cfg.Node {
 		r.mu.lock()
 		stale := m.ExecMsgID <= r.lastExec
 		r.mu.unlock()
 		if !stale {
-			applied := false
-			if m.UpdateFull {
-				if ck, ok := r.servant.(orb.Checkpointable); ok {
-					applied = ck.SetState(m.Update) == nil
-				}
-			} else if upd, ok := r.servant.(orb.Updatable); ok {
-				applied = upd.ApplyUpdate(m.Update) == nil
-			}
-			if applied {
-				r.mu.lock()
-				r.lastExec = m.ExecMsgID
-				r.mu.unlock()
-				// logUpdate keeps the byte-policy counter warm on backups
-				// too, so a freshly failed-over primary inherits an accurate
-				// since-checkpoint volume instead of starting from zero.
-				r.logUpdate(wal.Record{Kind: wal.KindUpdate, MsgID: m.ExecMsgID, Op: updateOp(m.UpdateFull), Data: m.Update})
-			}
+			r.applyUpdate(m)
 		}
 	}
 	// The operation is covered: drop it from the failover-pending list.
@@ -676,8 +720,42 @@ func (r *replica) onReply(t taskReply) {
 	}
 }
 
+// applyUpdate brings a warm backup to the state a primary's reply leaves
+// behind: it installs the reply's full snapshot or applies its postimage,
+// and an empty postimage (the operation changed nothing) only advances
+// lastExec. A postimage that fails to apply opens a gap (see replica.gap).
+func (r *replica) applyUpdate(m *msgReply) {
+	applied := true
+	switch {
+	case m.UpdateFull:
+		ck, ok := r.servant.(orb.Checkpointable)
+		applied = ok && ck.SetState(m.Update) == nil
+	case r.gap:
+		return // a delta on top of a missed one does not give the primary's state
+	case len(m.Update) > 0:
+		upd, ok := r.servant.(orb.Updatable)
+		applied = ok && upd.ApplyUpdate(m.Update) == nil
+	}
+	if !applied {
+		r.gap = true
+		return
+	}
+	r.gap = false
+	r.mu.lock()
+	r.lastExec = m.ExecMsgID
+	r.mu.unlock()
+	// logUpdate keeps the byte-policy counter warm on backups too, so a
+	// freshly failed-over primary inherits an accurate since-checkpoint
+	// volume instead of starting from zero.
+	r.logUpdate(wal.Record{Kind: wal.KindUpdate, MsgID: m.ExecMsgID, Op: updateOp(m.UpdateFull), Data: m.Update})
+}
+
 func (r *replica) onCheckpoint(t taskCheckpoint) {
 	m := t.m
+	if m.Reason == ckptMarker {
+		r.onMarker(m)
+		return
+	}
 	r.stuck = make(map[string]uint64) // a snapshot unsticks its adopters
 	r.mu.lock()
 	syncing := r.syncing
@@ -721,17 +799,78 @@ func (r *replica) onCheckpoint(t taskCheckpoint) {
 	// assignments — must not compact, because the position-based
 	// truncation would wipe every newer update record from the WAL.
 	if m.UpToMsgID >= r.lastLogged {
-		_ = r.log.Append(wal.Record{Kind: wal.KindCheckpoint, MsgID: m.UpToMsgID, Data: m.State})
-		_ = r.log.TruncateAtCheckpoint()
+		r.logCheckpoint(m.UpToMsgID, m.State)
 		r.opsSinceCk = 0
 		r.bytesSinceCk = 0
 	}
+	r.dropPending(m.UpToMsgID)
+}
+
+// onMarker handles a warm-passive periodic checkpoint where it falls in the
+// total order. A member whose state covers the marker snapshots that state
+// itself and logs it as its checkpoint, labelled with its own lastExec, so
+// its log holds exactly its state. A member that is behind — a failed
+// apply, or replies it never saw — goes syncing and requests a full-state
+// transfer instead. Syncing and secondary members ignore markers: they wait
+// for their join or remerge checkpoint. No member adopts state from a
+// marker, and none reads its (empty) Covered window.
+func (r *replica) onMarker(m *msgCheckpoint) {
+	r.mu.lock()
+	syncing, secondary, lastExec := r.syncing, r.secondary, r.lastExec
+	primary := len(r.members) > 0 && r.members[0] == r.eng.cfg.Node
+	r.mu.unlock()
+	if syncing || secondary {
+		return
+	}
+	if r.gap || lastExec < m.UpToMsgID {
+		r.requestState()
+		return
+	}
+	if ck, ok := r.servant.(orb.Checkpointable); ok && lastExec >= r.lastLogged {
+		if state, err := ck.GetState(); err == nil {
+			r.logCheckpoint(lastExec, state)
+			if !primary {
+				// The primary restarted its counts when it sent the
+				// marker; what it logged since counts toward the next.
+				r.opsSinceCk = 0
+				r.bytesSinceCk = 0
+			}
+		}
+	}
+	r.dropPending(m.UpToMsgID)
+}
+
+// requestState takes an operational member out of service until a
+// full-state transfer repairs it: like a joiner, it buffers what is
+// delivered meanwhile, and every healthy member answers its request with a
+// snapshot (onStateReq).
+func (r *replica) requestState() {
+	r.mu.lock()
+	r.syncing = true
+	myExec := r.lastExec
+	r.mu.unlock()
+	if payload := r.eng.encodeOrReport(&msgStateReq{GroupID: r.def.ID, From: r.eng.cfg.Node, LastExec: myExec}); payload != nil {
+		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
+	}
+}
+
+// logCheckpoint appends a snapshot covering operations up to upTo as the
+// log's checkpoint, handing state to the log, and compacts the log against
+// it.
+func (r *replica) logCheckpoint(upTo uint64, state []byte) {
+	_ = r.log.Append(wal.Record{Kind: wal.KindCheckpoint, MsgID: upTo, Data: state})
+	_ = r.log.TruncateAtCheckpoint()
+}
+
+// dropPending drops the failover-pending operations a checkpoint covers.
+func (r *replica) dropPending(upTo uint64) {
 	kept := r.pendingOps[:0]
 	for _, p := range r.pendingOps {
-		if p.msgID > m.UpToMsgID {
+		if p.msgID > upTo {
 			kept = append(kept, p)
 		}
 	}
+	clear(r.pendingOps[len(kept):])
 	r.pendingOps = kept
 }
 
@@ -774,8 +913,8 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 		}
 	}
 	r.eng.stat.stateTransfers.Add(1)
-	_ = r.log.Append(wal.Record{Kind: wal.KindCheckpoint, MsgID: m.UpToMsgID, Data: m.State})
-	_ = r.log.TruncateAtCheckpoint()
+	r.gap = false
+	r.logCheckpoint(m.UpToMsgID, m.State)
 	r.opsSinceCk = 0
 	r.bytesSinceCk = 0
 	// The truncation wiped every update record positioned before the
@@ -793,13 +932,7 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	r.mu.unlock()
 	r.countRetired(retired)
 	// Operations the adopted state covers must not replay at failover.
-	kept := r.pendingOps[:0]
-	for _, p := range r.pendingOps {
-		if p.msgID > m.UpToMsgID {
-			kept = append(kept, p)
-		}
-	}
-	r.pendingOps = kept
+	r.dropPending(m.UpToMsgID)
 
 	r.mu.lock()
 	r.lastExec = m.UpToMsgID
@@ -985,23 +1118,15 @@ func (r *replica) onView(t taskView) {
 			if back {
 				r.preSplit = old
 			}
-			r.mu.lock()
-			r.syncing = true
-			r.mu.unlock()
-			// Post-heal catch-up nudge: a heal that arrives with no
-			// follow-on traffic used to leave this member stranded until
-			// the sync-retry tick (or forever, when the join was a fresh
-			// incarnation and nothing marked us syncing at all). Request
-			// state immediately; the request doubles as post-heal traffic
-			// that flushes ordered-delivery catch-up.
+			// Go syncing, with a post-heal catch-up nudge: a heal that
+			// arrives with no follow-on traffic used to leave this member
+			// stranded until the sync-retry tick (or forever, when the join
+			// was a fresh incarnation and nothing marked us syncing at all).
+			// Request state immediately; the request doubles as post-heal
+			// traffic that flushes ordered-delivery catch-up.
 			r.healNudges++
 			r.eng.stat.healNudges.Add(1)
-			r.mu.lock()
-			myExec := r.lastExec
-			r.mu.unlock()
-			if payload := r.eng.encodeOrReport(&msgStateReq{GroupID: r.def.ID, From: r.eng.cfg.Node, LastExec: myExec}); payload != nil {
-				_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
-			}
+			r.requestState()
 			return
 		}
 		if !secondary && !syncing {

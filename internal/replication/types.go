@@ -211,6 +211,10 @@ const (
 	ckptPeriodic uint8 = 1
 	ckptJoin     uint8 = 2
 	ckptRemerge  uint8 = 3
+	// ckptMarker is a WARM_PASSIVE primary's periodic checkpoint: it carries
+	// UpToMsgID and no State or Covered, and every member snapshots its own
+	// state where the marker falls in the total order (replica.onMarker).
+	ckptMarker uint8 = 4
 )
 
 // msgInvocation asks a group to execute an operation.
@@ -242,8 +246,10 @@ type msgReply struct {
 	UpdateFull bool   // Update is a full state snapshot, not a delta
 }
 
-// msgCheckpoint transfers full state: periodic (cold passive), to a joining
-// replica, or to a remerging secondary component.
+// msgCheckpoint transfers full state: periodic (cold passive and
+// leader-follower), to a joining replica, or to a remerging secondary
+// component. A warm-passive periodic checkpoint is a marker (ckptMarker)
+// with neither State nor Covered.
 type msgCheckpoint struct {
 	GroupID   uint64
 	Reason    uint8

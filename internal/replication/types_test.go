@@ -162,6 +162,7 @@ func wireSamples() []any {
 		&msgCheckpoint{GroupID: 1, Reason: ckptJoin, UpToMsgID: 7, State: []byte("state"), Covered: encodeWindow(interleavedWindow()), LfSeq: 3},
 		&msgCheckpoint{GroupID: 1, Reason: ckptPeriodic, UpToMsgID: 9, State: []byte("s"), Covered: encodeWindowWith(
 			[]opKey{{ClientID: "c:n1.a", OpSeq: 12}}, []horizon{{ClientID: "c:n1.a", Retired: 11}, {ClientID: "c:n2.b", Retired: 3, Evicted: 5}})},
+		&msgCheckpoint{GroupID: 1, Reason: ckptMarker, UpToMsgID: 11},
 		&msgStateReq{GroupID: 1, From: "n2", LastExec: 6},
 		&msgLfOrder{GroupID: 1, Epoch: 2, Seq: 3, Leader: "n1", Key: k, Operation: "add", Args: []byte{5}, Done: 8},
 		&msgLfSubmit{GroupID: 1, Key: k, Operation: "get", Args: []byte{}, ReadOnly: true, MinSeq: 4, From: "c", Done: 8},

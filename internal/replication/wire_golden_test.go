@@ -73,6 +73,7 @@ func goldenCases() []goldenCase {
 		{name: "reply/encoded", msg: &msgReply{GroupID: 1, Key: k, Status: replyOK, Body: []byte{0, 0, 0, 1, 7, 0, 0, 0, 4}, Node: "n1", ExecMsgID: 5}},
 		{name: "checkpoint", msg: &msgCheckpoint{GroupID: 1, Reason: ckptJoin, UpToMsgID: 7, State: []byte("state"),
 			Covered: encodeWindowWith([]opKey{{ClientID: "c:n1.a", OpSeq: 12}}, []horizon{{ClientID: "c:n1.a", Retired: 11}}), LfSeq: 3}},
+		{name: "checkpoint/marker", msg: &msgCheckpoint{GroupID: 4, Reason: ckptMarker, UpToMsgID: 1<<40 | 77}},
 		{name: "state-request", msg: &msgStateReq{GroupID: 1, From: "n2", LastExec: 6}},
 		{name: "lf-order", msg: &msgLfOrder{GroupID: 1, Epoch: 2, Seq: 3, Leader: "n1", Key: k, Operation: "add", Args: []byte{0, 0, 0, 1, 6, 0, 0, 0, 0, 0, 0, 0, 9}, Done: 8}},
 		{name: "lf-submit", msg: &msgLfSubmit{GroupID: 1, Key: k, Operation: "get", Args: []byte{0, 0, 0, 0}, ReadOnly: true, MinSeq: 4, From: "c", Done: 8}},

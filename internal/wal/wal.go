@@ -36,7 +36,10 @@ type Record struct {
 
 // Log is the interface shared by MemLog and FileLog.
 type Log interface {
-	// Append adds a record.
+	// Append adds a record and takes ownership of rec.Data: the log keeps
+	// the slice itself, so the caller hands over a buffer nothing writes
+	// again (a fresh snapshot or postimage, an encoded message, a
+	// delivered payload). Readers of the log (Recover) see that buffer.
 	Append(rec Record) error
 	// Recover returns the most recent checkpoint record (zero Record and
 	// false if none) and all update records appended after it, oldest
@@ -63,14 +66,13 @@ type MemLog struct {
 
 var _ Log = (*MemLog)(nil)
 
-// Append adds a record.
+// Append adds a record, keeping rec.Data (see Log).
 func (l *MemLog) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	rec.Data = append([]byte(nil), rec.Data...)
 	l.recs = append(l.recs, rec)
 	return nil
 }
@@ -93,9 +95,8 @@ func (l *MemLog) Len() int {
 func (l *MemLog) TruncateAtCheckpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := latestCheckpoint(l.recs)
-	if idx > 0 {
-		l.recs = append([]Record(nil), l.recs[idx:]...)
+	if idx := latestCheckpoint(l.recs); idx > 0 {
+		l.recs = compact(l.recs, idx)
 	}
 	return nil
 }
@@ -115,6 +116,15 @@ func latestCheckpoint(recs []Record) int {
 		}
 	}
 	return -1
+}
+
+// compact moves recs[idx:] to the front of recs in place and clears the
+// vacated tail, so the dropped records' Data can be collected while the
+// slice's storage is reused by later appends.
+func compact(recs []Record, idx int) []Record {
+	n := copy(recs, recs[idx:])
+	clear(recs[n:])
+	return recs[:n]
 }
 
 func recoverFrom(recs []Record) (Record, []Record, bool, error) {
@@ -145,7 +155,7 @@ func OpenFileLog(path string) (*FileLog, error) {
 	return &FileLog{mem: MemLog{recs: recs}, seg: seg}, nil
 }
 
-// Append adds and persists a record.
+// Append adds and persists a record, keeping rec.Data (see Log).
 func (l *FileLog) Append(rec Record) error {
 	l.mem.mu.Lock()
 	defer l.mem.mu.Unlock()
@@ -159,7 +169,6 @@ func (l *FileLog) Append(rec Record) error {
 	if err := l.seg.append(rec, rec.Kind == KindCheckpoint); err != nil {
 		return err
 	}
-	rec.Data = append([]byte(nil), rec.Data...)
 	l.mem.recs = append(l.mem.recs, rec)
 	return nil
 }
@@ -175,9 +184,17 @@ func (l *FileLog) Len() int { return l.mem.Len() }
 func (l *FileLog) TruncateAtCheckpoint() error {
 	l.mem.mu.Lock()
 	defer l.mem.mu.Unlock()
-	if idx := latestCheckpoint(l.mem.recs); idx > 0 {
-		return l.rewriteLocked(append([]Record(nil), l.mem.recs[idx:]...))
+	idx := latestCheckpoint(l.mem.recs)
+	if idx <= 0 {
+		return nil
 	}
+	if l.mem.closed {
+		return ErrClosed
+	}
+	if err := l.seg.rewrite(l.mem.recs[idx:]); err != nil {
+		return err
+	}
+	l.mem.recs = compact(l.mem.recs, idx)
 	return nil
 }
 
@@ -187,17 +204,13 @@ func (l *FileLog) TruncateAtCheckpoint() error {
 func (l *FileLog) Rewrite(recs []Record) error {
 	l.mem.mu.Lock()
 	defer l.mem.mu.Unlock()
-	return l.rewriteLocked(append([]Record(nil), recs...))
-}
-
-func (l *FileLog) rewriteLocked(recs []Record) error {
 	if l.mem.closed {
 		return ErrClosed
 	}
 	if err := l.seg.rewrite(recs); err != nil {
 		return err
 	}
-	l.mem.recs = recs
+	l.mem.recs = append([]Record(nil), recs...)
 	return nil
 }
 

@@ -98,6 +98,57 @@ func TestTruncateAtCheckpoint(t *testing.T) {
 	}
 }
 
+// Append takes ownership of rec.Data: the log keeps the caller's buffer
+// instead of copying it, and Recover hands that same buffer back. Callers
+// rely on this to log a snapshot, a postimage or a delivered payload
+// without a second copy.
+func TestAppendKeepsData(t *testing.T) {
+	for name, l := range testLogs(t) {
+		state := []byte("snapshot")
+		update := []byte{1, 2, 3}
+		l.Append(Record{Kind: KindCheckpoint, MsgID: 1, Data: state})
+		l.Append(Record{Kind: KindUpdate, MsgID: 2, Op: "inc", Data: update})
+		if err := l.TruncateAtCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cp, updates, ok, err := l.Recover()
+		if err != nil || !ok || len(updates) != 1 {
+			t.Fatalf("%s: recover = %+v %d ok=%v err=%v", name, cp, len(updates), ok, err)
+		}
+		if &cp.Data[0] != &state[0] || &updates[0].Data[0] != &update[0] {
+			t.Errorf("%s: the log copied the appended buffers", name)
+		}
+	}
+}
+
+// Compaction reuses the record slice: once it has grown, a steady cycle of
+// updates and a checkpoint allocates nothing, and the dropped records'
+// Data is cleared from the slice's tail so it can be collected.
+func TestTruncateAtCheckpointAllocs(t *testing.T) {
+	l := &MemLog{}
+	state := make([]byte, 16<<10)
+	update := make([]byte, 64)
+	cycle := func() {
+		for i := uint64(1); i <= 16; i++ {
+			l.Append(Record{Kind: KindUpdate, MsgID: i, Op: "inc", Data: update})
+		}
+		l.Append(Record{Kind: KindCheckpoint, MsgID: 17, Data: state})
+		l.TruncateAtCheckpoint()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("%.1f allocations per append-and-compact cycle, want 0", n)
+	}
+	if l.Len() != 1 {
+		t.Fatalf("Len = %d after compaction, want the checkpoint alone", l.Len())
+	}
+	for i, rec := range l.recs[1:cap(l.recs)] {
+		if rec.Data != nil {
+			t.Fatalf("slot %d past the live records still holds %d bytes of Data", i+1, len(rec.Data))
+		}
+	}
+}
+
 func TestAppendAfterClose(t *testing.T) {
 	for name, l := range testLogs(t) {
 		l.Close()
