@@ -24,14 +24,15 @@ test:
 ## two stores every node shares (WAL and DR store) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
 ## assembly and the SLO harness — then the GIOP and IIOP codecs and
-## connections, object references, the interceptor chain and the naming
-## service. Each set runs after the one before: the
+## connections, object references, the interceptor chain, the naming
+## service, the IDL compiler, the service layer, the ftsh console and the
+## root facade. Each set runs after the one before: the
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
 	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/orb ./internal/nondet ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
-	$(GO) test -race ./internal/giop ./internal/iiop ./internal/ior ./internal/interception ./internal/naming
+	$(GO) test -race ./internal/giop ./internal/iiop ./internal/ior ./internal/interception ./internal/naming ./internal/idl ./internal/service ./internal/shell .
 
 ## chaos: the full seeded fault-injection sweep under the race detector —
 ## single-ring (7 seeds x 3 replication styles = 21 schedules) plus the

@@ -14,7 +14,10 @@
 //     IOGRs.
 //   - Proxies issue invocations that are totally ordered, duplicate-
 //     suppressed, and transparently failed over. Replication styles:
-//     STATELESS, ACTIVE, ACTIVE_WITH_VOTING, WARM_PASSIVE, COLD_PASSIVE.
+//     STATELESS, ACTIVE, ACTIVE_WITH_VOTING, WARM_PASSIVE, COLD_PASSIVE
+//     and LEADER_FOLLOWER, whose proxies from Domain.Proxy take the
+//     direct-lane fast path and serve the group's Properties.ReadOnlyOps
+//     from any replica under a read lease.
 //   - Fault injection (crash, partition, remerge) is available on the
 //     domain for testing and experiments.
 //
@@ -62,6 +65,7 @@ const (
 	ActiveWithVoting = replication.ActiveWithVoting
 	WarmPassive      = replication.WarmPassive
 	ColdPassive      = replication.ColdPassive
+	LeaderFollower   = replication.LeaderFollower
 )
 
 // Membership styles.

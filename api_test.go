@@ -104,6 +104,47 @@ func TestPublicAPI(t *testing.T) {
 	}
 }
 
+// TestLeaderFollowerFacade creates a LEADER_FOLLOWER group through the
+// facade: the write goes to the leader, the read-only operation may be
+// served by any replica holding a lease, and both see the write.
+func TestLeaderFollowerFacade(t *testing.T) {
+	d, err := repro.NewDomain(repro.Options{
+		Nodes:     []string{"x", "y", "z"},
+		Heartbeat: 4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	if err := d.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterFactory("IDL:api/Flag:1.0", func() repro.Servant { return &flag{} }); err != nil {
+		t.Fatal(err)
+	}
+	_, gid, err := d.Create("flag", "IDL:api/Flag:1.0", &repro.Properties{
+		ReplicationStyle:      repro.LeaderFollower,
+		InitialNumberReplicas: 3,
+		ReadOnlyOps:           []string{"state"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WaitGroupReady(gid, 3, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := d.Proxy("z", gid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := proxy.Invoke("raise"); err != nil || !out[0].AsBool() {
+		t.Fatalf("raise: %v %v", out, err)
+	}
+	if out, err := proxy.Invoke("state"); err != nil || !out[0].AsBool() {
+		t.Fatalf("state after raise: %v %v", out, err)
+	}
+}
+
 // TestMethodServantFacade checks the method-table servant helper exported
 // by the facade.
 func TestMethodServantFacade(t *testing.T) {

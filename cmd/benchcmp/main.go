@@ -136,7 +136,7 @@ var registry = []metric{
 	// multiples; the wide threshold still catches the failure it guards
 	// against, reads losing the lease and falling back onto the ordered
 	// path (a ~10x jump). blackout_ms is dominated by the successor's
-	// deterministic lease fence (LeaseDuration+LeaseGuard past takeover),
+	// deterministic lease fence (150 ms lease + 20 ms guard past takeover),
 	// so a doubling means the handover itself stalled. The p50s, the write
 	// percentiles, and the write/ACTIVE ratio are informational.
 	extraMetric("read_p50_us", false, 0, gateNever),

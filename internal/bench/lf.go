@@ -201,8 +201,8 @@ func lfRunCell(scale Scale) (*lfResult, error) {
 // lfFailoverBlackout crashes the LF leader under a write stream and
 // reports how long writes stay unanswered: crash to the first write the
 // senior follower (now leader) acks. The successor fences writes for
-// LeaseDuration+LeaseGuard past takeover, so the blackout includes the
-// lease drain by design.
+// the 150 ms lease plus its 20 ms guard past takeover, so the blackout
+// includes the lease drain by design.
 func lfFailoverBlackout() (time.Duration, error) {
 	d, _, pL, gidL, err := lfBuildDomain()
 	if err != nil {

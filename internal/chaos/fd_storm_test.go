@@ -14,8 +14,8 @@ import (
 // The fd storm episode reproduces a provisioning storm's false-eviction
 // risk in miniature: four ring members under a sustained multicast storm,
 // one of which is repeatedly slowed (all its datagrams delayed, both
-// directions) but never actually dies. A silence-for-FailTimeout check
-// would read the first long pause as a death and reform the ring without
+// directions) but never actually dies. A fixed silence timeout would
+// read the first long pause as a death and reform the ring without
 // the node — a false eviction, paid again on re-admission. The
 // phi-accrual detector must instead suspect the node, hold it through the
 // confirm grace, and retract when its heartbeats resume: zero evictions,
@@ -80,7 +80,6 @@ func fdStormRun(t *testing.T) fdStormResult {
 			Universe:          nodes,
 			Port:              fdStormPort,
 			HeartbeatInterval: 4 * time.Millisecond,
-			FailTimeout:       24 * time.Millisecond,
 			MaxFailTimeout:    96 * time.Millisecond,
 			ConfirmGrace:      90 * time.Millisecond,
 			StrictInvariants:  true,

@@ -22,13 +22,14 @@ type StandbyOptions struct {
 	// Store is the disaster-recovery store the primary domain ships into
 	// (the same Store value, or a DirStore over the same directory).
 	Store drstore.Store
-	// SyncInterval paces the background staging loop (default 25ms).
-	SyncInterval time.Duration
 	// Factories maps repository type ids to servant factories. A shipped
 	// group whose TypeID has no factory here cannot be staged and is
 	// skipped (reported by Promote).
 	Factories map[string]ftcorba.Factory
 }
+
+// standbySyncInterval paces the background staging loop.
+const standbySyncInterval = 25 * time.Millisecond
 
 // Standby is the warm-standby half of the disaster-recovery tier: a second
 // core.Domain that continuously consumes the checkpoints and log segments
@@ -77,9 +78,6 @@ func NewStandby(opts StandbyOptions) (*Standby, error) {
 	if opts.Store == nil {
 		return nil, errors.New("core: standby requires a Store")
 	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = 25 * time.Millisecond
-	}
 	d, err := NewDomain(opts.Domain)
 	if err != nil {
 		return nil, fmt.Errorf("core: standby domain: %w", err)
@@ -101,7 +99,7 @@ func (s *Standby) Domain() *Domain { return s.domain }
 
 func (s *Standby) syncLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.SyncInterval)
+	ticker := time.NewTicker(standbySyncInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -152,13 +150,12 @@ func (s *Standby) syncGroupLocked(gid uint64) error {
 		}
 		g = &stagedGroup{
 			def: replication.GroupDef{
-				ID:                   snap.Meta.GroupID,
-				Name:                 snap.Meta.Name,
-				TypeID:               snap.Meta.TypeID,
-				Style:                replication.Style(snap.Meta.Style),
-				CheckpointEvery:      snap.Meta.CheckpointEvery,
-				CheckpointEveryBytes: snap.Meta.CheckpointEveryBytes,
-				Shard:                snap.Meta.Shard,
+				ID:              snap.Meta.GroupID,
+				Name:            snap.Meta.Name,
+				TypeID:          snap.Meta.TypeID,
+				Style:           replication.Style(snap.Meta.Style),
+				CheckpointEvery: snap.Meta.CheckpointEvery,
+				Shard:           snap.Meta.Shard,
 			},
 			servant: factory(),
 		}

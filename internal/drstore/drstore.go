@@ -29,13 +29,12 @@ import (
 // Meta is the shipped group definition — everything a standby domain needs
 // to re-host the group without access to the source Replication Manager.
 type Meta struct {
-	GroupID              uint64
-	Name                 string
-	TypeID               string
-	Style                uint8 // replication.Style value
-	CheckpointEvery      int
-	CheckpointEveryBytes int
-	Shard                int // 1-based explicit pin, 0 = hash-routed
+	GroupID         uint64
+	Name            string
+	TypeID          string
+	Style           uint8 // replication.Style value
+	CheckpointEvery int
+	Shard           int // 1-based explicit pin, 0 = hash-routed
 }
 
 // Checkpoint is one shipped full-state snapshot.

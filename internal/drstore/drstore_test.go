@@ -17,7 +17,7 @@ func upd(msgID uint64, op string, data []byte) wal.Record {
 // exercise drives one store through the idempotence + compaction contract.
 func exercise(t *testing.T, s Store) {
 	t.Helper()
-	meta := Meta{GroupID: 7, Name: "acct", TypeID: "IDL:x:1.0", Style: 5, CheckpointEvery: 8, CheckpointEveryBytes: 1 << 16, Shard: 2}
+	meta := Meta{GroupID: 7, Name: "acct", TypeID: "IDL:x:1.0", Style: 5, CheckpointEvery: 8, Shard: 2}
 	if err := s.PutMeta(meta); err != nil {
 		t.Fatalf("PutMeta: %v", err)
 	}
@@ -138,6 +138,42 @@ func TestDirStoreReopen(t *testing.T) {
 	again, _, _ := s2.Snapshot(7)
 	if len(again.Updates) != len(after.Updates) {
 		t.Fatalf("reshipped duplicate accepted after reopen")
+	}
+}
+
+// TestDirStoreLegacyMeta verifies a meta file written before Meta lost its
+// CheckpointEveryBytes field still opens: gob skips the retired field and
+// decodes the rest.
+func TestDirStoreLegacyMeta(t *testing.T) {
+	type legacyMeta struct {
+		GroupID              uint64
+		Name                 string
+		TypeID               string
+		Style                uint8
+		CheckpointEvery      int
+		CheckpointEveryBytes int
+		Shard                int
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "g7"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := legacyMeta{GroupID: 7, Name: "acct", TypeID: "IDL:x:1.0", Style: 5, CheckpointEvery: 8, CheckpointEveryBytes: 1 << 16, Shard: 2}
+	if err := writeGob(filepath.Join(dir, "g7", metaFile), old); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDirStore(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	snap, ok, err := s.Snapshot(7)
+	if err != nil || !ok {
+		t.Fatalf("snapshot: ok=%v err=%v", ok, err)
+	}
+	want := Meta{GroupID: 7, Name: "acct", TypeID: "IDL:x:1.0", Style: 5, CheckpointEvery: 8, Shard: 2}
+	if snap.Meta != want {
+		t.Fatalf("meta = %+v, want %+v", snap.Meta, want)
 	}
 }
 

@@ -203,20 +203,33 @@ const (
 	TransRecover
 )
 
+// Suspicion tuning shared by every target. The two durations scale with
+// SuspicionConfig.MinWindow.
+const (
+	// historyLen is the inter-arrival history length.
+	historyLen = 64
+	// phiSuspect raises a suspicion when crossed.
+	phiSuspect = 1
+	// phiFail must be crossed (alongside ConfirmGrace) to confirm death.
+	phiFail = 8
+	// stdDevFloorDiv floors the estimator's deviation at
+	// MinWindow/stdDevFloorDiv.
+	stdDevFloorDiv = 16
+	// flapPenalty widens both windows by this fraction per recent
+	// retraction.
+	flapPenalty = 0.5
+	// flapWindowMult: a retraction counts toward the penalty for
+	// flapWindowMult × MinWindow.
+	flapWindowMult = 32
+	// maxFlapCount caps how many retractions compound.
+	maxFlapCount = 4
+)
+
 // SuspicionConfig parameterizes one target's machine. MinWindow is the only
 // required field: it is both the floor of the adaptive fail window (so a
 // calm network behaves like a fixed-timeout detector) and the unit the
 // other defaults scale from.
 type SuspicionConfig struct {
-	// Window is the inter-arrival history length (default 64).
-	Window int
-	// PhiSuspect raises a suspicion when crossed (default 1).
-	PhiSuspect float64
-	// PhiFail is required (alongside ConfirmGrace) to confirm death
-	// (default 8).
-	PhiFail float64
-	// MinStdDev floors the estimator's deviation (default MinWindow/16).
-	MinStdDev time.Duration
 	// MinWindow floors the fail window; the suspect window floors at half
 	// of it. Required.
 	MinWindow time.Duration
@@ -227,43 +240,14 @@ type SuspicionConfig struct {
 	// confirmed (default MinWindow). A heartbeat inside the dwell retracts
 	// the suspicion instead of letting one long gap evict.
 	ConfirmGrace time.Duration
-	// FlapPenalty widens both windows by this fraction per recent
-	// retraction (default 0.5).
-	FlapPenalty float64
-	// FlapWindow is how long a retraction keeps counting toward the
-	// penalty (default 32*MinWindow).
-	FlapWindow time.Duration
-	// MaxFlapCount caps how many retractions compound (default 4).
-	MaxFlapCount int
 }
 
 func (c *SuspicionConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.PhiSuspect <= 0 {
-		c.PhiSuspect = 1
-	}
-	if c.PhiFail <= 0 {
-		c.PhiFail = 8
-	}
-	if c.MinStdDev <= 0 {
-		c.MinStdDev = c.MinWindow / 16
-	}
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 3 * c.MinWindow
 	}
 	if c.ConfirmGrace <= 0 {
 		c.ConfirmGrace = c.MinWindow
-	}
-	if c.FlapPenalty <= 0 {
-		c.FlapPenalty = 0.5
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = 32 * c.MinWindow
-	}
-	if c.MaxFlapCount <= 0 {
-		c.MaxFlapCount = 4
 	}
 }
 
@@ -294,7 +278,7 @@ func NewSuspicion(cfg SuspicionConfig) *Suspicion {
 	cfg.fill()
 	return &Suspicion{
 		cfg: cfg,
-		est: NewPhiEstimator(cfg.Window, cfg.MinStdDev),
+		est: NewPhiEstimator(historyLen, cfg.MinWindow/stdDevFloorDiv),
 	}
 }
 
@@ -364,9 +348,9 @@ func (s *Suspicion) Windows(now time.Time) (suspect, fail time.Duration) {
 func (s *Suspicion) windows(now time.Time) (suspect, fail time.Duration) {
 	// Floor first, then widen: the flap penalty must stretch even a
 	// tight-history window that clamped to its floor.
-	factor := 1 + s.cfg.FlapPenalty*float64(s.recentFlaps(now))
-	suspect = widenWindow(s.est.Crossing(s.cfg.PhiSuspect), s.cfg.MinWindow/2, s.cfg.MaxWindow, factor)
-	fail = widenWindow(s.est.Crossing(s.cfg.PhiFail), s.cfg.MinWindow, s.cfg.MaxWindow, factor)
+	factor := 1 + flapPenalty*float64(s.recentFlaps(now))
+	suspect = widenWindow(s.est.Crossing(phiSuspect), s.cfg.MinWindow/2, s.cfg.MaxWindow, factor)
+	fail = widenWindow(s.est.Crossing(phiFail), s.cfg.MinWindow, s.cfg.MaxWindow, factor)
 	return suspect, fail
 }
 
@@ -382,24 +366,24 @@ func widenWindow(w, lo, hi time.Duration, factor float64) time.Duration {
 }
 
 func (s *Suspicion) recordFlap(now time.Time) {
-	// Trim expired entries, then append; bounded by MaxFlapCount so the
+	// Trim expired entries, then append; bounded by maxFlapCount so the
 	// slice never grows past what the penalty can use.
 	keep := s.flaps[:0]
 	for _, t := range s.flaps {
-		if now.Sub(t) <= s.cfg.FlapWindow {
+		if now.Sub(t) <= flapWindowMult*s.cfg.MinWindow {
 			keep = append(keep, t)
 		}
 	}
 	s.flaps = append(keep, now)
-	if len(s.flaps) > s.cfg.MaxFlapCount {
-		s.flaps = s.flaps[len(s.flaps)-s.cfg.MaxFlapCount:]
+	if len(s.flaps) > maxFlapCount {
+		s.flaps = s.flaps[len(s.flaps)-maxFlapCount:]
 	}
 }
 
 func (s *Suspicion) recentFlaps(now time.Time) int {
 	n := 0
 	for _, t := range s.flaps {
-		if now.Sub(t) <= s.cfg.FlapWindow {
+		if now.Sub(t) <= flapWindowMult*s.cfg.MinWindow {
 			n++
 		}
 	}

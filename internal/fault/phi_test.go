@@ -201,6 +201,35 @@ func TestSuspicionFlapsDoNotEvict(t *testing.T) {
 	}
 }
 
+func TestSuspicionFlapPenaltyCapsAndExpires(t *testing.T) {
+	// Six flaps: only the newest four compound (×(1+0.5·4) = ×3), each
+	// counts for 32 × MinWindow, and the windows return to the unpenalized
+	// value once every flap has aged out.
+	const minWindow = 60 * time.Millisecond
+	s := NewSuspicion(SuspicionConfig{MinWindow: minWindow, MaxWindow: time.Hour})
+	at := feedRegularSusp(s, t0, 10*time.Millisecond, 20)
+	for i := 0; i < 6; i++ {
+		sw, _ := s.Windows(at)
+		at = at.Add(sw + time.Millisecond)
+		if tr := s.Eval(at); tr != TransSuspect {
+			t.Fatalf("flap %d: eval %v, want suspect", i, tr)
+		}
+		at = at.Add(time.Millisecond)
+		if tr := s.Observe(at); tr != TransRetract {
+			t.Fatalf("flap %d: observe %v, want retract", i, tr)
+		}
+	}
+	// Windows never mutates the machine, so the three readings share one
+	// unpenalized base and differ only in the flaps still counting.
+	base, _ := s.Windows(at.Add(32*minWindow + time.Millisecond))
+	if sw, _ := s.Windows(at); sw != time.Duration(float64(base)*3) {
+		t.Errorf("suspect window after 6 flaps = %v, want 3 × %v", sw, base)
+	}
+	if sw, _ := s.Windows(at.Add(32 * minWindow)); sw != time.Duration(float64(base)*1.5) {
+		t.Errorf("suspect window with one flap left = %v, want 1.5 × %v", sw, base)
+	}
+}
+
 func TestSuspicionWindowsClamp(t *testing.T) {
 	s := NewSuspicion(SuspicionConfig{MinWindow: 60 * time.Millisecond, MaxWindow: 90 * time.Millisecond})
 	// Wild jitter: crossings would exceed the cap without clamping.

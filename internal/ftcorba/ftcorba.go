@@ -48,10 +48,6 @@ type Properties struct {
 	// CheckpointInterval is operations between checkpoints (passive
 	// styles; default 16).
 	CheckpointInterval int
-	// CheckpointBytes additionally triggers a checkpoint once that many
-	// update-record bytes accumulated since the last one (log-compaction
-	// byte policy; 0 disables).
-	CheckpointBytes int
 	// Shard explicitly places the group on one transport shard of the
 	// engines' ring pool. 1-based so the zero value means "route by hash"
 	// (replication.ShardFor): Shard=N pins the group to ring N-1. The
@@ -293,14 +289,13 @@ func (rm *ReplicationManager) CreateObjectGroup(name, typeID string, props *Prop
 	rm.nextID++
 	gid := rm.nextID
 	def := replication.GroupDef{
-		ID:                   gid,
-		Name:                 name,
-		TypeID:               typeID,
-		Style:                p.ReplicationStyle,
-		CheckpointEvery:      p.CheckpointInterval,
-		CheckpointEveryBytes: p.CheckpointBytes,
-		Shard:                p.Shard,
-		ReadOnlyOps:          append([]string(nil), p.ReadOnlyOps...),
+		ID:              gid,
+		Name:            name,
+		TypeID:          typeID,
+		Style:           p.ReplicationStyle,
+		CheckpointEvery: p.CheckpointInterval,
+		Shard:           p.Shard,
+		ReadOnlyOps:     append([]string(nil), p.ReadOnlyOps...),
 	}
 	for _, node := range chosen {
 		n := rm.nodes[node]

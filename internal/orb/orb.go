@@ -46,15 +46,16 @@ type Config struct {
 	FTDomain string
 	// RequestTimeout bounds each remote invocation attempt (default 2s).
 	RequestTimeout time.Duration
-	// FailoverRetries is how many extra full profile walks an invocation
-	// performs after the first walk fails on every profile (default 1;
-	// negative disables retries). Retried walks re-dial: failed profiles'
-	// cached connections are invalidated via Transport.FailConn.
-	FailoverRetries int
-	// FailoverBackoff is the base wait between profile walks, doubled per
-	// walk with jitter (default 5ms).
-	FailoverBackoff time.Duration
 }
+
+// Client-side failover: after a walk fails on every profile, an invocation
+// walks the profiles failoverRetries more times, waiting about
+// failoverBackoff before each. Retried walks re-dial: failed profiles'
+// cached connections are invalidated via Transport.FailConn.
+const (
+	failoverRetries = 1
+	failoverBackoff = 5 * time.Millisecond
+)
 
 // ORB is one Object Request Broker instance: an object adapter plus a
 // client-side invocation engine.
@@ -75,15 +76,6 @@ type ORB struct {
 func New(cfg Config) (*ORB, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
-	}
-	if cfg.FailoverRetries == 0 {
-		cfg.FailoverRetries = 1
-	}
-	if cfg.FailoverRetries < 0 {
-		cfg.FailoverRetries = 0
-	}
-	if cfg.FailoverBackoff <= 0 {
-		cfg.FailoverBackoff = 5 * time.Millisecond
 	}
 	o := &ORB{cfg: cfg, servants: make(map[string]Servant)}
 

@@ -63,11 +63,10 @@ func (p *ObjectRef) invoke(op string, args []cdr.Value, twoway bool) ([]cdr.Valu
 	for forwards := 0; forwards <= maxForwards; forwards++ {
 		// Try the primary profile first, then the others in order — the
 		// standard IOGR failover walk. A walk that fails on every profile is
-		// repeated up to FailoverRetries times with jittered exponential
-		// backoff: transient faults (a failing-over group, a node mid-restart)
-		// often resolve within a walk or two, and the backoff keeps a herd of
-		// retrying clients from hammering the recovering endpoints in
-		// lockstep.
+		// repeated failoverRetries times after a jittered backoff: transient
+		// faults (a failing-over group, a node mid-restart) often resolve
+		// within a walk or two, and the jitter keeps a herd of retrying
+		// clients from hammering the recovering endpoints in lockstep.
 		order := profileOrder(ref)
 		for walk := 0; ; walk++ {
 			for _, idx := range order {
@@ -95,10 +94,10 @@ func (p *ObjectRef) invoke(op string, args []cdr.Value, twoway bool) ([]cdr.Valu
 					p.orb.transport.FailConn(prof.Host, prof.Port, err)
 				}
 			}
-			if walk >= p.orb.cfg.FailoverRetries {
+			if walk >= failoverRetries {
 				break
 			}
-			time.Sleep(failoverBackoff(p.orb.cfg.FailoverBackoff, walk))
+			time.Sleep(failoverWait())
 		}
 		if lastErr != nil {
 			return nil, fmt.Errorf("%w: %s: last error: %v", ErrAllProfilesFailed, op, lastErr)
@@ -110,15 +109,11 @@ func (p *ObjectRef) invoke(op string, args []cdr.Value, twoway bool) ([]cdr.Valu
 	return nil, fmt.Errorf("orb: too many forwards invoking %s", op)
 }
 
-// failoverBackoff is the wait before retry walk number walk+1: base doubled
-// per walk, capped at 8× base, with ±25% jitter.
-func failoverBackoff(base time.Duration, walk int) time.Duration {
-	d := base << uint(walk)
-	if max := 8 * base; d <= 0 || d > max {
-		d = max
-	}
-	jitter := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-	return d + jitter
+// failoverWait is the wait before a retry walk: failoverBackoff with ±25%
+// jitter.
+func failoverWait() time.Duration {
+	d := failoverBackoff
+	return d + time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
 }
 
 func profileOrder(ref *ior.Ref) []int {

@@ -33,16 +33,12 @@ var (
 type Config struct {
 	// Node is this engine's node name (must match the ring's node).
 	Node string
-	// Ring is the totem endpoint the engine communicates through. The
-	// caller retains ownership (and stops it after the engine).
-	Ring *totem.Ring
-	// Rings, when set, is the sharded transport pool: R independent totem
-	// rings (distinct ports, distinct tokens) that the engine fans in
-	// events from. Each object group lives entirely on one shard
+	// Rings is the transport pool: R independent totem rings (distinct
+	// ports, distinct tokens) that the engine fans in events from; one
+	// ring is a pool of one. Each object group lives entirely on one shard
 	// (ShardFor(gid, R), or its explicit pin), so per-group total order is
-	// preserved while independent groups proceed in parallel. Setting only
-	// Ring is equivalent to Rings = []*totem.Ring{Ring}; with both set,
-	// Rings wins and Ring is ignored.
+	// preserved while independent groups proceed in parallel. The caller
+	// retains ownership of the rings (and stops them after the engine).
 	Rings []*totem.Ring
 	// Notifier receives fault reports derived from membership changes
 	// (optional).
@@ -56,21 +52,10 @@ type Config struct {
 	// SyncRetryInterval is how often a replica stuck awaiting state
 	// transfer re-requests a snapshot (default 150ms).
 	SyncRetryInterval time.Duration
-	// MaxRetryInterval caps the exponential client-retransmission backoff
-	// (default 8 × RetryInterval).
-	MaxRetryInterval time.Duration
 	// LogFactory builds the per-replica write-ahead log. The default is an
 	// in-memory log; deployments that need crash-restart recovery supply
 	// file-backed logs (wal.OpenFileLog) here.
 	LogFactory func(def GroupDef) wal.Log
-	// LeaseDuration is the validity window of LEADER_FOLLOWER read leases
-	// (default 150ms). The leader renews at roughly a third of it; a new
-	// leader fences writes for LeaseDuration + LeaseGuard after takeover.
-	LeaseDuration time.Duration
-	// LeaseGuard is the guard band absorbing bounded clock-rate skew and
-	// delivery lag: readers retire a lease LeaseGuard before its local
-	// expiry (default 20ms).
-	LeaseGuard time.Duration
 	// Clock supplies the local wall clock for lease accounting (default
 	// time.Now). Tests inject skewed clocks per engine here — the lease
 	// protocol never compares timestamps across nodes, only durations.
@@ -84,12 +69,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if len(c.Rings) == 0 && c.Ring != nil {
-		c.Rings = []*totem.Ring{c.Ring}
-	}
-	if len(c.Rings) > 0 {
-		c.Ring = c.Rings[0]
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 5 * time.Second
 	}
@@ -99,17 +78,8 @@ func (c *Config) fill() {
 	if c.SyncRetryInterval <= 0 {
 		c.SyncRetryInterval = 150 * time.Millisecond
 	}
-	if c.MaxRetryInterval <= 0 {
-		c.MaxRetryInterval = 8 * c.RetryInterval
-	}
 	if c.LogFactory == nil {
 		c.LogFactory = func(GroupDef) wal.Log { return &wal.MemLog{} }
-	}
-	if c.LeaseDuration <= 0 {
-		c.LeaseDuration = 150 * time.Millisecond
-	}
-	if c.LeaseGuard <= 0 {
-		c.LeaseGuard = 20 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -212,12 +182,12 @@ type pendingCall struct {
 	ch          chan *msgReply
 }
 
-// NewEngine creates an engine bound to one started ring (Config.Ring) or a
-// sharded pool of them (Config.Rings).
+// NewEngine creates an engine bound to a pool of started rings
+// (Config.Rings).
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg.fill()
 	if len(cfg.Rings) == 0 {
-		return nil, errors.New("replication: Config.Ring or Config.Rings required")
+		return nil, errors.New("replication: Config.Rings required")
 	}
 	for _, r := range cfg.Rings {
 		if r == nil {
@@ -259,11 +229,7 @@ func (e *Engine) Start() {
 // may be lost before reads start redirecting to the leader).
 func (e *Engine) lfLeaseLoop() {
 	defer e.wg.Done()
-	interval := e.cfg.LeaseDuration / 3
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(leaseDuration / 3)
 	defer ticker.Stop()
 	for {
 		select {
@@ -299,15 +265,8 @@ func (e *Engine) onDirect(from, group string, payload []byte) {
 		if r := e.replicaFor(v.GroupID); r != nil {
 			r.q.Push(task{m: v})
 		}
-	case *msgLfReply:
-		e.completeCall(&msgReply{
-			GroupID:   v.GroupID,
-			Key:       v.Key,
-			Status:    v.Status,
-			Body:      v.Body,
-			Node:      v.Node,
-			ExecMsgID: v.Seq,
-		})
+	case *msgReply:
+		e.completeCall(v)
 	}
 }
 
@@ -421,9 +380,9 @@ func (e *Engine) Stats() Stats {
 	e.mu.RUnlock()
 	var records int
 	for _, r := range reps {
-		r.mu.lock()
+		r.mu.Lock()
 		records += len(r.dedup.recs)
-		r.mu.unlock()
+		r.mu.Unlock()
 	}
 	return Stats{
 		Executions:        e.stat.executions.Load(),
@@ -568,13 +527,12 @@ func (e *Engine) startHosting(def GroupDef, r *replica) error {
 	// store after a domain-wide outage.
 	if e.cfg.DR != nil {
 		_ = e.cfg.DR.PutMeta(drstore.Meta{
-			GroupID:              def.ID,
-			Name:                 def.Name,
-			TypeID:               def.TypeID,
-			Style:                uint8(def.Style),
-			CheckpointEvery:      def.CheckpointEvery,
-			CheckpointEveryBytes: def.CheckpointEveryBytes,
-			Shard:                def.Shard,
+			GroupID:         def.ID,
+			Name:            def.Name,
+			TypeID:          def.TypeID,
+			Style:           uint8(def.Style),
+			CheckpointEvery: def.CheckpointEvery,
+			Shard:           def.Shard,
 		})
 	}
 	ring := e.ringFor(def.ID)

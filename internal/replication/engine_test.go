@@ -118,7 +118,7 @@ func newCluster(t *testing.T, n int, tune ...func(*Config)) *cluster {
 		c.rings[node] = r
 		cfg := Config{
 			Node:          node,
-			Ring:          r,
+			Rings:         []*totem.Ring{r},
 			CallTimeout:   8 * time.Second,
 			RetryInterval: time.Second,
 		}

@@ -31,7 +31,7 @@ package replication
 // Each replica computes its own expiry as local-clock-at-delivery + Dur
 // (no cross-node clock synchronization; guard bands absorb bounded rate
 // skew and delivery lag). Every membership change revokes the lease, and
-// a new leader fences writes for LeaseDuration + LeaseGuard past
+// a new leader fences writes for leaseDuration + leaseGuard past
 // takeover, so a reader that has not yet observed the view change can
 // only ever serve pre-failover state while no newer write commits.
 // Leader reads are linearizable; follower reads are session-consistent
@@ -47,6 +47,17 @@ import (
 
 // lfSeqMask extracts the leader sequence from an LF message id.
 const lfSeqMask = 1<<40 - 1
+
+// Read-lease timing (the leader renews every leaseDuration/3, lfLeaseLoop).
+const (
+	// leaseDuration is the validity window of a read lease; a new leader
+	// fences writes for leaseDuration + leaseGuard after takeover.
+	leaseDuration = 150 * time.Millisecond
+	// leaseGuard is the guard band absorbing bounded clock-rate skew and
+	// delivery lag: readers retire a lease leaseGuard before its local
+	// expiry.
+	leaseGuard = 20 * time.Millisecond
+)
 
 // lfMsgID composes the LF message id from the leader's ring epoch and
 // per-group sequence. Same packing as totem message ids, so LF ids
@@ -86,16 +97,16 @@ type lfHeldOp struct {
 
 // lfLeaseLiveLocked reports (with r.mu held) whether this replica holds a
 // usable read lease: granted by the current view's leader, not fenced off
-// by a leadership change, and not within LeaseGuard of expiry.
+// by a leadership change, and not within leaseGuard of expiry.
 func (r *replica) lfLeaseLiveLocked(now time.Time) bool {
 	return r.lfLeaseHold != "" &&
 		len(r.members) > 0 && r.lfLeaseHold == r.members[0] &&
 		r.lfLeaseEpoch >= r.lfFence &&
-		now.Add(r.eng.cfg.LeaseGuard).Before(r.lfLeaseExp)
+		now.Add(leaseGuard).Before(r.lfLeaseExp)
 }
 
 // lfSendReply sends a direct-lane reply back to the submitting node.
-func (r *replica) lfSendReply(to string, m *msgLfReply) {
+func (r *replica) lfSendReply(to string, m *msgReply) {
 	if payload := r.eng.encodeOrReport(m); payload != nil {
 		_ = r.eng.ringFor(r.def.ID).SendDirect(to, r.names.rep, payload)
 	}
@@ -106,13 +117,12 @@ func (r *replica) lfSendReply(to string, m *msgLfReply) {
 // to the ordered path.
 func (r *replica) lfRedirect(m *msgLfSubmit, target string) {
 	r.eng.stat.lfRedirects.Add(1)
-	r.lfSendReply(m.From, &msgLfReply{
-		GroupID:  r.def.ID,
-		Key:      m.Key,
-		Status:   replyRedirect,
-		Body:     []byte(target),
-		Node:     r.eng.cfg.Node,
-		Redirect: target,
+	r.lfSendReply(m.From, &msgReply{
+		GroupID: r.def.ID,
+		Key:     m.Key,
+		Status:  replyRedirect,
+		Body:    []byte(target),
+		Node:    r.eng.cfg.Node,
 	})
 }
 
@@ -125,7 +135,7 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 		return
 	}
 
-	r.mu.lock()
+	r.mu.Lock()
 	node := r.eng.cfg.Node
 	leader := len(r.members) > 0 && r.members[0] == node
 	target := ""
@@ -140,7 +150,7 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 	if have && rec.answered {
 		logged = rec.reply
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	switch st {
 	case keyRetired:
@@ -165,13 +175,13 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 		// Retransmission of an already-answered operation: re-send the
 		// logged reply (FT-CORBA request retention) on the direct lane.
 		r.eng.stat.dupInvocations.Add(1)
-		r.lfSendReply(m.From, &msgLfReply{
-			GroupID: r.def.ID,
-			Key:     m.Key,
-			Status:  logged.Status,
-			Body:    logged.Body,
-			Node:    node,
-			Seq:     logged.ExecMsgID & lfSeqMask,
+		r.lfSendReply(m.From, &msgReply{
+			GroupID:   r.def.ID,
+			Key:       m.Key,
+			Status:    logged.Status,
+			Body:      logged.Body,
+			Node:      node,
+			ExecMsgID: logged.ExecMsgID & lfSeqMask,
 		})
 		return
 	}
@@ -189,12 +199,12 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 		return
 	}
 
-	r.mu.lock()
+	r.mu.Lock()
 	if rec == nil {
 		rec = r.dedup.record(m.Key)
 	}
 	rec.deliveredInv = true
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	rep, seq := r.lfAssign(m.Key, m.Done, m.Operation, m.Args, false, rec)
 	if rep == nil {
@@ -211,7 +221,7 @@ func (r *replica) onLfSubmit(t taskLfSubmit) {
 // side-effect-free; an identical retry re-reads harmlessly).
 func (r *replica) lfServeRead(m *msgLfSubmit) {
 	now := r.eng.now()
-	r.mu.lock()
+	r.mu.Lock()
 	okOp := contains(r.def.ReadOnlyOps, m.Operation)
 	live := okOp && !r.syncing && !r.secondary && r.lfLeaseLiveLocked(now)
 	applied := r.lfApplied
@@ -220,7 +230,7 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 	if len(r.members) > 0 && r.members[0] != r.eng.cfg.Node {
 		target = r.members[0]
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	if !okOp {
 		// Not marked readonly in the group definition: a mislabeled client
@@ -237,11 +247,11 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 
 	x := execute(r.servant, r.def.ID, lfMsgID(leaseEpoch, applied), m.Operation, m.Args, nil)
 	r.eng.stat.lfReads.Add(1)
-	rep := &msgLfReply{
-		GroupID: r.def.ID,
-		Key:     m.Key,
-		Node:    r.eng.cfg.Node,
-		Seq:     applied,
+	rep := &msgReply{
+		GroupID:   r.def.ID,
+		Key:       m.Key,
+		Node:      r.eng.cfg.Node,
+		ExecMsgID: applied,
 	}
 	rep.Status, rep.Body = outcomeToWire(x.results, x.err)
 	r.lfSendReply(m.From, rep)
@@ -255,14 +265,14 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 // done is the client's low-water mark; the order carries it to every
 // member, which retire on its delivery.
 func (r *replica) lfAssign(key opKey, done uint64, op string, args []byte, oneway bool, rec *opRecord) (*msgReply, uint64) {
-	r.mu.lock()
+	r.mu.Lock()
 	epoch := r.lfEpoch
 	if r.lfSeq < r.lfApplied {
 		// Fresh leadership (takeover, self-promotion, adoption): resume
 		// numbering from the applied high-water mark.
 		r.lfSeq = r.lfApplied
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.lfSeq++
 	seq := r.lfSeq
 	id := lfMsgID(epoch, seq)
@@ -310,7 +320,7 @@ func (r *replica) lfExecute(m *msgLfOrder, rec *opRecord) *msgReply {
 	}
 	rep.Status, rep.Body = outcomeToWire(x.results, x.err)
 
-	r.mu.lock()
+	r.mu.Lock()
 	if id > r.lastExec {
 		r.lastExec = id
 	}
@@ -325,26 +335,26 @@ func (r *replica) lfExecute(m *msgLfOrder, rec *opRecord) *msgReply {
 		rec.answered = true
 		rec.reply = rep
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 	return rep
 }
 
 // onLfOrder handles one delivery from the leader's order stream.
 func (r *replica) onLfOrder(t taskLfOrder) {
 	m := t.m
-	r.mu.lock()
+	r.mu.Lock()
 	syncing := r.syncing
-	r.mu.unlock()
+	r.mu.Unlock()
 	if syncing {
 		// Hold in order; adoptState replays past the transferred horizon.
 		r.buffer = append(r.buffer, t)
 		return
 	}
 
-	r.mu.lock()
+	r.mu.Lock()
 	retired := r.dedup.retire(m.Key.ClientID, m.Done)
 	accept := len(r.members) > 0 && r.members[0] == m.Leader && m.Epoch >= r.lfFence
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.countRetired(retired)
 	if !accept {
 		// A deposed leader's stragglers (queued before a reformation,
@@ -361,23 +371,23 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 		// has it — release the direct-lane ack.
 		if pr, ok := r.lfPending[m.Seq]; ok {
 			delete(r.lfPending, m.Seq)
-			r.lfSendReply(pr.from, &msgLfReply{
-				GroupID: r.def.ID,
-				Key:     m.Key,
-				Status:  pr.rep.Status,
-				Body:    pr.rep.Body,
-				Node:    r.eng.cfg.Node,
-				Seq:     m.Seq,
+			r.lfSendReply(pr.from, &msgReply{
+				GroupID:   r.def.ID,
+				Key:       m.Key,
+				Status:    pr.rep.Status,
+				Body:      pr.rep.Body,
+				Node:      r.eng.cfg.Node,
+				ExecMsgID: m.Seq,
 			})
 		}
 		return
 	}
 
-	r.mu.lock()
+	r.mu.Lock()
 	rec, st := r.dedup.lookup(m.Key)
 	if st == keyRetired {
 		// Retired here, so an adopted snapshot already includes it.
-		r.mu.unlock()
+		r.mu.Unlock()
 		return
 	}
 	if rec == nil {
@@ -389,7 +399,7 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 	executed := rec.executedLocal
 	id := lfMsgID(m.Epoch, m.Seq)
 	stale := id <= r.lastExec && r.lastExec != 0 && executed
-	r.mu.unlock()
+	r.mu.Unlock()
 	if executed || stale {
 		return // covered by a snapshot or an earlier delivery
 	}
@@ -407,25 +417,25 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 func (r *replica) onLfLease(t taskLfLease) {
 	m := t.m
 	now := r.eng.now()
-	r.mu.lock()
+	r.mu.Lock()
 	if len(r.members) > 0 && r.members[0] == m.Leader && m.Epoch >= r.lfFence {
 		r.lfLeaseHold = m.Leader
 		r.lfLeaseEpoch = m.Epoch
 		r.lfLeaseExp = now.Add(m.Dur)
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 }
 
 // lfMaybeGrant multicasts a lease grant/renewal if this replica is the
 // live leader. Called from the engine's renewal loop (~Dur/3) and once
 // immediately at takeover.
 func (r *replica) lfMaybeGrant() {
-	r.mu.lock()
+	r.mu.Lock()
 	ok := r.def.Style.IsLeaderFollower() &&
 		len(r.members) > 0 && r.members[0] == r.eng.cfg.Node &&
 		!r.secondary && !r.syncing
 	epoch := r.lfEpoch
-	r.mu.unlock()
+	r.mu.Unlock()
 	if !ok {
 		return
 	}
@@ -434,7 +444,7 @@ func (r *replica) lfMaybeGrant() {
 		GroupID: r.def.ID,
 		Epoch:   epoch,
 		Leader:  r.eng.cfg.Node,
-		Dur:     r.eng.cfg.LeaseDuration,
+		Dur:     leaseDuration,
 	}); payload != nil {
 		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
 	}
@@ -447,10 +457,10 @@ func (r *replica) lfMaybeGrant() {
 // implies the order reached the group. Followers ignore it: the order
 // stream brings the operation to them.
 func (r *replica) lfClassic(t taskInvoke, rec *opRecord) {
-	r.mu.lock()
+	r.mu.Lock()
 	leader := len(r.members) > 0 && r.members[0] == r.eng.cfg.Node
 	blocked := r.eng.now().Before(r.lfBlockUntil)
-	r.mu.unlock()
+	r.mu.Unlock()
 	if !leader {
 		return
 	}
@@ -464,9 +474,9 @@ func (r *replica) lfClassic(t taskInvoke, rec *opRecord) {
 }
 
 func (r *replica) lfClassicRun(t taskInvoke, rec *opRecord) {
-	r.mu.lock()
+	r.mu.Lock()
 	executed := rec.executedLocal
-	r.mu.unlock()
+	r.mu.Unlock()
 	if executed {
 		return // a direct-lane copy won the race while this one was held
 	}
@@ -479,9 +489,9 @@ func (r *replica) lfClassicRun(t taskInvoke, rec *opRecord) {
 // onLfUnblock drains ordered-path writes held behind the takeover fence,
 // re-arming itself if the fence has not expired yet.
 func (r *replica) onLfUnblock() {
-	r.mu.lock()
+	r.mu.Lock()
 	until := r.lfBlockUntil
-	r.mu.unlock()
+	r.mu.Unlock()
 	if now := r.eng.now(); now.Before(until) {
 		r.lfArmUnblock(until.Sub(now))
 		return
@@ -514,7 +524,7 @@ func (r *replica) lfOnView(old []string, t taskView) {
 	leaderChanged := oldLeader != newLeader
 	now := r.eng.now()
 
-	r.mu.lock()
+	r.mu.Lock()
 	r.lfEpoch = t.epoch
 	if leaderChanged {
 		// Fence: the deposed leadership's stragglers must not apply.
@@ -528,9 +538,9 @@ func (r *replica) lfOnView(old []string, t taskView) {
 	syncing := r.syncing
 	promoted := leaderChanged && newLeader == node && oldLeader != "" && !secondary && !syncing
 	if promoted {
-		r.lfBlockUntil = now.Add(r.eng.cfg.LeaseDuration + r.eng.cfg.LeaseGuard)
+		r.lfBlockUntil = now.Add(leaseDuration + leaseGuard)
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	if leaderChanged && len(r.lfPending) > 0 {
 		// Unreleased acks from our deposed leadership: the clients' direct
@@ -546,6 +556,6 @@ func (r *replica) lfOnView(old []string, t taskView) {
 		// Announce leadership immediately — the grant doubles as the
 		// clients' redirect-target refresh.
 		r.lfMaybeGrant()
-		r.lfArmUnblock(r.eng.cfg.LeaseDuration + r.eng.cfg.LeaseGuard)
+		r.lfArmUnblock(leaseDuration + leaseGuard)
 	}
 }

@@ -178,16 +178,14 @@ func TestLeaseExpiryStopsLocalReads(t *testing.T) {
 	// change, no revocation) but lease renewals stop.
 	c.engines["n1"].Stop()
 
-	lease := c.engines["n1"].cfg.LeaseDuration
-	guard := c.engines["n1"].cfg.LeaseGuard
-	time.Sleep(lease + guard + 50*time.Millisecond)
+	time.Sleep(leaseDuration + leaseGuard + 50*time.Millisecond)
 	served, redirected := lfReadProbe(t, c, "n3", 1, uint64(time.Now().UnixNano()))
 	if served || !redirected {
 		t.Fatal("expired lease still served a local read")
 	}
 }
 
-// Lease corner case: the guard band. A lease within LeaseGuard of its
+// Lease corner case: the guard band. A lease within leaseGuard of its
 // local expiry must refuse reads — that margin is what absorbs bounded
 // clock-rate skew and delivery lag across nodes.
 func TestLeaseGuardBandBoundary(t *testing.T) {
@@ -198,22 +196,21 @@ func TestLeaseGuardBandBoundary(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	r := c.engines["n3"].replicaFor(1)
-	guard := c.engines["n3"].cfg.LeaseGuard
 	plant := func(expIn time.Duration) {
-		r.mu.lock()
+		r.mu.Lock()
 		r.lfLeaseHold = r.members[0]
 		r.lfLeaseEpoch = r.lfFence
 		r.lfLeaseExp = time.Now().Add(expIn)
-		r.mu.unlock()
+		r.mu.Unlock()
 	}
 
 	// Comfortably inside the lease: served.
-	plant(guard + 500*time.Millisecond)
+	plant(leaseGuard + 500*time.Millisecond)
 	if served, _ := lfReadProbe(t, c, "n3", 1, 1); !served {
 		t.Fatal("live lease refused a local read")
 	}
 	// Inside the guard band (still before nominal expiry): refused.
-	plant(guard / 2)
+	plant(leaseGuard / 2)
 	if served, _ := lfReadProbe(t, c, "n3", 1, 2); served {
 		t.Fatal("read served inside the guard band")
 	}
@@ -238,9 +235,9 @@ func TestLeaseRevokedOnViewChange(t *testing.T) {
 	c.fabric.Partition([]string{"n1", "n2", "n4"}, []string{"n3"})
 	r := c.engines["n3"].replicaFor(1)
 	waitFor(t, 5*time.Second, "lease revoked at n3", func() bool {
-		r.mu.lock()
+		r.mu.Lock()
 		revoked := r.lfLeaseHold == ""
-		r.mu.unlock()
+		r.mu.Unlock()
 		return revoked
 	})
 	if served, _ := lfReadProbe(t, c, "n3", 1, uint64(time.Now().UnixNano())); served {

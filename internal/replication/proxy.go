@@ -154,7 +154,7 @@ func (e *Engine) Proxy(ref GroupRef, opts ...ProxyOption) *Proxy {
 		votes:     1,
 		timeout:   e.cfg.CallTimeout,
 		retry:     e.cfg.RetryInterval,
-		maxRetry:  e.cfg.MaxRetryInterval,
+		maxRetry:  8 * e.cfg.RetryInterval,
 		lfAttempt: 25 * time.Millisecond,
 	}
 	for _, opt := range opts {
@@ -414,7 +414,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 			// suppresses the duplicate and re-sends the logged reply if the
 			// operation already executed (FT-CORBA request retention).
 			// Retransmissions back off exponentially (with jitter, bounded
-			// by MaxRetryInterval) so a partitioned or failing-over group is
+			// by 8 × RetryInterval) so a partitioned or failing-over group is
 			// not hammered at a fixed rate by every blocked client.
 			p.eng.stat.retries.Add(1)
 			if err := p.eng.ringFor(p.gid).Multicast(p.names.inv, payload); err != nil {

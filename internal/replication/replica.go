@@ -3,6 +3,7 @@ package replication
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cdr"
@@ -111,7 +112,7 @@ type replica struct {
 	q       *taskQueue
 	log     wal.Log
 
-	mu        chanMutex
+	mu        sync.Mutex
 	dedup     dedupTable
 	members   []string
 	secondary bool
@@ -130,14 +131,13 @@ type replica struct {
 	lfBlockUntil time.Time // new-leader write fence
 
 	// Executor-owned state.
-	buffer       []any        // tasks held in order while syncing
-	pendingOps   []taskInvoke // delivered, not yet covered (warm backups)
-	fulfill      []fulfillRec // operations performed while secondary
-	preSplit     []string     // view before this member became secondary
-	former       map[string]bool
-	opsSinceCk   int
-	bytesSinceCk int    // update-record bytes appended since the last checkpoint
-	lastLogged   uint64 // newest update-record MsgID appended to the WAL (task-loop owned)
+	buffer     []any        // tasks held in order while syncing
+	pendingOps []taskInvoke // delivered, not yet covered (warm backups)
+	fulfill    []fulfillRec // operations performed while secondary
+	preSplit   []string     // view before this member became secondary
+	former     map[string]bool
+	opsSinceCk int
+	lastLogged uint64 // newest update-record MsgID appended to the WAL (task-loop owned)
 	// gap is set when a warm backup failed to apply a primary's postimage:
 	// its state no longer follows lastExec, so it applies no further delta
 	// (a full snapshot repairs it) and requests a state transfer at the
@@ -159,19 +159,6 @@ type replica struct {
 	lfOrdered uint64
 }
 
-// chanMutex is a tiny mutex built on a 1-buffered channel (keeps the
-// replica struct copy-safe checks simple and supports try-lock if needed).
-type chanMutex chan struct{}
-
-func newChanMutex() chanMutex {
-	m := make(chanMutex, 1)
-	m <- struct{}{}
-	return m
-}
-
-func (m chanMutex) lock()   { <-m }
-func (m chanMutex) unlock() { m <- struct{}{} }
-
 func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log wal.Log) *replica {
 	if _, ok := servant.(orb.Checkpointable); !ok || def.Style == Stateless {
 		// Nothing to transfer: the replica is operational immediately.
@@ -184,7 +171,6 @@ func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log 
 		servant:   servant,
 		q:         newTaskQueue(),
 		log:       log,
-		mu:        newChanMutex(),
 		dedup:     newDedupTable(),
 		syncing:   syncing,
 		former:    make(map[string]bool),
@@ -194,8 +180,8 @@ func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log 
 }
 
 func (r *replica) status() GroupStatus {
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	st := GroupStatus{
 		Members:   append([]string(nil), r.members...),
 		Secondary: r.secondary,
@@ -219,7 +205,7 @@ func (r *replica) status() GroupStatus {
 // key (a re-created record would let a retry execute again) leaves no
 // record behind.
 func (r *replica) markAnswered(m *msgReply) {
-	r.mu.lock()
+	r.mu.Lock()
 	rec, st := r.dedup.lookup(m.Key)
 	if st == keyNew {
 		rec = r.dedup.record(m.Key)
@@ -228,7 +214,7 @@ func (r *replica) markAnswered(m *msgReply) {
 		rec.answered = true
 		rec.reply = m
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 }
 
 // countRetired adds n retired records to the engine's counter.
@@ -270,8 +256,8 @@ func (r *replica) executorLoop() {
 // isPrimary reports whether this node currently leads the group (senior
 // member of the current — possibly component-local — view).
 func (r *replica) isPrimary() bool {
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return len(r.members) > 0 && r.members[0] == r.eng.cfg.Node
 }
 
@@ -285,8 +271,8 @@ func (r *replica) shipsDR() bool {
 	if r.eng.cfg.DR == nil {
 		return false
 	}
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return !r.secondary && len(r.members) > 0 && r.members[0] == r.eng.cfg.Node
 }
 
@@ -297,8 +283,8 @@ func (r *replica) shipsDRActive() bool {
 	if r.eng.cfg.DR == nil {
 		return false
 	}
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return !r.secondary
 }
 
@@ -331,10 +317,9 @@ func (r *replica) reportShipError(err error, what string, msgID uint64) {
 
 // logUpdate appends one update record to the local WAL and advances the
 // logged horizon the checkpoint-compaction staleness guard compares
-// against. Task-loop only (like bytesSinceCk).
+// against. Task-loop only.
 func (r *replica) logUpdate(rec wal.Record) {
 	_ = r.log.Append(rec)
-	r.bytesSinceCk += len(rec.Data)
 	if rec.MsgID > r.lastLogged {
 		r.lastLogged = rec.MsgID
 	}
@@ -350,10 +335,10 @@ func (r *replica) shipCheckpoint(upTo uint64, state []byte, window []byte) {
 }
 
 func (r *replica) onInvoke(t taskInvoke) {
-	r.mu.lock()
+	r.mu.Lock()
 	syncing := r.syncing
 	secondary := r.secondary
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	if syncing {
 		r.buffer = append(r.buffer, t)
@@ -370,19 +355,19 @@ func (r *replica) onInvoke(t taskInvoke) {
 // process runs the style-appropriate handling for one delivered
 // invocation. Its low-water mark first retires its client's records.
 func (r *replica) process(t taskInvoke) {
-	r.mu.lock()
+	r.mu.Lock()
 	retired := r.dedup.retire(t.m.Key.ClientID, t.m.Done)
 	rec, st := r.dedup.lookup(t.m.Key)
 	switch st {
 	case keyRetired:
 		// Its client already holds the reply: a stale copy, suppressed
 		// with nothing re-sent.
-		r.mu.unlock()
+		r.mu.Unlock()
 		r.countRetired(retired)
 		r.eng.stat.dupInvocations.Add(1)
 		return
 	case keyEvicted:
-		r.mu.unlock()
+		r.mu.Unlock()
 		r.countRetired(retired)
 		r.refuseEvicted(t)
 		return
@@ -393,7 +378,7 @@ func (r *replica) process(t taskInvoke) {
 	rec.deliveredInv = true
 	answered := rec.answered
 	executed := rec.executedLocal
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.countRetired(retired)
 
 	if duplicate {
@@ -401,9 +386,9 @@ func (r *replica) process(t taskInvoke) {
 		// delivered (redundant client replicas or retransmission).
 		r.eng.stat.dupInvocations.Add(1)
 		if answered && r.shouldAnswerDuplicates() {
-			r.mu.lock()
+			r.mu.Lock()
 			logged := rec.reply
-			r.mu.unlock()
+			r.mu.Unlock()
 			if logged != nil {
 				r.multicastReply(logged)
 			}
@@ -445,7 +430,6 @@ func (r *replica) process(t taskInvoke) {
 	// copies. Stateless groups ship nothing: there is no state to recover.
 	if r.def.Style.IsActive() && r.def.Style != Stateless && r.shipsDRActive() {
 		if data, err := encodeWire(t.m); err == nil {
-			r.bytesSinceCk += len(data)
 			err := r.eng.cfg.DR.AppendUpdate(r.def.ID, wal.Record{
 				Kind:  wal.KindUpdate,
 				MsgID: t.msgID,
@@ -546,7 +530,7 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 	// rep.Body then points into it.
 	payload, keyLen := encodeExecReply(rep, x.results, x.err)
 
-	r.mu.lock()
+	r.mu.Lock()
 	r.lastExec = t.msgID
 	rec.executedLocal = true
 	send := !rec.answered
@@ -559,7 +543,7 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 		// sender-side suppression would starve the quorum.
 		send = true
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	switch {
 	case !send:
@@ -579,21 +563,17 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 }
 
 // maybeCheckpoint emits a periodic full-state checkpoint on the compaction
-// policy: every CheckpointEvery operations, or — when CheckpointEveryBytes
-// is set — as soon as that many update-record bytes accumulated since the
-// last one, whichever trips first. For passive groups the primary
+// policy: every CheckpointEvery operations. For passive groups the primary
 // multicasts it (cold backups truncate their invocation logs on it); for
 // active groups with a DR store attached, the senior member takes a
 // store-only snapshot so the standby's segment replay stays bounded.
 func (r *replica) maybeCheckpoint() {
 	if (r.def.Style.IsPassive() || r.def.Style.IsLeaderFollower()) && r.isPrimary() {
 		r.opsSinceCk++
-		if r.opsSinceCk < r.def.CheckpointEvery &&
-			(r.def.CheckpointEveryBytes <= 0 || r.bytesSinceCk < r.def.CheckpointEveryBytes) {
+		if r.opsSinceCk < r.def.CheckpointEvery {
 			return
 		}
 		r.opsSinceCk = 0
-		r.bytesSinceCk = 0
 		if r.def.Style == WarmPassive {
 			r.sendMarker()
 		} else {
@@ -603,12 +583,10 @@ func (r *replica) maybeCheckpoint() {
 	}
 	if r.def.Style.IsActive() && r.def.Style != Stateless && r.shipsDR() {
 		r.opsSinceCk++
-		if r.opsSinceCk < r.def.CheckpointEvery &&
-			(r.def.CheckpointEveryBytes <= 0 || r.bytesSinceCk < r.def.CheckpointEveryBytes) {
+		if r.opsSinceCk < r.def.CheckpointEvery {
 			return
 		}
 		r.opsSinceCk = 0
-		r.bytesSinceCk = 0
 		if ck, ok := r.servant.(orb.Checkpointable); ok {
 			if state, err := ck.GetState(); err == nil {
 				upTo, covered := r.coveredWindow()
@@ -623,8 +601,8 @@ func (r *replica) maybeCheckpoint() {
 // the exactly-once metadata every checkpoint must carry — in its wire
 // encoding.
 func (r *replica) coveredWindow() (upTo uint64, win []byte) {
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.lastExec, r.dedup.window()
 }
 
@@ -638,9 +616,9 @@ func (r *replica) sendCheckpoint(reason uint8) {
 		return
 	}
 	upTo, covered := r.coveredWindow()
-	r.mu.lock()
+	r.mu.Lock()
 	lfSeq := r.lfApplied
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.eng.stat.checkpoints.Add(1)
 	r.shipCheckpoint(upTo, state, covered)
 	if payload := r.eng.encodeOrReport(&msgCheckpoint{
@@ -671,9 +649,9 @@ func (r *replica) sendMarker() {
 			r.shipCheckpoint(upTo, state, covered)
 		}
 	}
-	r.mu.lock()
+	r.mu.Lock()
 	upTo := r.lastExec
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.eng.stat.checkpoints.Add(1)
 	if payload := r.eng.encodeOrReport(&msgCheckpoint{
 		GroupID:   r.def.ID,
@@ -694,9 +672,9 @@ func (r *replica) multicastReply(rep *msgReply) {
 // in the engine loop.)
 func (r *replica) onReply(t taskReply) {
 	m := t.m
-	r.mu.lock()
+	r.mu.Lock()
 	syncing := r.syncing
-	r.mu.unlock()
+	r.mu.Unlock()
 	if syncing {
 		// Hold updates in order; adoptState replays the ones the
 		// transferred snapshot does not already cover.
@@ -704,9 +682,9 @@ func (r *replica) onReply(t taskReply) {
 		return
 	}
 	if r.def.Style == WarmPassive && m.Node != r.eng.cfg.Node {
-		r.mu.lock()
+		r.mu.Lock()
 		stale := m.ExecMsgID <= r.lastExec
-		r.mu.unlock()
+		r.mu.Unlock()
 		if !stale {
 			r.applyUpdate(m)
 		}
@@ -741,9 +719,9 @@ func (r *replica) applyUpdate(m *msgReply) {
 		return
 	}
 	r.gap = false
-	r.mu.lock()
+	r.mu.Lock()
 	r.lastExec = m.ExecMsgID
-	r.mu.unlock()
+	r.mu.Unlock()
 	// logUpdate keeps the byte-policy counter warm on backups too, so a
 	// freshly failed-over primary inherits an accurate since-checkpoint
 	// volume instead of starting from zero.
@@ -757,10 +735,10 @@ func (r *replica) onCheckpoint(t taskCheckpoint) {
 		return
 	}
 	r.stuck = make(map[string]uint64) // a snapshot unsticks its adopters
-	r.mu.lock()
+	r.mu.Lock()
 	syncing := r.syncing
 	secondary := r.secondary
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	if syncing {
 		r.adoptState(m)
@@ -780,9 +758,9 @@ func (r *replica) onCheckpoint(t taskCheckpoint) {
 	// here). The checkpoint is the primary component's authoritative state;
 	// adopt it. Cold-passive backups are exempt: their servants lag by
 	// design, and the log append below repairs their recovery channel.
-	r.mu.lock()
+	r.mu.Lock()
 	lastExec := r.lastExec
-	r.mu.unlock()
+	r.mu.Unlock()
 	if m.UpToMsgID > lastExec && r.def.Style != ColdPassive &&
 		!(r.def.Style.IsLeaderFollower() && r.isPrimary()) {
 		// (The LF leader's own state is authoritative by construction; it
@@ -801,7 +779,6 @@ func (r *replica) onCheckpoint(t taskCheckpoint) {
 	if m.UpToMsgID >= r.lastLogged {
 		r.logCheckpoint(m.UpToMsgID, m.State)
 		r.opsSinceCk = 0
-		r.bytesSinceCk = 0
 	}
 	r.dropPending(m.UpToMsgID)
 }
@@ -815,10 +792,10 @@ func (r *replica) onCheckpoint(t taskCheckpoint) {
 // for their join or remerge checkpoint. No member adopts state from a
 // marker, and none reads its (empty) Covered window.
 func (r *replica) onMarker(m *msgCheckpoint) {
-	r.mu.lock()
+	r.mu.Lock()
 	syncing, secondary, lastExec := r.syncing, r.secondary, r.lastExec
 	primary := len(r.members) > 0 && r.members[0] == r.eng.cfg.Node
-	r.mu.unlock()
+	r.mu.Unlock()
 	if syncing || secondary {
 		return
 	}
@@ -833,7 +810,6 @@ func (r *replica) onMarker(m *msgCheckpoint) {
 				// The primary restarted its counts when it sent the
 				// marker; what it logged since counts toward the next.
 				r.opsSinceCk = 0
-				r.bytesSinceCk = 0
 			}
 		}
 	}
@@ -845,10 +821,10 @@ func (r *replica) onMarker(m *msgCheckpoint) {
 // delivered meanwhile, and every healthy member answers its request with a
 // snapshot (onStateReq).
 func (r *replica) requestState() {
-	r.mu.lock()
+	r.mu.Lock()
 	r.syncing = true
 	myExec := r.lastExec
-	r.mu.unlock()
+	r.mu.Unlock()
 	if payload := r.eng.encodeOrReport(&msgStateReq{GroupID: r.def.ID, From: r.eng.cfg.Node, LastExec: myExec}); payload != nil {
 		_ = r.eng.ringFor(r.def.ID).Multicast(r.names.inv, payload)
 	}
@@ -877,12 +853,12 @@ func (r *replica) dropPending(upTo uint64) {
 // adoptState installs a transferred state snapshot and replays buffered
 // invocations past it — the join/remerge synchronization point.
 func (r *replica) adoptState(m *msgCheckpoint) {
-	r.mu.lock()
+	r.mu.Lock()
 	// A former secondary always adopts: its msgIDs come from a divergent
 	// ring lineage and don't compare against the primary component's, and
 	// its own partition-era operations return via fulfillment replay.
 	behind := m.UpToMsgID < r.lastExec && !r.secondary
-	r.mu.unlock()
+	r.mu.Unlock()
 	// A window that does not parse fails adoption like a state that does
 	// not install: the replica stays as it was and keeps waiting.
 	covered, err := decodeWindow(m.Covered)
@@ -896,12 +872,12 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 		// Keep the recovered state and only take the offered horizons
 		// (facts about clients, true in any lineage); leave the syncing
 		// phase and replay anything buffered past it.
-		r.mu.lock()
+		r.mu.Lock()
 		retired := r.dedup.adopt(window{horizons: covered.horizons})
 		upTo := r.lastExec
 		r.syncing = false
 		r.secondary = false
-		r.mu.unlock()
+		r.mu.Unlock()
 		r.countRetired(retired)
 		r.replayBuffered(upTo)
 		return
@@ -916,7 +892,6 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	r.gap = false
 	r.logCheckpoint(m.UpToMsgID, m.State)
 	r.opsSinceCk = 0
-	r.bytesSinceCk = 0
 	// The truncation wiped every update record positioned before the
 	// adopted checkpoint; the logged horizon restarts from its coverage.
 	r.lastLogged = m.UpToMsgID
@@ -927,14 +902,14 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	// adopted state already includes. Replies stay with the original
 	// executor — the records are marked executed but not answered, so
 	// duplicate answers still come from the member that logged them.
-	r.mu.lock()
+	r.mu.Lock()
 	retired := r.dedup.adopt(covered)
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.countRetired(retired)
 	// Operations the adopted state covers must not replay at failover.
 	r.dropPending(m.UpToMsgID)
 
-	r.mu.lock()
+	r.mu.Lock()
 	r.lastExec = m.UpToMsgID
 	if m.LfSeq > r.lfApplied {
 		// Resume session-token-gated reads (and, on later promotion, the
@@ -950,7 +925,7 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 		r.lfFence = r.lfEpoch
 	}
 	r.secondary = false
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	if wasSecondary {
 		r.sendFulfillments()
@@ -991,9 +966,9 @@ func (r *replica) sendFulfillments() {
 	if len(queue) == 0 {
 		return
 	}
-	r.mu.lock()
+	r.mu.Lock()
 	members := append([]string(nil), r.members...)
-	r.mu.unlock()
+	r.mu.Unlock()
 	sender := seniorOf(intersect(r.preSplit, members))
 	if sender != r.eng.cfg.Node {
 		return
@@ -1028,12 +1003,12 @@ func (r *replica) sendFulfillments() {
 }
 
 func (r *replica) onView(t taskView) {
-	r.mu.lock()
+	r.mu.Lock()
 	old := r.members
 	r.members = append([]string(nil), t.members...)
 	secondary := r.secondary
 	syncing := r.syncing
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.stuck = make(map[string]uint64) // membership changed: re-learn who is stuck
 
 	if !r.everHadView {
@@ -1068,9 +1043,9 @@ func (r *replica) onView(t taskView) {
 		// from having watched the majority crash — the classic partition
 		// ambiguity — so small components conservatively go secondary.)
 		if !secondary && !isPrimaryComponent(old, t.members) {
-			r.mu.lock()
+			r.mu.Lock()
 			r.secondary = true
-			r.mu.unlock()
+			r.mu.Unlock()
 			r.preSplit = old
 		}
 		// Failover: the new senior member of a passive group re-executes
@@ -1153,12 +1128,12 @@ func (r *replica) onView(t taskView) {
 // anointing an empty fresh incarnation over a state-bearing survivor.
 func (r *replica) onStateReq(t taskStateReq) {
 	r.stuck[t.m.From] = t.m.LastExec
-	r.mu.lock()
+	r.mu.Lock()
 	syncing := r.syncing
 	secondary := r.secondary
 	myExec := r.lastExec
 	members := append([]string(nil), r.members...)
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	if !syncing && !secondary {
 		// Rate-limit: several stuck members may request at once, and the
@@ -1215,11 +1190,11 @@ func (r *replica) onStateReq(t taskStateReq) {
 // stranding: it stops waiting for a transfer, replays anything it buffered,
 // and snapshots the group so the other stuck members adopt its state.
 func (r *replica) selfPromote() {
-	r.mu.lock()
+	r.mu.Lock()
 	r.syncing = false
 	r.secondary = false
 	upTo := r.lastExec
-	r.mu.unlock()
+	r.mu.Unlock()
 	r.stuck = make(map[string]uint64)
 	r.fulfill = nil
 	r.replayBuffered(upTo)
@@ -1236,9 +1211,9 @@ func (r *replica) failover() {
 			if ok {
 				if ck, isCk := r.servant.(orb.Checkpointable); isCk {
 					_ = ck.SetState(cp.Data)
-					r.mu.lock()
+					r.mu.Lock()
 					r.lastExec = cp.MsgID
-					r.mu.unlock()
+					r.mu.Unlock()
 				}
 			}
 			for _, rec := range updates {
@@ -1275,7 +1250,7 @@ func (r *replica) failover() {
 // replies were already delivered re-execute for state effect only (cold
 // passive) without re-sending the logged reply.
 func (r *replica) replayOne(t taskInvoke) {
-	r.mu.lock()
+	r.mu.Lock()
 	rec, st := r.dedup.lookup(t.m.Key)
 	switch st {
 	case keyNew:
@@ -1289,7 +1264,7 @@ func (r *replica) replayOne(t taskInvoke) {
 		rec = &opRecord{answered: true}
 	}
 	executed := rec.executedLocal
-	r.mu.unlock()
+	r.mu.Unlock()
 	if executed {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/giop"
 	"repro/internal/orb"
+	"repro/internal/totem"
 	"repro/internal/wal"
 )
 
@@ -38,7 +39,7 @@ func TestRestartedClientKeysDoNotCollide(t *testing.T) {
 		}
 	}
 	c.engines["n4"].Stop()
-	fresh, err := NewEngine(Config{Node: "n4", Ring: c.rings["n4"], CallTimeout: 2 * time.Second, RetryInterval: 200 * time.Millisecond})
+	fresh, err := NewEngine(Config{Node: "n4", Rings: []*totem.Ring{c.rings["n4"]}, CallTimeout: 2 * time.Second, RetryInterval: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestEvictedRetryIsReported(t *testing.T) {
 	defer cancel()
 
 	victim := opKey{ClientID: "c:victim", OpSeq: 1}
-	r.mu.lock()
+	r.mu.Lock()
 	r.dedup.record(victim).executedLocal = true
 	for i := 0; i < dedupRetain; i++ {
 		r.dedup.record(opKey{ClientID: "c:other", OpSeq: uint64(i + 1)})
 	}
-	r.mu.unlock()
+	r.mu.Unlock()
 
 	pc, err := eng.registerCall(victim, 1)
 	if err != nil {
@@ -221,8 +222,8 @@ func TestPromotedReplicaRefusesEvictedRetry(t *testing.T) {
 // recordsOf counts a replica's live records of one client.
 func recordsOf(e *Engine, gid uint64, client string) int {
 	r := e.replicaFor(gid)
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := 0
 	for k := range r.dedup.recs {
 		if k.ClientID == client {
@@ -235,8 +236,8 @@ func recordsOf(e *Engine, gid uint64, client string) int {
 // keyStateAt reads what a replica's table says about k.
 func keyStateAt(e *Engine, gid uint64, k opKey) keyState {
 	r := e.replicaFor(gid)
-	r.mu.lock()
-	defer r.mu.unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	_, st := r.dedup.lookup(k)
 	return st
 }
@@ -405,8 +406,8 @@ func TestJoinerInheritsHorizons(t *testing.T) {
 	})
 	horizonAt := func(node string) (retired uint64) {
 		r := c.engines[node].replicaFor(47)
-		r.mu.lock()
-		defer r.mu.unlock()
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		if tr := r.dedup.clients[client.clientID]; tr != nil {
 			retired = tr.retired
 		}

@@ -103,11 +103,6 @@ type GroupDef struct {
 	// checkpoints (cold passive log truncation and warm passive full-state
 	// refresh). Zero means 16.
 	CheckpointEvery int
-	// CheckpointEveryBytes additionally triggers a periodic checkpoint once
-	// the primary has appended this many bytes of update records since the
-	// last one, whichever threshold trips first. It bounds WAL growth by
-	// volume for groups with large payloads; zero disables the byte policy.
-	CheckpointEveryBytes int
 	// Shard pins the group to a transport shard, 1-based so the Go zero
 	// value keeps today's meaning: 0 selects the deterministic hash route
 	// (ShardFor), N>0 pins the group to ring N-1 of the engine's pool.
@@ -190,7 +185,7 @@ const (
 	wireStateReq
 	wireLfOrder  // leader→followers ordered-invocation stream (multicast)
 	wireLfSubmit // client→replica invocation submit (direct lane)
-	wireLfReply  // replica→client reply (direct lane)
+	_            // unused: keeps wireLfLease at 8 on the wire
 	wireLfLease  // leader→group read-lease grant (ordered multicast)
 )
 
@@ -234,7 +229,10 @@ type msgInvocation struct {
 }
 
 // msgReply carries the outcome of an operation, plus (for passive styles)
-// the state update backups must apply.
+// the state update backups must apply. On the leader-follower direct lane
+// ExecMsgID is instead the leader sequence the reply reflects (the
+// client's next session token), and status replyRedirect names in Body a
+// node to retry at.
 type msgReply struct {
 	GroupID    uint64
 	Key        opKey
@@ -307,24 +305,11 @@ type msgLfSubmit struct {
 	Done      uint64 // the client's low-water mark, copied into the order
 }
 
-// msgLfReply is the direct-lane reply. Seq carries the leader sequence the
-// reply reflects (the client's next session token); Redirect, with status
-// replyRedirect, names a better node to retry at.
-type msgLfReply struct {
-	GroupID  uint64
-	Key      opKey
-	Status   uint32
-	Body     []byte
-	Node     string
-	Seq      uint64
-	Redirect string
-}
-
 // msgLfLease is the ordered read-lease grant/renewal. Each replica computes
 // its own expiry as local-clock-at-delivery + Dur, so the lease never
 // depends on clocks being synchronized across nodes — only on bounded
 // clock *rate* skew, absorbed by the guard bands (readers retire the lease
-// LeaseGuard early; a new leader waits Dur + LeaseGuard past takeover
+// leaseGuard early; a new leader waits Dur + leaseGuard past takeover
 // before writing).
 type msgLfLease struct {
 	GroupID uint64
@@ -419,15 +404,6 @@ func encodeWire(m any) ([]byte, error) {
 		e.WriteULongLong(v.MinSeq)
 		e.WriteString(v.From)
 		e.WriteULongLong(v.Done)
-	case *msgLfReply:
-		e.WriteOctet(byte(wireLfReply))
-		e.WriteULongLong(v.GroupID)
-		encodeOpKey(e, v.Key)
-		e.WriteULong(v.Status)
-		e.WriteOctetSeq(v.Body)
-		e.WriteString(v.Node)
-		e.WriteULongLong(v.Seq)
-		e.WriteString(v.Redirect)
 	case *msgLfLease:
 		e.WriteOctet(byte(wireLfLease))
 		e.WriteULongLong(v.GroupID)
@@ -737,30 +713,6 @@ func decodeWire(b []byte) (any, error) {
 			return nil, err
 		}
 		if v.Done, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireLfReply:
-		v := &msgLfReply{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Key, err = decodeOpKey(d); err != nil {
-			return nil, err
-		}
-		if v.Status, err = d.ReadULong(); err != nil {
-			return nil, err
-		}
-		if v.Body, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.Node, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Redirect, err = d.ReadStringInterned(); err != nil {
 			return nil, err
 		}
 		return v, nil

@@ -166,7 +166,7 @@ func wireSamples() []any {
 		&msgStateReq{GroupID: 1, From: "n2", LastExec: 6},
 		&msgLfOrder{GroupID: 1, Epoch: 2, Seq: 3, Leader: "n1", Key: k, Operation: "add", Args: []byte{5}, Done: 8},
 		&msgLfSubmit{GroupID: 1, Key: k, Operation: "get", Args: []byte{}, ReadOnly: true, MinSeq: 4, From: "c", Done: 8},
-		&msgLfReply{GroupID: 1, Key: k, Status: replyRedirect, Body: []byte{6}, Node: "n2", Seq: 8, Redirect: "n1"},
+		&msgReply{GroupID: 1, Key: k, Status: replyRedirect, Body: []byte("n1"), Node: "n2", ExecMsgID: 8},
 		&msgLfLease{GroupID: 1, Epoch: 2, Leader: "n1", Dur: 150 * time.Millisecond},
 	}
 }

@@ -77,7 +77,6 @@ func goldenCases() []goldenCase {
 		{name: "state-request", msg: &msgStateReq{GroupID: 1, From: "n2", LastExec: 6}},
 		{name: "lf-order", msg: &msgLfOrder{GroupID: 1, Epoch: 2, Seq: 3, Leader: "n1", Key: k, Operation: "add", Args: []byte{0, 0, 0, 1, 6, 0, 0, 0, 0, 0, 0, 0, 9}, Done: 8}},
 		{name: "lf-submit", msg: &msgLfSubmit{GroupID: 1, Key: k, Operation: "get", Args: []byte{0, 0, 0, 0}, ReadOnly: true, MinSeq: 4, From: "c", Done: 8}},
-		{name: "lf-reply", msg: &msgLfReply{GroupID: 1, Key: k, Status: replyRedirect, Body: []byte("n1"), Node: "n2", Seq: 8, Redirect: "n1"}},
 		{name: "lf-lease", msg: &msgLfLease{GroupID: 1, Epoch: 2, Leader: "n1", Dur: 150 * time.Millisecond}},
 	}
 }

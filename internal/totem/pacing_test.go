@@ -10,13 +10,9 @@ import (
 	"repro/internal/netsim"
 )
 
-// withHeartbeat sets the heartbeat and lets every timeout derive from it.
+// withHeartbeat sets the heartbeat; every timeout derives from it.
 func withHeartbeat(hb time.Duration) func(*Config) {
-	return func(c *Config) {
-		c.HeartbeatInterval = hb
-		c.FailTimeout = 0
-		c.AcceptTimeout = 0
-	}
+	return func(c *Config) { c.HeartbeatInterval = hb }
 }
 
 // formations sums Stats().Formations over the cluster.

@@ -75,23 +75,17 @@ type Config struct {
 
 	// HeartbeatInterval is the gossip period (default 10ms).
 	HeartbeatInterval time.Duration
-	// FailTimeout is the floor of a peer's failure window (default 6
-	// heartbeats). Each peer's liveness is a phi-accrual suspicion machine
-	// fed by its hellos (thresholds phi 1 to suspect, phi 8 to fail):
-	// observed heartbeat jitter widens the window up to MaxFailTimeout
-	// before a peer is declared dead.
-	FailTimeout time.Duration
-	// MaxFailTimeout caps how far observed jitter may widen the adaptive
-	// failure window (default 3×FailTimeout).
+	// MaxFailTimeout caps how far observed jitter may widen a peer's
+	// failure window (default 3×failTimeoutBeats heartbeats). Each peer's
+	// liveness is a phi-accrual suspicion machine fed by its hellos, with
+	// failTimeoutBeats heartbeats as the window's floor.
 	MaxFailTimeout time.Duration
 	// ConfirmGrace is the minimum dwell in the suspect state before a peer
-	// may be declared dead (default FailTimeout). A heartbeat arriving
-	// during the grace retracts the suspicion instead of evicting — the
-	// hysteresis that keeps a provisioning storm from reforming the ring.
+	// may be declared dead (default failTimeoutBeats heartbeats). A
+	// heartbeat arriving during the grace retracts the suspicion instead
+	// of evicting — the hysteresis that keeps a provisioning storm from
+	// reforming the ring.
 	ConfirmGrace time.Duration
-	// AcceptTimeout bounds the coordinator's wait for accepts (default 10
-	// heartbeats).
-	AcceptTimeout time.Duration
 	// StrictInvariants turns internal protocol invariant violations (e.g. a
 	// non-contiguous delivery) into panics. Tests run strict; production
 	// rings report the violation via Faults and recover by reformation.
@@ -110,17 +104,11 @@ func (c *Config) fill() {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 10 * time.Millisecond
 	}
-	if c.FailTimeout <= 0 {
-		c.FailTimeout = 6 * c.HeartbeatInterval
-	}
 	if c.MaxFailTimeout <= 0 {
-		c.MaxFailTimeout = 3 * c.FailTimeout
+		c.MaxFailTimeout = 3 * failTimeoutBeats * c.HeartbeatInterval
 	}
 	if c.ConfirmGrace <= 0 {
-		c.ConfirmGrace = c.FailTimeout
-	}
-	if c.AcceptTimeout <= 0 {
-		c.AcceptTimeout = 10 * c.HeartbeatInterval
+		c.ConfirmGrace = failTimeoutBeats * c.HeartbeatInterval
 	}
 }
 
@@ -129,6 +117,12 @@ const (
 	// tokenTimeoutBeats heartbeats without a token visit trigger ring
 	// re-formation.
 	tokenTimeoutBeats = 12
+	// failTimeoutBeats heartbeats floor a peer's adaptive failure window
+	// (thresholds phi 1 to suspect, phi 8 to fail).
+	failTimeoutBeats = 6
+	// acceptTimeoutBeats heartbeats bound the coordinator's wait for
+	// accepts.
+	acceptTimeoutBeats = 10
 	// settleBeats is how many heartbeats a would-be coordinator waits for
 	// the live set to stabilize before proposing.
 	settleBeats = 3
@@ -820,7 +814,7 @@ func (r *Ring) tick() {
 			r.proposeRing(alive)
 		}
 	case stAwaitAccepts:
-		if now.Sub(r.formingFrom) > r.cfg.AcceptTimeout {
+		if now.Sub(r.formingFrom) > acceptTimeoutBeats*r.cfg.HeartbeatInterval {
 			// Some member never answered; fall back and let the live set
 			// re-stabilize (a dead member's suspicion machine confirms its
 			// death and drops it from the alive set).
@@ -905,7 +899,7 @@ func (r *Ring) handleHello(h *hello) {
 		s := r.peerFD[h.From]
 		if s == nil {
 			s = fault.NewSuspicion(fault.SuspicionConfig{
-				MinWindow:    r.cfg.FailTimeout,
+				MinWindow:    failTimeoutBeats * r.cfg.HeartbeatInterval,
 				MaxWindow:    r.cfg.MaxFailTimeout,
 				ConfirmGrace: r.cfg.ConfirmGrace,
 			})

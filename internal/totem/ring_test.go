@@ -100,8 +100,6 @@ func testConfig(node string, universe []string) Config {
 		Universe:          universe,
 		Port:              4000,
 		HeartbeatInterval: 4 * time.Millisecond,
-		FailTimeout:       24 * time.Millisecond,
-		AcceptTimeout:     60 * time.Millisecond,
 		StrictInvariants:  true,
 	}
 }
