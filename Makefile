@@ -20,8 +20,9 @@ test:
 ## queue, the CDR intern table every decoder shares, the ORB and the
 ## deterministic-execution context (whose objects replication builds per
 ## execution), totem, replication, the transport
-## conformance suite on both backends (netsim and loopback UDP), and the
-## two stores every node shares (WAL and DR store) — then the
+## conformance suite on both backends (netsim and loopback UDP), a
+## three-node deployment of StartNode stacks over loopback UDP (mproc), and
+## the two stores every node shares (WAL and DR store) — then the
 ## fault notifier and suspicion machine, the Replication Manager, domain
 ## assembly and the SLO harness — then the GIOP and IIOP codecs and
 ## connections, object references, the interceptor chain, the naming
@@ -30,7 +31,7 @@ test:
 ## CPU-heavy SLO harness sharing two cores with totem's lossy-network tests
 ## pushes those past their delivery deadlines.
 race:
-	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/orb ./internal/nondet ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/wal ./internal/drstore
+	$(GO) test -race ./internal/fifo ./internal/cdr ./internal/orb ./internal/nondet ./internal/totem ./internal/replication ./internal/netsim ./internal/transport/... ./internal/mproc ./internal/wal ./internal/drstore
 	$(GO) test -race ./internal/fault ./internal/ftcorba ./internal/core ./internal/slo
 	$(GO) test -race ./internal/giop ./internal/iiop ./internal/ior ./internal/interception ./internal/naming ./internal/idl ./internal/service ./internal/shell .
 

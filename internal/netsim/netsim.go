@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
 	"sort"
@@ -83,7 +84,8 @@ type Fabric struct {
 
 // DropFilter decides whether one datagram should be dropped (return true to
 // drop). It runs with the fabric lock held and must not call back into the
-// fabric; payload must not be retained or mutated. Chaos schedules use it
+// fabric; payload is the sender's buffer, valid only during the call, and
+// must not be retained or mutated. Chaos schedules use it
 // for targeted drops (e.g. token or batch frames); port identifies the
 // destination endpoint, which under the sharded transport distinguishes the
 // ring a frame belongs to (shard i lives on its own port on every node).
@@ -623,6 +625,10 @@ type DGram struct {
 	mu     sync.Mutex
 	lanes  [2]dgramRing // indexed by transport.Class
 	err    error        // non-nil once closed
+	// prev holds, per lane, the pooled buffer backing the payload the last
+	// TryRecv on that lane handed out; it is recycled on the lane's next
+	// TryRecv — the valid-until-next-TryRecv contract of transport.Port.
+	prev [2]*[]byte
 	// waker fires Ready when the earliest not-yet-due head a TryRecv saw
 	// falls due; wakeAt is when it is armed for (zero: not armed). One
 	// timer per port, Reset on reuse.
@@ -644,9 +650,59 @@ func (f *Fabric) Open(host string, port uint16) (transport.Port, error) {
 
 // timedDatagram is a queued datagram and when it falls due; a zero due
 // time (no latency configured) is due at once, without reading the clock.
+// buf is the pooled buffer dg.Payload lives in (nil when not pooled).
 type timedDatagram struct {
 	dg  Datagram
 	due time.Time
+	buf *[]byte
+}
+
+// Datagram buffers are pooled by power-of-two size class, from 64 bytes up
+// to maxPooled: a payload copied at Send takes the smallest class that
+// holds it, so a lane full of tokens pins a few hundred bytes each, not a
+// frame-sized buffer. maxPooled holds the totem layer's largest coalesced
+// frame (60 KiB of messages) plus its header; larger datagrams (a single
+// oversized message, a formation carrying a big recovery set) get a
+// buffer of their own, which the collector takes back.
+const (
+	minPooledShift = 6
+	maxPooledShift = 16
+	maxPooled      = 1 << maxPooledShift
+)
+
+var bufPools [maxPooledShift - minPooledShift + 1]sync.Pool
+
+// poolClass returns the index into bufPools of the smallest class holding
+// n bytes, or -1 when n is over maxPooled.
+func poolClass(n int) int {
+	switch {
+	case n > maxPooled:
+		return -1
+	case n <= 1<<minPooledShift:
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minPooledShift
+}
+
+// copyPayload copies payload into a pooled buffer, returning the copy and
+// the buffer to recycle once the receiver is done with it (nil when the
+// copy is not pooled).
+func copyPayload(payload []byte) ([]byte, *[]byte) {
+	c := poolClass(len(payload))
+	if c < 0 {
+		return append([]byte(nil), payload...), nil
+	}
+	bp, _ := bufPools[c].Get().(*[]byte)
+	if bp == nil {
+		b := make([]byte, 1<<(c+minPooledShift))
+		bp = &b
+	}
+	return (*bp)[:copy(*bp, payload)], bp
+}
+
+// recycle returns a pooled datagram buffer.
+func recycle(bp *[]byte) {
+	bufPools[poolClass(cap(*bp))].Put(bp)
 }
 
 // dgramRing is a growable circular queue of pending datagrams. The
@@ -679,13 +735,13 @@ func (q *dgramRing) push(td timedDatagram) {
 // peek returns the head slot (valid only while the queue is non-empty).
 func (q *dgramRing) peek() *timedDatagram { return &q.buf[q.head] }
 
-func (q *dgramRing) pop() Datagram {
+func (q *dgramRing) pop() timedDatagram {
 	slot := &q.buf[q.head]
-	dg := slot.dg
+	td := *slot
 	*slot = timedDatagram{} // drop the payload reference: slots are reused
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
-	return dg
+	return td
 }
 
 // OpenPort binds a datagram port at host:port.
@@ -717,10 +773,10 @@ func (d *DGram) Local() (string, uint16) { return d.addr.Node, d.addr.Port }
 // crashed destinations are applied; Send never blocks and never reports
 // delivery failure (like UDP), only local errors.
 //
-// Ownership: the fabric retains payload without copying (large state
-// transfers would otherwise multiply memory traffic); the caller must not
-// mutate it after Send. Protocol layers in this module always pass
-// freshly encoded buffers.
+// Ownership: like a kernel, the fabric copies payload at Send (into a
+// pooled buffer the receiver's next TryRecv on the lane recycles), so the
+// caller may reuse its buffer as soon as Send returns. A datagram lost to
+// loss, a partition, a filter or a missing port is never copied.
 func (d *DGram) Send(host string, port uint16, payload []byte) error {
 	return d.SendClass(host, port, payload, transport.ClassData)
 }
@@ -766,13 +822,18 @@ func (d *DGram) SendClass(host string, port uint16, payload []byte, class transp
 	if class == transport.ClassControl {
 		lane = &tgt.lanes[transport.ClassControl]
 	}
+	cp, bp := copyPayload(payload)
 	tgt.mu.Lock()
 	wake := false
 	if tgt.err == nil {
 		wake = lane.len() == 0
-		lane.push(timedDatagram{dg: Datagram{From: d.addr.Node, Payload: payload}, due: due})
+		lane.push(timedDatagram{dg: Datagram{From: d.addr.Node, Payload: cp}, due: due, buf: bp})
+		bp = nil
 	}
 	tgt.mu.Unlock()
+	if bp != nil {
+		recycle(bp) // the port closed meanwhile
+	}
 	if wake {
 		tgt.signal()
 	}
@@ -791,14 +852,19 @@ func (d *DGram) Ready() <-chan struct{} { return d.ready }
 
 // TryRecv implements transport.Port: it pops the class's lane head if its
 // latency has elapsed. A head not yet due arms the port's waker, which
-// fires Ready when it matures. Payloads are never reused, so they stay
-// valid for as long as the receiver holds them.
+// fires Ready when it matures. The lane's previous payload buffer goes back
+// to its pool here, so a payload is valid until the next TryRecv on the
+// same lane.
 func (d *DGram) TryRecv(class transport.Class) (Datagram, bool) {
 	if class != transport.ClassControl {
 		class = transport.ClassData
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if bp := d.prev[class]; bp != nil {
+		recycle(bp)
+		d.prev[class] = nil
+	}
 	lane := &d.lanes[class]
 	if lane.len() == 0 {
 		return Datagram{}, false
@@ -807,7 +873,9 @@ func (d *DGram) TryRecv(class transport.Class) (Datagram, bool) {
 		d.armLocked(due)
 		return Datagram{}, false
 	}
-	return lane.pop(), true
+	td := lane.pop()
+	d.prev[class] = td.buf
+	return td.dg, true
 }
 
 // armLocked makes sure Ready fires by due. A stale or early firing only

@@ -157,15 +157,26 @@ func (c *cluster) host(def GroupDef, on ...string) {
 	c.waitMembers(def.ID, on)
 }
 
-// waitMembers waits until every hosting node sees the expected membership.
+// waitMembers waits until every hosting node sees the expected membership
+// and every node's ring has ordered the members' joins. The second half
+// matters to a client on a non-member node: until its ring holds the
+// members, it may still sit in a ring of its own, and an invocation
+// multicast there never reaches them — a oneway one, never retried, is
+// lost.
 func (c *cluster) waitMembers(gid uint64, on []string) {
 	c.t.Helper()
 	want := append([]string(nil), on...)
 	sortStrings(want)
+	inv := namesOf(gid).inv
 	waitFor(c.t, 5*time.Second, fmt.Sprintf("group %d membership %v", gid, want), func() bool {
 		for _, node := range on {
 			st, ok := c.engines[node].GroupStatus(gid)
 			if !ok || st.Syncing || !equalStrings(st.Members, want) {
+				return false
+			}
+		}
+		for _, r := range c.rings {
+			if !equalStrings(r.GroupMembers(inv), want) {
 				return false
 			}
 		}

@@ -112,5 +112,6 @@ func (r *Ring) paceTick(now time.Time) {
 }
 
 func (r *Ring) sendNudge() {
-	r.send(r.ring.Coord, &nudge{Ring: r.ring, From: r.cfg.Node})
+	r.nudgeOut = nudge{Ring: r.ring, From: r.cfg.Node}
+	r.send(r.ring.Coord, &r.nudgeOut)
 }

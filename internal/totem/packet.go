@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/cdr"
 )
@@ -191,7 +192,9 @@ func encodeStrings(e *cdr.Encoder, ss []string) {
 	}
 }
 
-func decodeStrings(d *cdr.Decoder) ([]string, error) {
+// decodeStrings decodes a string sequence into out's storage, allocating
+// only when out is too small.
+func decodeStrings(d *cdr.Decoder, out []string) ([]string, error) {
 	n, err := d.ReadULong()
 	if err != nil {
 		return nil, err
@@ -201,7 +204,10 @@ func decodeStrings(d *cdr.Decoder) ([]string, error) {
 	if int64(n)*4 > int64(d.Remaining()) {
 		return nil, fmt.Errorf("totem: string count %d overruns the packet", n)
 	}
-	out := make([]string, 0, n)
+	if cap(out) < int(n) {
+		out = make([]string, 0, n)
+	}
+	out = out[:0]
 	for i := uint32(0); i < n; i++ {
 		s, err := d.ReadStringInterned()
 		if err != nil {
@@ -290,13 +296,23 @@ func Classify(payload []byte) PacketClass {
 	}
 }
 
-// encodePacket marshals any protocol packet into a datagram payload. The
-// buffer comes from the shared encoder pool and its ownership transfers to
-// the caller (and onward to the fabric, which retains datagram payloads
-// without copying). An unknown packet type is a local programming error and
-// is reported as such rather than panicking on the network path.
+// encodePacket marshals any protocol packet into a fresh buffer the
+// caller owns: the coordinator's install, which is resent until the first
+// token round returns, and tests. The protocol loop's sends encode into the
+// ring's own encoder instead (Ring.encode).
 func encodePacket(p any) ([]byte, error) {
 	e := cdr.GetEncoderSized(cdr.BigEndian, packetSizeHint(p))
+	defer e.Release()
+	if err := writePacket(e, p); err != nil {
+		return nil, err
+	}
+	return e.TakeBytes(), nil
+}
+
+// writePacket appends the wire encoding of any protocol packet to e. An
+// unknown packet type is a local programming error and is reported as
+// such rather than panicking on the network path.
+func writePacket(e *cdr.Encoder, p any) error {
 	switch v := p.(type) {
 	case *hello:
 		e.WriteOctet(byte(pktHello))
@@ -369,12 +385,11 @@ func encodePacket(p any) ([]byte, error) {
 		e.WriteString(v.Group)
 		e.WriteOctetSeq(v.Payload)
 	default:
-		e.Release()
-		return nil, fmt.Errorf("totem: encodePacket: unknown packet %T", p)
+		// reflect.TypeOf rather than %T: it keeps p from escaping, so a
+		// caller's packet (SendDirect's) can live on its stack.
+		return fmt.Errorf("totem: writePacket: unknown packet %v", reflect.TypeOf(p))
 	}
-	out := e.TakeBytes()
-	e.Release()
-	return out, nil
+	return nil
 }
 
 // firstOctet returns b[0] (the packet-type tag) or an invalid tag for an
@@ -426,11 +441,12 @@ func decodePacketOwned(b []byte) (any, error) {
 	return decodePacketIn(b, true, nil)
 }
 
-// hotPackets is decode storage a ring owns for the two packet kinds that
+// hotPackets is decode storage a ring owns for the packet kinds that
 // dominate the wire: the token, which circulates back to back under load,
-// and the coalesced data frame. Decoding into it reuses the structs and
-// their Rtr, Groups and Payloads storage, so receiving either allocates
-// nothing beyond the owned frame copy a data frame's payloads alias.
+// the coalesced data frame, and the heartbeat every peer sends every
+// beat. Decoding into it reuses the structs and their Rtr, Groups,
+// Payloads and Alive storage, so receiving any of them allocates nothing
+// beyond the owned frame copy a data frame's payloads alias.
 //
 // Lifetime rule: a packet decoded here is valid until the next packet is
 // decoded; anything that must outlive it is copied into ring-owned storage
@@ -439,6 +455,16 @@ func decodePacketOwned(b []byte) (any, error) {
 type hotPackets struct {
 	tok   token
 	batch dataBatch
+	hb    hello
+}
+
+// hello returns a heartbeat to decode into, as token does.
+func (h *hotPackets) hello() *hello {
+	if h == nil {
+		return new(hello)
+	}
+	h.hb = hello{Alive: h.hb.Alive[:0]}
+	return &h.hb
 }
 
 // token returns a token to decode into: h's storage, reset, or a fresh one
@@ -464,7 +490,8 @@ func (h *hotPackets) dataBatch() *dataBatch {
 }
 
 // decodePacketIn decodes b, aliasing it when owned. hot, when non-nil,
-// supplies reused storage for a token or a data frame (see hotPackets).
+// supplies reused storage for a token, a data frame or a heartbeat (see
+// hotPackets).
 func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 	d := cdr.NewDecoder(b, cdr.BigEndian)
 	if owned {
@@ -476,11 +503,11 @@ func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 	}
 	switch pktType(t) {
 	case pktHello:
-		v := &hello{}
+		v := hot.hello()
 		if v.From, err = d.ReadStringInterned(); err != nil {
 			return nil, err
 		}
-		if v.Alive, err = decodeStrings(d); err != nil {
+		if v.Alive, err = decodeStrings(d, v.Alive); err != nil {
 			return nil, err
 		}
 		if v.MaxEpoch, err = d.ReadULongLong(); err != nil {
@@ -495,7 +522,7 @@ func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 		if v.Ring, err = decodeRingID(d); err != nil {
 			return nil, err
 		}
-		if v.Members, err = decodeStrings(d); err != nil {
+		if v.Members, err = decodeStrings(d, nil); err != nil {
 			return nil, err
 		}
 		return v, nil
@@ -516,7 +543,7 @@ func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 		if v.Stored, err = decodeStoredMsgs(d); err != nil {
 			return nil, err
 		}
-		if v.Groups, err = decodeStrings(d); err != nil {
+		if v.Groups, err = decodeStrings(d, nil); err != nil {
 			return nil, err
 		}
 		return v, nil
@@ -525,7 +552,7 @@ func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 		if v.Ring, err = decodeRingID(d); err != nil {
 			return nil, err
 		}
-		if v.Members, err = decodeStrings(d); err != nil {
+		if v.Members, err = decodeStrings(d, nil); err != nil {
 			return nil, err
 		}
 		n, err := d.ReadULong()

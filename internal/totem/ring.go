@@ -225,8 +225,15 @@ type Ring struct {
 	retainedNext string
 	groupMembers map[string]map[string]bool
 	pace         pacer
-	rx           hotPackets // decode storage for received tokens and data frames
+	rx           hotPackets // decode storage for received tokens, data frames and heartbeats
 	tx           dataBatch  // the data frame sendBatch builds, reused frame to frame
+	// enc is the encoder every packet the protocol loop sends is written
+	// into (see encode); hb, alive and nudgeOut are the heartbeat, its
+	// live set and the nudge, rebuilt in place each time one is sent.
+	enc      cdr.Encoder
+	hb       hello
+	alive    []string
+	nudgeOut nudge
 	// installRaw is the coordinator's encoded install for the ring it
 	// formed, resent with the retained token until the first token round
 	// returns — proof that every member installed.
@@ -348,8 +355,9 @@ func (r *Ring) Ready() <-chan struct{} { return r.events.Ready() }
 // subscribed members of the group, in the system-wide total order, on every
 // node of the component.
 //
-// Ownership: the ring retains payload without copying (it flows into the
-// message log and fabric datagrams as-is); the caller must not mutate it
+// Ownership: the ring retains payload without copying (it stays in the
+// message log, and is encoded from there into every frame and resend that
+// carries it, until every member has it); the caller must not mutate it
 // after Multicast returns. Reusing the same immutable buffer across calls
 // (e.g. for retransmissions) is fine.
 //
@@ -440,8 +448,13 @@ func (r *Ring) SetDirectHandler(fn func(from, group string, payload []byte)) {
 // to anything, silently dropped if the peer is down, partitioned, has no
 // handler registered, or its direct lane is full. Callers layer their own
 // request/response retries on top, falling back to the ordered multicast
-// path for liveness. The ring retains payload without copying; the caller
-// must not mutate it after SendDirect returns.
+// path for liveness.
+//
+// SendDirect runs on the caller's goroutine, so it encodes into a pooled
+// encoder of its own, released once the transport has copied the packet.
+// A message to another node keeps nothing of payload; a message to this
+// node reaches the handler as payload itself, so the caller must not
+// mutate payload after SendDirect returns.
 func (r *Ring) SendDirect(to, group string, payload []byte) error {
 	r.mu.Lock()
 	stopped := r.stopped
@@ -449,21 +462,22 @@ func (r *Ring) SendDirect(to, group string, payload []byte) error {
 	if stopped {
 		return ErrStopped
 	}
-	d := &direct{From: r.cfg.Node, Group: group, Payload: payload}
 	if to == r.cfg.Node {
 		// Loopback: skip the wire, deliver on the direct goroutine (the
 		// caller may hold locks the handler also wants).
 		select {
-		case r.directCh <- d:
+		case r.directCh <- &direct{From: r.cfg.Node, Group: group, Payload: payload}:
 		default: // lane full: drop, like UDP
 		}
 		return nil
 	}
-	raw, err := encodePacket(d)
-	if err != nil {
+	d := direct{From: r.cfg.Node, Group: group, Payload: payload}
+	e := cdr.GetEncoderSized(cdr.BigEndian, packetSizeHint(&d))
+	defer e.Release()
+	if err := writePacket(e, &d); err != nil {
 		return err
 	}
-	r.sendRaw(to, raw)
+	r.sendRaw(to, e.Bytes())
 	return nil
 }
 
@@ -695,6 +709,29 @@ func (r *Ring) sendRaw(to string, raw []byte) {
 	_ = transport.SendClass(r.port, to, r.cfg.Port, raw, class)
 }
 
+// maxKeptEncoding bounds the buffer the ring's encoder keeps between
+// sends: the largest coalesced data frame (maxFrameBytes of messages) and
+// its headers fit. A larger packet — a single oversized message, an
+// accept carrying a big message store — leaves with its buffer, so a rare
+// big send does not pin its size for the ring's lifetime.
+const maxKeptEncoding = 64 << 10
+
+// encode writes pkt into the ring's encoder and returns the bytes, valid
+// until the next encode. The transport copies what it sends, so every
+// token, data frame, nudge and heartbeat the protocol loop sends reuses
+// one buffer. Protocol loop only.
+func (r *Ring) encode(pkt any) ([]byte, error) {
+	r.enc.Reset()
+	r.enc.Grow(packetSizeHint(pkt))
+	if err := writePacket(&r.enc, pkt); err != nil {
+		return nil, err
+	}
+	if r.enc.Len() > maxKeptEncoding {
+		return r.enc.TakeBytes(), nil
+	}
+	return r.enc.Bytes(), nil
+}
+
 func (r *Ring) send(to string, pkt any) {
 	if to == r.cfg.Node {
 		// Loopback: handle inline to avoid a needless trip through the
@@ -702,7 +739,7 @@ func (r *Ring) send(to string, pkt any) {
 		r.handlePacket(pkt)
 		return
 	}
-	raw, err := encodePacket(pkt)
+	raw, err := r.encode(pkt)
 	if err != nil {
 		r.reportInvariant(err.Error())
 		return
@@ -711,7 +748,7 @@ func (r *Ring) send(to string, pkt any) {
 }
 
 func (r *Ring) broadcastMembers(pkt any, includeSelf bool) {
-	raw, err := encodePacket(pkt)
+	raw, err := r.encode(pkt)
 	if err != nil {
 		r.reportInvariant(err.Error())
 		if includeSelf {
@@ -734,17 +771,20 @@ func (r *Ring) sendToMembers(raw []byte) {
 	}
 }
 
-func (r *Ring) aliveSet(now time.Time) []string {
+// aliveSet returns the sorted nodes this one hears, itself included, in
+// ring-owned storage valid until the next call.
+func (r *Ring) aliveSet() []string {
 	// A peer stays alive through the whole suspect phase — only a
 	// confirmed death (phi past the fail threshold AND the ConfirmGrace
 	// dwell elapsed) removes it and triggers reformation.
-	alive := []string{r.cfg.Node}
+	alive := append(r.alive[:0], r.cfg.Node)
 	for n, s := range r.peerFD {
 		if s.State() != fault.StateDead {
 			alive = append(alive, n)
 		}
 	}
 	sort.Strings(alive)
+	r.alive = alive
 	return alive
 }
 
@@ -763,9 +803,10 @@ func sameStrings(a, b []string) bool {
 func (r *Ring) tick() {
 	now := time.Now()
 	r.evalPeers(now)
+	alive := r.aliveSet()
 	// Gossip a heartbeat to the whole universe.
-	h := &hello{From: r.cfg.Node, Alive: r.aliveSet(now), MaxEpoch: r.maxEpoch, Ring: r.ring}
-	if raw, err := encodePacket(h); err == nil {
+	r.hb = hello{From: r.cfg.Node, Alive: alive, MaxEpoch: r.maxEpoch, Ring: r.ring}
+	if raw, err := r.encode(&r.hb); err == nil {
 		for _, n := range r.cfg.Universe {
 			if n != r.cfg.Node {
 				r.sendRaw(n, raw)
@@ -782,7 +823,6 @@ func (r *Ring) tick() {
 		return
 	}
 
-	alive := r.aliveSet(now)
 	switch r.state {
 	case stOperational:
 		if !sameStrings(alive, r.members) {

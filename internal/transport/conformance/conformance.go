@@ -2,8 +2,9 @@
 // one test suite run against every backend, so the properties the totem
 // layer depends on — delivery with sender identity, Ready wake-ups,
 // per-lane FIFO order, close-unblocks-recv, the per-lane payload lifetime,
-// port rebinding, large datagrams, concurrent senders — are pinned by
-// tests instead of by whichever backend happened to come first.
+// a Send that keeps nothing of its caller's buffer, an allocation-free
+// steady state, port rebinding, large datagrams, concurrent senders — are
+// pinned by tests instead of by whichever backend happened to come first.
 //
 // Each backend's own test package calls Run with a factory that builds a
 // fresh deployment for the requested node names. The factory returns a
@@ -35,6 +36,8 @@ func Run(t *testing.T, newBackend Factory) {
 	t.Run("Ready", func(t *testing.T) { testReady(t, newBackend) })
 	t.Run("LaneOrder", func(t *testing.T) { testLaneOrder(t, newBackend) })
 	t.Run("PayloadLifetime", func(t *testing.T) { testPayloadLifetime(t, newBackend) })
+	t.Run("SendDoesNotRetain", func(t *testing.T) { testSendDoesNotRetain(t, newBackend) })
+	t.Run("SteadyStateAllocs", func(t *testing.T) { testSteadyStateAllocs(t, newBackend) })
 	t.Run("LargeDatagram", func(t *testing.T) { testLargeDatagram(t, newBackend) })
 	t.Run("ConcurrentSend", func(t *testing.T) { testConcurrentSend(t, newBackend) })
 	t.Run("PriorityLane", func(t *testing.T) { testPriorityLane(t, newBackend) })
@@ -339,6 +342,84 @@ func testPayloadLifetime(t *testing.T, newBackend Factory) {
 	}
 }
 
+// lanes returns the classes p's backend keeps apart: both when it has a
+// control lane, otherwise only the data lane everything is queued on.
+func lanes(p transport.Port) []transport.Class {
+	if _, ok := p.(transport.ClassSender); ok {
+		return []transport.Class{transport.ClassData, transport.ClassControl}
+	}
+	return []transport.Class{transport.ClassData}
+}
+
+// testSendDoesNotRetain pins Send's ownership rule: the caller may reuse
+// its buffer as soon as Send returns. The sender rewrites one buffer for
+// each datagram and overwrites it once more after the last send; every
+// datagram, still queued at the receiver meanwhile, must arrive as it was
+// when it was sent.
+func testSendDoesNotRetain(t *testing.T, newBackend Factory) {
+	tp := newBackend(t, []string{"a", "b"})
+	pa := open(t, tp, "a", 380)
+	pb := open(t, tp, "b", 380)
+	const n = 8
+	buf := make([]byte, 200)
+	for _, class := range lanes(pa) {
+		for i := 0; i < n; i++ {
+			copy(buf, bytes.Repeat([]byte{byte('a' + i)}, len(buf)))
+			if err := transport.SendClass(pa, "b", 380, buf, class); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		copy(buf, bytes.Repeat([]byte{'X'}, len(buf)))
+		for i := 0; i < n; i++ {
+			dg := tryRecvWithin(t, pb, class)
+			if want := bytes.Repeat([]byte{byte('a' + i)}, len(buf)); !bytes.Equal(dg.Payload, want) {
+				t.Fatalf("lane %d datagram %d = %q, want %q: Send kept the caller's buffer", class, i, dg.Payload[:8], want[:8])
+			}
+		}
+	}
+}
+
+// testSteadyStateAllocs pins the allocation-free datagram path: once warm,
+// a Send and the TryRecv that takes it allocate nothing on either lane —
+// the backend recycles its copy's buffer at the lane's next TryRecv.
+func testSteadyStateAllocs(t *testing.T, newBackend Factory) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	tp := newBackend(t, []string{"a", "b"})
+	pa := open(t, tp, "a", 390)
+	pb := open(t, tp, "b", 390)
+	// A lost datagram would block Recv for good: closing the port ends it.
+	watchdog := time.AfterFunc(4*recvWait, func() { pb.Close() })
+	defer watchdog.Stop()
+	payload := bytes.Repeat([]byte{7}, 256)
+	for _, class := range lanes(pa) {
+		var err error
+		got := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if err != nil {
+				return
+			}
+			if err = transport.SendClass(pa, "b", 390, payload, class); err != nil {
+				return
+			}
+			var dg transport.Datagram
+			if dg, err = transport.Recv(pb); err == nil && bytes.Equal(dg.Payload, payload) {
+				got++
+			}
+		})
+		if err != nil {
+			t.Fatalf("lane %d round trip: %v", class, err)
+		}
+		if got != 201 { // AllocsPerRun adds one warm-up call
+			t.Fatalf("lane %d: %d of 201 datagrams arrived intact", class, got)
+		}
+		if allocs != 0 {
+			t.Errorf("lane %d: a Send and its TryRecv allocate %.0f times, want 0", class, allocs)
+		}
+	}
+}
+
 func testLargeDatagram(t *testing.T, newBackend Factory) {
 	tp := newBackend(t, []string{"a", "b"})
 	pa := open(t, tp, "a", 400)
@@ -501,3 +582,6 @@ func testConcurrentSend(t *testing.T, newBackend Factory) {
 	}
 	rx.Close()
 }
+
+// raceEnabled is set in -race builds (race.go).
+var raceEnabled bool

@@ -45,9 +45,10 @@ type Port interface {
 	// Send transmits a datagram to the named node's logical port. Like
 	// UDP, it never blocks awaiting delivery and never reports remote
 	// failure — only local errors (closed port, unknown destination).
-	// The transport must not retain payload after Send returns unless it
-	// takes ownership without mutating it (netsim does; udp copies into
-	// its own scratch buffer).
+	// Send never keeps payload: it copies what it needs before returning,
+	// as a kernel does, so the caller may reuse the buffer at once (netsim
+	// copies into a pooled buffer the receiver's lane recycles; udp frames
+	// into its own scratch buffer).
 	Send(node string, port uint16, payload []byte) error
 	// Ready receives after a datagram arrives on an empty lane, when a
 	// queued datagram falls due, and after Close. It holds at most one
