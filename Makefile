@@ -43,11 +43,12 @@ chaos:
 	CHAOS_SEEDS=7 $(GO) test -race -count=1 ./internal/chaos
 
 ## totem-soak: repeat the totem tests that ride loss, token retransmission,
-## parking, a lost install, the data-before-token receive order and the
-## withdrawal of queued messages 50 times — a one-in-twenty flake there
-## hides behind the single run of the tier-1 gate
+## parking, a lost install, the data-before-token receive order, the
+## withdrawal of queued messages, ring formation, a crash, a partition and
+## its remerge, and EVS recovery across a partition 50 times — a
+## one-in-twenty flake there hides behind the single run of the tier-1 gate
 totem-soak:
-	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData|Withdraw' ./internal/totem
+	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData|Withdraw|RingFormation|CrashReforms|PartitionBoth|EVSSamePrefix' ./internal/totem
 
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is

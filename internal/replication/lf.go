@@ -64,20 +64,6 @@ const (
 // compare correctly against checkpoint horizons.
 func lfMsgID(epoch, seq uint64) uint64 { return totem.MsgIDFor(epoch, seq) }
 
-// Executor task kinds for the LF state machine.
-type taskLfSubmit struct {
-	m *msgLfSubmit
-}
-
-type taskLfOrder struct {
-	msgID uint64 // totem id of the delivery (buffered-replay horizon)
-	m     *msgLfOrder
-}
-
-type taskLfLease struct {
-	m *msgLfLease
-}
-
 // taskLfUnblock fires when a new leader's post-takeover write fence may
 // have expired, draining ordered-path writes held behind it.
 type taskLfUnblock struct{}
@@ -91,7 +77,7 @@ type lfPendingReply struct {
 
 // lfHeldOp is an ordered-path invocation held behind the write fence.
 type lfHeldOp struct {
-	t   taskInvoke
+	m   *msgInvocation
 	rec *opRecord
 }
 
@@ -128,8 +114,7 @@ func (r *replica) lfRedirect(m *msgLfSubmit, target string) {
 
 // onLfSubmit handles a direct-lane submit: reads go through the lease
 // check, writes through leader assignment.
-func (r *replica) onLfSubmit(t taskLfSubmit) {
-	m := t.m
+func (r *replica) onLfSubmit(m *msgLfSubmit) {
 	if m.ReadOnly {
 		r.lfServeRead(m)
 		return
@@ -340,14 +325,13 @@ func (r *replica) lfExecute(m *msgLfOrder, rec *opRecord) *msgReply {
 }
 
 // onLfOrder handles one delivery from the leader's order stream.
-func (r *replica) onLfOrder(t taskLfOrder) {
-	m := t.m
+func (r *replica) onLfOrder(m *msgLfOrder) {
 	r.mu.Lock()
 	syncing := r.syncing
 	r.mu.Unlock()
 	if syncing {
 		// Hold in order; adoptState replays past the transferred horizon.
-		r.buffer = append(r.buffer, t)
+		r.buffer = append(r.buffer, task{m: m})
 		return
 	}
 
@@ -414,8 +398,7 @@ func (r *replica) onLfOrder(t taskLfOrder) {
 
 // onLfLease installs an ordered lease grant. Expiry is computed from the
 // local clock at delivery — no cross-node clock synchronization.
-func (r *replica) onLfLease(t taskLfLease) {
-	m := t.m
+func (r *replica) onLfLease(m *msgLfLease) {
 	now := r.eng.now()
 	r.mu.Lock()
 	if len(r.members) > 0 && r.members[0] == m.Leader && m.Epoch >= r.lfFence {
@@ -456,7 +439,7 @@ func (r *replica) lfMaybeGrant() {
 // the reply is FIFO-ordered after the order message, so its delivery
 // implies the order reached the group. Followers ignore it: the order
 // stream brings the operation to them.
-func (r *replica) lfClassic(t taskInvoke, rec *opRecord) {
+func (r *replica) lfClassic(m *msgInvocation, rec *opRecord) {
 	r.mu.Lock()
 	leader := len(r.members) > 0 && r.members[0] == r.eng.cfg.Node
 	blocked := r.eng.now().Before(r.lfBlockUntil)
@@ -467,20 +450,20 @@ func (r *replica) lfClassic(t taskInvoke, rec *opRecord) {
 	if blocked {
 		// Post-takeover write fence: hold until every lease the old leader
 		// granted has expired at its reader (taskLfUnblock drains).
-		r.lfHeld = append(r.lfHeld, lfHeldOp{t: t, rec: rec})
+		r.lfHeld = append(r.lfHeld, lfHeldOp{m: m, rec: rec})
 		return
 	}
-	r.lfClassicRun(t, rec)
+	r.lfClassicRun(m, rec)
 }
 
-func (r *replica) lfClassicRun(t taskInvoke, rec *opRecord) {
+func (r *replica) lfClassicRun(m *msgInvocation, rec *opRecord) {
 	r.mu.Lock()
 	executed := rec.executedLocal
 	r.mu.Unlock()
 	if executed {
 		return // a direct-lane copy won the race while this one was held
 	}
-	rep, _ := r.lfAssign(t.m.Key, t.m.Done, t.m.Operation, t.m.Args, t.m.Oneway, rec)
+	rep, _ := r.lfAssign(m.Key, m.Done, m.Operation, m.Args, m.Oneway, rec)
 	if rep != nil {
 		r.multicastReply(rep)
 	}
@@ -499,7 +482,7 @@ func (r *replica) onLfUnblock() {
 	held := r.lfHeld
 	r.lfHeld = nil
 	for _, h := range held {
-		r.lfClassicRun(h.t, h.rec)
+		r.lfClassicRun(h.m, h.rec)
 	}
 }
 

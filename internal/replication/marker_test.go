@@ -321,14 +321,14 @@ func TestMarkerIgnoredWhileSyncing(t *testing.T) {
 	l := &ledger{}
 	r := newReplica(c.engines["n1"], def, l, true, log)
 
-	r.onCheckpoint(taskCheckpoint{msgID: 50, m: &msgCheckpoint{GroupID: 33, Reason: ckptMarker, UpToMsgID: 40}})
+	r.onCheckpoint(&msgCheckpoint{GroupID: 33, Reason: ckptMarker, UpToMsgID: 40})
 	if st := r.status(); !st.Syncing || st.LastExec != 0 || log.Len() != 0 || l.ops != 0 {
 		t.Fatalf("after a marker: syncing %v, lastExec %d, %d log records, %d ops; want untouched", st.Syncing, st.LastExec, log.Len(), l.ops)
 	}
 
 	src := &ledger{balance: 9, ops: 2, hist: []byte{4, 5}}
 	state := src.state(t)
-	r.onCheckpoint(taskCheckpoint{msgID: 60, m: &msgCheckpoint{GroupID: 33, Reason: ckptJoin, UpToMsgID: 55, State: state}})
+	r.onCheckpoint(&msgCheckpoint{GroupID: 33, Reason: ckptJoin, UpToMsgID: 55, State: state})
 	if st := r.status(); st.Syncing || st.LastExec != 55 {
 		t.Fatalf("after the join checkpoint: syncing %v, lastExec %d; want synced at 55", st.Syncing, st.LastExec)
 	}

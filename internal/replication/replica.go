@@ -71,29 +71,10 @@ func (q *taskQueue) pop(stop <-chan struct{}) (task, bool) {
 	return t, true
 }
 
-// Executor task kinds, as handler parameters.
-type taskInvoke struct {
-	msgID uint64
-	m     *msgInvocation
-}
-
-type taskReply struct {
-	msgID uint64
-	m     *msgReply
-}
-
-type taskCheckpoint struct {
-	msgID uint64
-	m     *msgCheckpoint
-}
-
+// taskView is a group view change, as an executor task.
 type taskView struct {
 	members []string
 	epoch   uint64 // ring epoch of the view (LF leadership terms)
-}
-
-type taskStateReq struct {
-	m *msgStateReq
 }
 
 type fulfillRec struct {
@@ -131,8 +112,8 @@ type replica struct {
 	lfBlockUntil time.Time // new-leader write fence
 
 	// Executor-owned state.
-	buffer     []any        // tasks held in order while syncing
-	pendingOps []taskInvoke // delivered, not yet covered (warm backups)
+	buffer     []task       // tasks held in order while syncing
+	pendingOps []task       // invocations delivered, not yet covered (warm backups)
 	fulfill    []fulfillRec // operations performed while secondary
 	preSplit   []string     // view before this member became secondary
 	former     map[string]bool
@@ -232,21 +213,21 @@ func (r *replica) executorLoop() {
 		}
 		switch m := t.m.(type) {
 		case *msgInvocation:
-			r.onInvoke(taskInvoke{msgID: t.msgID, m: m})
+			r.onInvoke(t.msgID, m)
 		case *msgReply:
-			r.onReply(taskReply{msgID: t.msgID, m: m})
+			r.onReply(m)
 		case *msgCheckpoint:
-			r.onCheckpoint(taskCheckpoint{msgID: t.msgID, m: m})
+			r.onCheckpoint(m)
 		case *taskView:
 			r.onView(*m)
 		case *msgStateReq:
-			r.onStateReq(taskStateReq{m: m})
+			r.onStateReq(m)
 		case *msgLfSubmit:
-			r.onLfSubmit(taskLfSubmit{m: m})
+			r.onLfSubmit(m)
 		case *msgLfOrder:
-			r.onLfOrder(taskLfOrder{msgID: t.msgID, m: m})
+			r.onLfOrder(m)
 		case *msgLfLease:
-			r.onLfLease(taskLfLease{m: m})
+			r.onLfLease(m)
 		case taskLfUnblock:
 			r.onLfUnblock()
 		}
@@ -334,30 +315,30 @@ func (r *replica) shipCheckpoint(upTo uint64, state []byte, window []byte) {
 	}
 }
 
-func (r *replica) onInvoke(t taskInvoke) {
+func (r *replica) onInvoke(msgID uint64, m *msgInvocation) {
 	r.mu.Lock()
 	syncing := r.syncing
 	secondary := r.secondary
 	r.mu.Unlock()
 
 	if syncing {
-		r.buffer = append(r.buffer, t)
+		r.buffer = append(r.buffer, task{msgID: msgID, m: m})
 		return
 	}
-	if secondary && !t.m.Fulfillment {
+	if secondary && !m.Fulfillment {
 		// Queue for post-remerge fulfillment (every member of the
 		// secondary component keeps the queue so any survivor can send it).
-		r.fulfill = append(r.fulfill, fulfillRec{op: t.m.Operation, args: t.m.Args})
+		r.fulfill = append(r.fulfill, fulfillRec{op: m.Operation, args: m.Args})
 	}
-	r.process(t)
+	r.process(msgID, m)
 }
 
 // process runs the style-appropriate handling for one delivered
 // invocation. Its low-water mark first retires its client's records.
-func (r *replica) process(t taskInvoke) {
+func (r *replica) process(msgID uint64, m *msgInvocation) {
 	r.mu.Lock()
-	retired := r.dedup.retire(t.m.Key.ClientID, t.m.Done)
-	rec, st := r.dedup.lookup(t.m.Key)
+	retired := r.dedup.retire(m.Key.ClientID, m.Done)
+	rec, st := r.dedup.lookup(m.Key)
 	switch st {
 	case keyRetired:
 		// Its client already holds the reply: a stale copy, suppressed
@@ -369,10 +350,10 @@ func (r *replica) process(t taskInvoke) {
 	case keyEvicted:
 		r.mu.Unlock()
 		r.countRetired(retired)
-		r.refuseEvicted(t)
+		r.refuseEvicted(m)
 		return
 	case keyNew:
-		rec = r.dedup.record(t.m.Key)
+		rec = r.dedup.record(m.Key)
 	}
 	duplicate := rec.deliveredInv
 	rec.deliveredInv = true
@@ -408,11 +389,11 @@ func (r *replica) process(t taskInvoke) {
 	// is always either in a shipped checkpoint's covered window or in a
 	// shipped segment.
 	if r.def.Style == ColdPassive {
-		if data, err := encodeWire(t.m); err == nil {
+		if data, err := encodeWire(m); err == nil {
 			rec := wal.Record{
 				Kind:  wal.KindUpdate,
-				MsgID: t.msgID,
-				Op:    opRecInvoke + t.m.Operation,
+				MsgID: msgID,
+				Op:    opRecInvoke + m.Operation,
 				Data:  data,
 			}
 			r.logUpdate(rec)
@@ -429,31 +410,31 @@ func (r *replica) process(t taskInvoke) {
 	// RPO zero to hold; the store's MsgID idempotence drops the duplicate
 	// copies. Stateless groups ship nothing: there is no state to recover.
 	if r.def.Style.IsActive() && r.def.Style != Stateless && r.shipsDRActive() {
-		if data, err := encodeWire(t.m); err == nil {
+		if data, err := encodeWire(m); err == nil {
 			err := r.eng.cfg.DR.AppendUpdate(r.def.ID, wal.Record{
 				Kind:  wal.KindUpdate,
-				MsgID: t.msgID,
-				Op:    opRecInvoke + t.m.Operation,
+				MsgID: msgID,
+				Op:    opRecInvoke + m.Operation,
 				Data:  data,
 			})
-			r.reportShipError(err, "update", t.msgID)
+			r.reportShipError(err, "update", msgID)
 		}
 	}
 
 	// Leader-follower: the leader assigns and executes; followers get the
 	// operation through the order stream and hold nothing here.
 	if r.def.Style.IsLeaderFollower() {
-		r.lfClassic(t, rec)
+		r.lfClassic(m, rec)
 		return
 	}
 
 	if r.def.Style.IsActive() || r.isPrimary() {
-		r.run(t, rec)
+		r.run(msgID, m, rec)
 		return
 	}
 
 	// Passive backup: hold the operation for possible failover replay.
-	r.pendingOps = append(r.pendingOps, t)
+	r.pendingOps = append(r.pendingOps, task{msgID: msgID, m: m})
 }
 
 // shouldAnswerDuplicates limits who re-sends logged replies for duplicate
@@ -465,7 +446,7 @@ func (r *replica) shouldAnswerDuplicates() bool { return r.isPrimary() }
 // the operation may have executed already, so it must not run again. The
 // refusal is counted and reported as a fault, and the member that answers
 // duplicates replies with a system exception (completion unknown).
-func (r *replica) refuseEvicted(t taskInvoke) {
+func (r *replica) refuseEvicted(m *msgInvocation) {
 	r.eng.stat.dedupOverflows.Add(1)
 	if !r.shouldAnswerDuplicates() {
 		return
@@ -475,17 +456,17 @@ func (r *replica) refuseEvicted(t taskInvoke) {
 			Kind:     fault.RetentionOverflow,
 			Node:     r.eng.cfg.Node,
 			GroupID:  r.def.ID,
-			Member:   t.m.Key.ClientID,
-			Detail:   "retry past the duplicate-suppression bound: " + t.m.Key.String(),
+			Member:   m.Key.ClientID,
+			Detail:   "retry past the duplicate-suppression bound: " + m.Key.String(),
 			Detected: time.Now(),
 		})
 	}
-	if t.m.Oneway {
+	if m.Oneway {
 		return
 	}
 	r.multicastReply(&msgReply{
 		GroupID: r.def.ID,
-		Key:     t.m.Key,
+		Key:     m.Key,
 		Status:  replySysExc,
 		Body:    giop.SystemException{RepoID: giop.ExcTimeout, Completed: giop.CompletedMaybe}.Encode(),
 		Node:    r.eng.cfg.Node,
@@ -494,15 +475,15 @@ func (r *replica) refuseEvicted(t taskInvoke) {
 
 // run executes one invocation on the local servant and multicasts the
 // reply (unless suppressed).
-func (r *replica) run(t taskInvoke, rec *opRecord) {
-	x := execute(r.servant, r.def.ID, t.msgID, t.m.Operation, t.m.Args, r.eng)
+func (r *replica) run(msgID uint64, m *msgInvocation, rec *opRecord) {
+	x := execute(r.servant, r.def.ID, msgID, m.Operation, m.Args, r.eng)
 	r.eng.stat.executions.Add(1)
 
 	rep := &msgReply{
 		GroupID:   r.def.ID,
-		Key:       t.m.Key,
+		Key:       m.Key,
 		Node:      r.eng.cfg.Node,
-		ExecMsgID: t.msgID,
+		ExecMsgID: msgID,
 	}
 
 	// Passive primaries piggyback the state update on the reply.
@@ -521,7 +502,7 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 			}
 		}
 		if rep.Update != nil {
-			rec := wal.Record{Kind: wal.KindUpdate, MsgID: t.msgID, Op: updateOp(rep.UpdateFull), Data: rep.Update}
+			rec := wal.Record{Kind: wal.KindUpdate, MsgID: msgID, Op: updateOp(rep.UpdateFull), Data: rep.Update}
 			r.logUpdate(rec)
 			r.shipUpdate(rec)
 		}
@@ -531,7 +512,7 @@ func (r *replica) run(t taskInvoke, rec *opRecord) {
 	payload, keyLen := encodeExecReply(rep, x.results, x.err)
 
 	r.mu.Lock()
-	r.lastExec = t.msgID
+	r.lastExec = msgID
 	rec.executedLocal = true
 	send := !rec.answered
 	if !rec.answered {
@@ -670,15 +651,14 @@ func (r *replica) multicastReply(rep *msgReply) {
 // onReply applies passive state updates and clears covered pending
 // operations. (Client-call completion and answered-marking already happened
 // in the engine loop.)
-func (r *replica) onReply(t taskReply) {
-	m := t.m
+func (r *replica) onReply(m *msgReply) {
 	r.mu.Lock()
 	syncing := r.syncing
 	r.mu.Unlock()
 	if syncing {
 		// Hold updates in order; adoptState replays the ones the
 		// transferred snapshot does not already cover.
-		r.buffer = append(r.buffer, t)
+		r.buffer = append(r.buffer, task{m: m})
 		return
 	}
 	if r.def.Style == WarmPassive && m.Node != r.eng.cfg.Node {
@@ -691,7 +671,7 @@ func (r *replica) onReply(t taskReply) {
 	}
 	// The operation is covered: drop it from the failover-pending list.
 	for i := range r.pendingOps {
-		if r.pendingOps[i].m.Key == m.Key {
+		if r.pendingOps[i].m.(*msgInvocation).Key == m.Key {
 			r.pendingOps = append(r.pendingOps[:i], r.pendingOps[i+1:]...)
 			break
 		}
@@ -722,14 +702,13 @@ func (r *replica) applyUpdate(m *msgReply) {
 	r.mu.Lock()
 	r.lastExec = m.ExecMsgID
 	r.mu.Unlock()
-	// logUpdate keeps the byte-policy counter warm on backups too, so a
-	// freshly failed-over primary inherits an accurate since-checkpoint
-	// volume instead of starting from zero.
+	// A backup logs each applied update too, so its WAL follows the state
+	// it holds — what a restart replays and its next marker checkpoint
+	// compacts — and lastLogged, the compaction guard, advances with it.
 	r.logUpdate(wal.Record{Kind: wal.KindUpdate, MsgID: m.ExecMsgID, Op: updateOp(m.UpdateFull), Data: m.Update})
 }
 
-func (r *replica) onCheckpoint(t taskCheckpoint) {
-	m := t.m
+func (r *replica) onCheckpoint(m *msgCheckpoint) {
 	if m.Reason == ckptMarker {
 		r.onMarker(m)
 		return
@@ -940,17 +919,17 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 func (r *replica) replayBuffered(upTo uint64) {
 	buffered := r.buffer
 	r.buffer = nil
-	for _, item := range buffered {
-		switch t := item.(type) {
-		case taskInvoke:
+	for _, t := range buffered {
+		switch m := t.m.(type) {
+		case *msgInvocation:
 			if t.msgID > upTo {
-				r.process(t)
+				r.process(t.msgID, m)
 			}
-		case taskReply:
-			r.onReply(t)
-		case taskLfOrder:
-			if lfMsgID(t.m.Epoch, t.m.Seq) > upTo {
-				r.onLfOrder(t)
+		case *msgReply:
+			r.onReply(m)
+		case *msgLfOrder:
+			if lfMsgID(m.Epoch, m.Seq) > upTo {
+				r.onLfOrder(m)
 			}
 		}
 	}
@@ -1126,8 +1105,8 @@ func (r *replica) onView(t taskView) {
 // primary — the stuck member with the most applied state promotes its own
 // state to authoritative, guaranteeing the group always recovers without
 // anointing an empty fresh incarnation over a state-bearing survivor.
-func (r *replica) onStateReq(t taskStateReq) {
-	r.stuck[t.m.From] = t.m.LastExec
+func (r *replica) onStateReq(m *msgStateReq) {
+	r.stuck[m.From] = m.LastExec
 	r.mu.Lock()
 	syncing := r.syncing
 	secondary := r.secondary
@@ -1226,7 +1205,7 @@ func (r *replica) failover() {
 					continue
 				}
 				r.eng.stat.replays.Add(1)
-				r.replayOne(taskInvoke{msgID: rec.MsgID, m: inv})
+				r.replayOne(rec.MsgID, inv)
 			}
 		}
 		r.pendingOps = nil
@@ -1242,19 +1221,19 @@ func (r *replica) failover() {
 	r.pendingOps = nil
 	for _, t := range pend {
 		r.eng.stat.replays.Add(1)
-		r.replayOne(t)
+		r.replayOne(t.msgID, t.m.(*msgInvocation))
 	}
 }
 
 // replayOne re-executes an operation during failover. Operations whose
 // replies were already delivered re-execute for state effect only (cold
 // passive) without re-sending the logged reply.
-func (r *replica) replayOne(t taskInvoke) {
+func (r *replica) replayOne(msgID uint64, m *msgInvocation) {
 	r.mu.Lock()
-	rec, st := r.dedup.lookup(t.m.Key)
+	rec, st := r.dedup.lookup(m.Key)
 	switch st {
 	case keyNew:
-		rec = r.dedup.record(t.m.Key)
+		rec = r.dedup.record(m.Key)
 	case keyRetired, keyEvicted:
 		// The record is gone, but a cold backup never executed the
 		// operation and its checkpoint does not include it: re-execute it
@@ -1268,7 +1247,7 @@ func (r *replica) replayOne(t taskInvoke) {
 	if executed {
 		return
 	}
-	r.run(t, rec)
+	r.run(msgID, m, rec)
 }
 
 // wireToOutcome converts reply status + body back to Dispatch form.

@@ -7,16 +7,22 @@ import (
 	"repro/internal/netsim"
 )
 
-// BenchmarkPR2EncodeData measures marshalling one ordered data packet —
+// oneMessageFrame is a data frame of one 256-byte message: a
+// retransmission, or a token visit that had one message to send.
+func oneMessageFrame() *dataBatch {
+	return &dataBatch{
+		Ring:     RingID{Epoch: 3, Coord: "n1"},
+		Sender:   "n2",
+		FirstSeq: 42,
+		Groups:   []string{"og/7"},
+		Payloads: [][]byte{make([]byte, 256)},
+	}
+}
+
+// BenchmarkPR2EncodeData measures marshalling a one-message data frame —
 // the per-message cost the coalesced frame amortizes.
 func BenchmarkPR2EncodeData(b *testing.B) {
-	d := &data{
-		Ring:    RingID{Epoch: 3, Coord: "n1"},
-		Seq:     42,
-		Group:   "og/7",
-		Sender:  "n2",
-		Payload: make([]byte, 256),
-	}
+	d := oneMessageFrame()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -27,26 +33,21 @@ func BenchmarkPR2EncodeData(b *testing.B) {
 	}
 }
 
-// BenchmarkPR2PacketRoundTrip measures encode+decode of a data packet.
+// BenchmarkPR2PacketRoundTrip measures encode+decode (copying) of a
+// one-message data frame.
 func BenchmarkPR2PacketRoundTrip(b *testing.B) {
-	d := &data{
-		Ring:    RingID{Epoch: 3, Coord: "n1"},
-		Seq:     42,
-		Group:   "og/7",
-		Sender:  "n2",
-		Payload: make([]byte, 256),
-	}
+	d := oneMessageFrame()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodePacket(mustEncodePacket(b, d)); err != nil {
+		if _, err := decodePacketIn(mustEncodePacket(b, d), false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestDecodeOwnedAllocBudget pins the receive-path allocation win that
-// PR 7's owned-frame decode bought: once the receive path hands decodePacketOwned
+// PR 7's owned-frame decode bought: once the receive path hands decodePacketIn
 // a buffer it owns, a 16-message coalesced batch must decode with the
 // sub-message payloads and group names aliasing that buffer — a handful
 // of fixed allocations (packet struct, slice headers, decoder) rather
@@ -66,7 +67,7 @@ func TestDecodeOwnedAllocBudget(t *testing.T) {
 	raw := mustEncodePacket(t, db)
 
 	owned := testing.AllocsPerRun(200, func() {
-		if _, err := decodePacketOwned(raw); err != nil {
+		if _, err := decodePacketIn(raw, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -75,13 +76,13 @@ func TestDecodeOwnedAllocBudget(t *testing.T) {
 	// compiler-version drift without admitting per-message copies
 	// (which would add ≥2·batch = 32).
 	if owned > 8 {
-		t.Fatalf("decodePacketOwned of a %d-message batch: %.0f allocs/op, want ≤ 8", batch, owned)
+		t.Fatalf("owned decodePacketIn of a %d-message batch: %.0f allocs/op, want ≤ 8", batch, owned)
 	}
 
 	// The copying decode (shared-buffer contract) is the upper bound the
 	// owned path must stay well under.
 	copying := testing.AllocsPerRun(200, func() {
-		if _, err := decodePacket(raw); err != nil {
+		if _, err := decodePacketIn(raw, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -26,7 +26,7 @@ func TestDataBatchRoundTrip(t *testing.T) {
 			bytes.Repeat([]byte{0xAB}, 8192),
 		},
 	}
-	got, err := decodePacket(mustEncodePacket(t, in))
+	got, err := decodePacketIn(mustEncodePacket(t, in), false, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

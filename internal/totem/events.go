@@ -37,6 +37,8 @@ type Deliver struct {
 // ViewChange announces a new ring membership, totally ordered with respect
 // to message delivery (extended virtual synchrony: members coming from the
 // same previous ring deliver the same messages before the same view).
+// Members is shared with the ring's own snapshot: read or copy it, never
+// modify it.
 type ViewChange struct {
 	Ring    RingID
 	Members []string
@@ -47,6 +49,7 @@ func (ViewChange) isEvent() {}
 // GroupView announces the membership of one process group, emitted whenever
 // it changes (join/leave messages or ring view changes). All group members
 // observe the same GroupView at the same point in the delivery order.
+// Members is shared as ViewChange's is.
 type GroupView struct {
 	Ring    RingID
 	Group   string

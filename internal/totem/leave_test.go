@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func TestLeaveGroupStopsDelivery(t *testing.T) {
 		}
 	}
 	waitFor(t, 3*time.Second, "both joined", func() bool {
-		return sameStrings(c.rings["n3"].GroupMembers("g"), []string{"n1", "n2"})
+		return slices.Equal(c.rings["n3"].GroupMembers("g"), []string{"n1", "n2"})
 	})
 
 	if err := c.rings["n2"].LeaveGroup("g"); err != nil {
@@ -35,7 +36,7 @@ func TestLeaveGroupStopsDelivery(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "leave visible everywhere", func() bool {
 		for _, n := range c.nodes {
-			if !sameStrings(c.rings[n].GroupMembers("g"), []string{"n1"}) {
+			if !slices.Equal(c.rings[n].GroupMembers("g"), []string{"n1"}) {
 				return false
 			}
 		}
@@ -69,14 +70,14 @@ func TestRejoinAfterLeave(t *testing.T) {
 		}
 	}
 	waitFor(t, 3*time.Second, "all joined", func() bool {
-		return sameStrings(c.rings["n1"].GroupMembers("g"), c.nodes)
+		return slices.Equal(c.rings["n1"].GroupMembers("g"), c.nodes)
 	})
 
 	if err := c.rings["n2"].LeaveGroup("g"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "n2 out", func() bool {
-		return sameStrings(c.rings["n1"].GroupMembers("g"), []string{"n1", "n3"})
+		return slices.Equal(c.rings["n1"].GroupMembers("g"), []string{"n1", "n3"})
 	})
 	c.rings["n1"].Multicast("g", []byte("while-away"))
 	waitFor(t, 3*time.Second, "n3 delivers while-away", func() bool {
@@ -89,7 +90,7 @@ func TestRejoinAfterLeave(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "rejoin visible everywhere", func() bool {
 		for _, n := range c.nodes {
-			if !sameStrings(c.rings[n].GroupMembers("g"), c.nodes) {
+			if !slices.Equal(c.rings[n].GroupMembers("g"), c.nodes) {
 				return false
 			}
 		}
@@ -123,7 +124,7 @@ func TestGroupEmptiesSequencingContinues(t *testing.T) {
 		}
 	}
 	waitFor(t, 3*time.Second, "joined", func() bool {
-		return sameStrings(c.rings["n3"].GroupMembers("g"), []string{"n1", "n2"})
+		return slices.Equal(c.rings["n3"].GroupMembers("g"), []string{"n1", "n2"})
 	})
 	for _, n := range []string{"n1", "n2"} {
 		if err := c.rings[n].LeaveGroup("g"); err != nil {
@@ -161,7 +162,7 @@ func TestGroupEmptiesSequencingContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "n1 back in", func() bool {
-		return sameStrings(c.rings["n2"].GroupMembers("g"), []string{"n1"})
+		return slices.Equal(c.rings["n2"].GroupMembers("g"), []string{"n1"})
 	})
 	c.rings["n2"].Multicast("g", []byte("revival"))
 	waitFor(t, 3*time.Second, "revival delivered", func() bool {
@@ -177,5 +178,30 @@ func TestGroupEmptiesSequencingContinues(t *testing.T) {
 		if ds[i].MsgID <= ds[i-1].MsgID {
 			t.Fatalf("MsgID not increasing across the empty period: %d after %d", ds[i].MsgID, ds[i-1].MsgID)
 		}
+	}
+}
+
+// TestGroupChangeAllocs pins that an ordered join or leave publishes only
+// the group it changed: delivering one on a ring with 64 groups allocates
+// no more than delivering one on a ring with a single group.
+func TestGroupChangeAllocs(t *testing.T) {
+	allocs := func(groups int) float64 {
+		r, _ := bareRing(t)
+		subs := make([]groupSub, groups)
+		for i := range subs {
+			subs[i] = groupSub{Node: "n1", Group: fmt.Sprintf("g%d", i)}
+		}
+		r.handleInstall(&install{Ring: RingID{Epoch: r.ring.Epoch + 1, Coord: "n1"}, Members: r.members, Subs: subs}, time.Now())
+		ctl := [2][]byte{encodeCtl(ctlJoin, "n3", "g0"), encodeCtl(ctlLeave, "n3", "g0")}
+		var batch []Delivery
+		seq := uint64(0)
+		return testing.AllocsPerRun(200, func() {
+			seq++
+			r.deliverMsg(r.ring, storedMsg{Seq: seq, Group: ctlGroup, Sender: "n3", Payload: ctl[seq%2]})
+			batch, _ = r.Drain(batch) // the GroupView, consumed
+		})
+	}
+	if one, many := allocs(1), allocs(64); many > one {
+		t.Fatalf("a join or leave on a ring with 64 groups: %.0f allocs, with 1 group: %.0f", many, one)
 	}
 }

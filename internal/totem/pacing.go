@@ -75,21 +75,21 @@ func (p *pacer) visit(seq uint64, worked, coord bool) bool {
 // closed at the parking visit had an aru equal to Seq, so every member had
 // delivered everything, and no message can be sent while the token is
 // parked.
-func (r *Ring) unpark() bool {
+func (r *Ring) unpark(now time.Time) bool {
 	if !r.pace.parked {
 		return false
 	}
 	r.pace.parked = false
 	r.pace.skipPark = true
-	r.rehandleRetained()
+	r.rehandleRetained(now)
 	return true
 }
 
 // handleNudge serves a member's request to resume the token. When the token
 // is not parked the nudge usually raced the parking round it means to
 // prevent, so the next would-be parking visit rotates instead.
-func (r *Ring) handleNudge() {
-	if !r.unpark() {
+func (r *Ring) handleNudge(now time.Time) {
+	if !r.unpark(now) {
 		r.pace.skipPark = true
 	}
 }
@@ -99,7 +99,7 @@ func (r *Ring) handleNudge() {
 // token has visited for half a heartbeat. (A delivery gap needs no retry: a
 // ring with a gap anywhere does not park.)
 func (r *Ring) paceTick(now time.Time) {
-	if r.unpark() || r.ring.Coord == r.cfg.Node ||
+	if r.unpark(now) || r.ring.Coord == r.cfg.Node ||
 		now.Sub(r.lastToken) <= r.cfg.HeartbeatInterval/2 {
 		return
 	}
@@ -107,11 +107,11 @@ func (r *Ring) paceTick(now time.Time) {
 	pending := len(r.sendQ) > 0
 	r.mu.Unlock()
 	if pending {
-		r.sendNudge()
+		r.sendNudge(now)
 	}
 }
 
-func (r *Ring) sendNudge() {
+func (r *Ring) sendNudge(now time.Time) {
 	r.nudgeOut = nudge{Ring: r.ring, From: r.cfg.Node}
-	r.send(r.ring.Coord, &r.nudgeOut)
+	r.send(r.ring.Coord, &r.nudgeOut, now)
 }

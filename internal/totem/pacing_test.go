@@ -161,7 +161,7 @@ func TestTokenSurvivesTwoLostHops(t *testing.T) {
 		if Classify(payload) != ClassToken {
 			return false
 		}
-		pkt, err := decodePacket(payload)
+		pkt, err := decodePacketIn(payload, false, nil)
 		if err != nil {
 			return false
 		}

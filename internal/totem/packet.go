@@ -16,7 +16,7 @@ const (
 	pktAccept
 	pktInstall
 	pktToken
-	pktData
+	_ // 6 was a single-message data packet; a retransmission is now a one-message frame
 	pktDataBatch
 	pktNudge
 	pktDirect
@@ -47,9 +47,7 @@ func (r RingID) String() string { return fmt.Sprintf("%d@%s", r.Epoch, r.Coord) 
 // hello is the gossip heartbeat used for liveness and remerge detection.
 type hello struct {
 	From     string
-	Alive    []string // nodes From currently hears
-	MaxEpoch uint64   // highest ring epoch From has seen
-	Ring     RingID   // ring From is operating in (zero when forming)
+	MaxEpoch uint64 // highest ring epoch From has seen
 }
 
 // propose is the coordinator's ring formation proposal.
@@ -143,23 +141,13 @@ type direct struct {
 	Payload []byte
 }
 
-// data is an ordered multicast message (original or retransmission).
-type data struct {
-	Ring    RingID
-	Seq     uint64
-	Group   string
-	Sender  string
-	Payload []byte
-	Resend  bool
-}
-
-// dataBatch is a coalesced frame: several ordered messages with contiguous
-// sequence numbers (FirstSeq, FirstSeq+1, ...), all originated by one token
-// holder during a single token visit, packed into one fabric datagram.
-// Receivers unpack and deliver each sub-message exactly as if it had
-// arrived in its own data packet. Retransmissions always travel as single
-// data packets re-framed from the message log, so the recovery path
-// addresses individual sequence numbers regardless of original framing.
+// dataBatch is a data frame, the one packet that carries ordered messages:
+// messages with contiguous sequence numbers (FirstSeq, FirstSeq+1, ...),
+// all originated by Sender. The token holder packs one visit's batch into
+// as few frames as maxFrameBytes allows; a retransmission is a frame of
+// one message re-framed from the message log, whose Sender is the
+// message's original sender, so the recovery path addresses individual
+// sequence numbers regardless of original framing.
 type dataBatch struct {
 	Ring     RingID
 	Sender   string
@@ -173,49 +161,11 @@ func encodeRingID(e *cdr.Encoder, r RingID) {
 	e.WriteString(r.Coord)
 }
 
-func decodeRingID(d *cdr.Decoder) (RingID, error) {
-	var r RingID
-	var err error
-	if r.Epoch, err = d.ReadULongLong(); err != nil {
-		return r, err
-	}
-	if r.Coord, err = d.ReadStringInterned(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
 func encodeStrings(e *cdr.Encoder, ss []string) {
 	e.WriteULong(uint32(len(ss)))
 	for _, s := range ss {
 		e.WriteString(s)
 	}
-}
-
-// decodeStrings decodes a string sequence into out's storage, allocating
-// only when out is too small.
-func decodeStrings(d *cdr.Decoder, out []string) ([]string, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	// Each string takes at least its length word: a count the packet
-	// cannot hold must not size an allocation.
-	if int64(n)*4 > int64(d.Remaining()) {
-		return nil, fmt.Errorf("totem: string count %d overruns the packet", n)
-	}
-	if cap(out) < int(n) {
-		out = make([]string, 0, n)
-	}
-	out = out[:0]
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadStringInterned()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 func encodeStoredMsgs(e *cdr.Encoder, ms []storedMsg) {
@@ -226,35 +176,6 @@ func encodeStoredMsgs(e *cdr.Encoder, ms []storedMsg) {
 		e.WriteString(m.Sender)
 		e.WriteOctetSeq(m.Payload)
 	}
-}
-
-func decodeStoredMsgs(d *cdr.Decoder) ([]storedMsg, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	// Each message takes at least its seq and three length words.
-	if int64(n)*20 > int64(d.Remaining()) {
-		return nil, fmt.Errorf("totem: message count %d overruns the packet", n)
-	}
-	out := make([]storedMsg, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var m storedMsg
-		if m.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if m.Group, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if m.Sender, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if m.Payload, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // PacketClass coarsely classifies an encoded ring datagram payload without
@@ -268,7 +189,6 @@ const (
 	ClassHello
 	ClassMembership // propose / accept / install
 	ClassToken
-	ClassData
 	ClassDataBatch
 	ClassDirect
 )
@@ -285,8 +205,6 @@ func Classify(payload []byte) PacketClass {
 		return ClassMembership
 	case pktToken:
 		return ClassToken
-	case pktData:
-		return ClassData
 	case pktDataBatch:
 		return ClassDataBatch
 	case pktDirect:
@@ -317,9 +235,7 @@ func writePacket(e *cdr.Encoder, p any) error {
 	case *hello:
 		e.WriteOctet(byte(pktHello))
 		e.WriteString(v.From)
-		encodeStrings(e, v.Alive)
 		e.WriteULongLong(v.MaxEpoch)
-		encodeRingID(e, v.Ring)
 	case *propose:
 		e.WriteOctet(byte(pktPropose))
 		encodeRingID(e, v.Ring)
@@ -357,14 +273,6 @@ func writePacket(e *cdr.Encoder, p any) error {
 		for _, s := range v.Rtr {
 			e.WriteULongLong(s)
 		}
-	case *data:
-		e.WriteOctet(byte(pktData))
-		encodeRingID(e, v.Ring)
-		e.WriteULongLong(v.Seq)
-		e.WriteString(v.Group)
-		e.WriteString(v.Sender)
-		e.WriteBool(v.Resend)
-		e.WriteOctetSeq(v.Payload)
 	case *dataBatch:
 		e.WriteOctet(byte(pktDataBatch))
 		encodeRingID(e, v.Ring)
@@ -409,8 +317,6 @@ func firstOctet(b []byte) byte {
 // default seed fits it.
 func packetSizeHint(p any) int {
 	switch v := p.(type) {
-	case *data:
-		return 64 + len(v.Group) + len(v.Sender) + len(v.Payload)
 	case *dataBatch:
 		n := 64 + len(v.Sender)
 		for i, pl := range v.Payloads {
@@ -425,28 +331,12 @@ func packetSizeHint(p any) int {
 	return 0
 }
 
-// decodePacket unmarshals a datagram payload. Every variable-length field
-// is copied out, so the caller may reuse b (the transport TryRecv contract).
-func decodePacket(b []byte) (any, error) {
-	return decodePacketIn(b, false, nil)
-}
-
-// decodePacketOwned unmarshals a datagram payload the caller owns and
-// will never modify: payload-bearing fields alias b instead of copying.
-// One data batch then costs a single buffer (b itself, copied once off
-// the transport's receive buffer) instead of an allocation per message —
-// the difference between ~1 and ~2·batch allocations per delivered frame
-// on the multicast hot path.
-func decodePacketOwned(b []byte) (any, error) {
-	return decodePacketIn(b, true, nil)
-}
-
 // hotPackets is decode storage a ring owns for the packet kinds that
 // dominate the wire: the token, which circulates back to back under load,
-// the coalesced data frame, and the heartbeat every peer sends every
-// beat. Decoding into it reuses the structs and their Rtr, Groups,
-// Payloads and Alive storage, so receiving any of them allocates nothing
-// beyond the owned frame copy a data frame's payloads alias.
+// the data frame, and the heartbeat every peer sends every beat. Decoding
+// into it reuses the structs and their Rtr, Groups and Payloads storage,
+// so receiving any of them allocates nothing beyond the owned frame copy a
+// data frame's payloads alias.
 //
 // Lifetime rule: a packet decoded here is valid until the next packet is
 // decoded; anything that must outlive it is copied into ring-owned storage
@@ -463,7 +353,7 @@ func (h *hotPackets) hello() *hello {
 	if h == nil {
 		return new(hello)
 	}
-	h.hb = hello{Alive: h.hb.Alive[:0]}
+	h.hb = hello{}
 	return &h.hb
 }
 
@@ -489,218 +379,149 @@ func (h *hotPackets) dataBatch() *dataBatch {
 	return &h.batch
 }
 
-// decodePacketIn decodes b, aliasing it when owned. hot, when non-nil,
-// supplies reused storage for a token, a data frame or a heartbeat (see
-// hotPackets).
+// decodePacketIn unmarshals a datagram payload. With owned false every
+// variable-length field is copied out, so the caller may reuse b (the
+// transport TryRecv contract). With owned true the caller owns b and will
+// never modify it: payloads alias b, so a data frame costs the one copy
+// of b the receive path makes, not one allocation per message. hot, when
+// non-nil, supplies reused storage for a token, a data frame or a
+// heartbeat (see hotPackets).
 func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
-	d := cdr.NewDecoder(b, cdr.BigEndian)
-	if owned {
-		d.SetZeroCopy(true)
-	}
-	t, err := d.ReadOctet()
+	r := pktReader{d: *cdr.NewDecoder(b, cdr.BigEndian)}
+	r.d.SetZeroCopy(owned)
+	t, err := r.d.ReadOctet()
 	if err != nil {
 		return nil, err
 	}
+	var pkt any
 	switch pktType(t) {
 	case pktHello:
 		v := hot.hello()
-		if v.From, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Alive, err = decodeStrings(d, v.Alive); err != nil {
-			return nil, err
-		}
-		if v.MaxEpoch, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		return v, nil
+		v.From, v.MaxEpoch = r.str(), r.u64()
+		pkt = v
 	case pktPropose:
-		v := &propose{}
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		if v.Members, err = decodeStrings(d, nil); err != nil {
-			return nil, err
-		}
-		return v, nil
+		pkt = &propose{Ring: r.ringID(), Members: r.strings()}
 	case pktAccept:
-		v := &accept{}
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		if v.From, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.OldRing, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		if v.Delivered, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Stored, err = decodeStoredMsgs(d); err != nil {
-			return nil, err
-		}
-		if v.Groups, err = decodeStrings(d, nil); err != nil {
-			return nil, err
-		}
-		return v, nil
+		pkt = &accept{Ring: r.ringID(), From: r.str(), OldRing: r.ringID(), Delivered: r.u64(),
+			Stored: r.storedMsgs(), Groups: r.strings()}
 	case pktInstall:
-		v := &install{}
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
+		v := &install{Ring: r.ringID(), Members: r.strings()}
+		for n := r.count(16); n > 0 && r.err == nil; n-- {
+			v.Recovery = append(v.Recovery, recoverySet{OldRing: r.ringID(), Msgs: r.storedMsgs()})
 		}
-		if v.Members, err = decodeStrings(d, nil); err != nil {
-			return nil, err
+		for n := r.count(8); n > 0 && r.err == nil; n-- {
+			v.Subs = append(v.Subs, groupSub{Node: r.str(), Group: r.str()})
 		}
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		if n > 1<<16 {
-			return nil, fmt.Errorf("totem: implausible recovery set count %d", n)
-		}
-		for i := uint32(0); i < n; i++ {
-			var rs recoverySet
-			if rs.OldRing, err = decodeRingID(d); err != nil {
-				return nil, err
-			}
-			if rs.Msgs, err = decodeStoredMsgs(d); err != nil {
-				return nil, err
-			}
-			v.Recovery = append(v.Recovery, rs)
-		}
-		ns, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		if ns > 1<<20 {
-			return nil, fmt.Errorf("totem: implausible subscription count %d", ns)
-		}
-		for i := uint32(0); i < ns; i++ {
-			var s groupSub
-			if s.Node, err = d.ReadStringInterned(); err != nil {
-				return nil, err
-			}
-			if s.Group, err = d.ReadStringInterned(); err != nil {
-				return nil, err
-			}
-			v.Subs = append(v.Subs, s)
-		}
-		return v, nil
+		pkt = v
 	case pktToken:
 		v := hot.token()
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
+		v.Ring, v.Round, v.Seq, v.Aru, v.LastAru = r.ringID(), r.u64(), r.u64(), r.u64(), r.u64()
+		for n := r.count(8); n > 0 && r.err == nil; n-- {
+			v.Rtr = append(v.Rtr, r.u64())
 		}
-		if v.Round, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Aru, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.LastAru, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		if int64(n)*8 > int64(d.Remaining()) {
-			return nil, fmt.Errorf("totem: rtr count %d overruns the packet", n)
-		}
-		for i := uint32(0); i < n; i++ {
-			s, err := d.ReadULongLong()
-			if err != nil {
-				return nil, err
-			}
-			v.Rtr = append(v.Rtr, s)
-		}
-		return v, nil
-	case pktData:
-		v := &data{}
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		if v.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Group, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Sender, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Resend, err = d.ReadBool(); err != nil {
-			return nil, err
-		}
-		if v.Payload, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		return v, nil
+		pkt = v
 	case pktDataBatch:
 		v := hot.dataBatch()
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		if v.Sender, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.FirstSeq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		// Each sub-message takes at least its two length words.
-		if int64(n)*8 > int64(d.Remaining()) {
-			return nil, fmt.Errorf("totem: batch count %d overruns the packet", n)
-		}
-		if cap(v.Payloads) < int(n) {
+		v.Ring, v.Sender, v.FirstSeq = r.ringID(), r.str(), r.u64()
+		n := r.count(8) // each message takes at least its two length words
+		if cap(v.Payloads) < n {
 			v.Groups = make([]string, 0, n)
 			v.Payloads = make([][]byte, 0, n)
 		}
-		for i := uint32(0); i < n; i++ {
-			g, err := d.ReadStringInterned()
-			if err != nil {
-				return nil, err
-			}
-			p, err := d.ReadOctetSeq()
-			if err != nil {
-				return nil, err
-			}
-			v.Groups = append(v.Groups, g)
-			v.Payloads = append(v.Payloads, p)
+		for ; n > 0 && r.err == nil; n-- {
+			v.Groups = append(v.Groups, r.str())
+			v.Payloads = append(v.Payloads, r.octets())
 		}
-		return v, nil
+		pkt = v
 	case pktNudge:
-		v := &nudge{}
-		if v.Ring, err = decodeRingID(d); err != nil {
-			return nil, err
-		}
-		if v.From, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		return v, nil
+		pkt = &nudge{Ring: r.ringID(), From: r.str()}
 	case pktDirect:
-		v := &direct{}
-		if v.From, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Group, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Payload, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		return v, nil
+		pkt = &direct{From: r.str(), Group: r.str(), Payload: r.octets()}
 	default:
 		return nil, fmt.Errorf("totem: unknown packet type %d", t)
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return pkt, nil
+}
+
+// pktReader reads a packet's fields in wire order and keeps the first
+// error: every read after it returns the zero value, so a decode checks
+// once, at the end, instead of after every field.
+type pktReader struct {
+	d   cdr.Decoder
+	err error
+}
+
+func (r *pktReader) u64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, err := r.d.ReadULongLong()
+	r.err = err
+	return v
+}
+
+// str reads an interned string: node, group and coordinator names come
+// from a small fixed vocabulary.
+func (r *pktReader) str() string {
+	if r.err != nil {
+		return ""
+	}
+	v, err := r.d.ReadStringInterned()
+	r.err = err
+	return v
+}
+
+func (r *pktReader) octets() []byte {
+	if r.err != nil {
+		return nil
+	}
+	v, err := r.d.ReadOctetSeq()
+	r.err = err
+	return v
+}
+
+func (r *pktReader) ringID() RingID { return RingID{Epoch: r.u64(), Coord: r.str()} }
+
+// count reads a sequence length. A count whose elements, at least min
+// bytes each, overrun the packet is an error, so a corrupt count never
+// sizes an allocation.
+func (r *pktReader) count(min int) int {
+	if r.err != nil {
+		return 0
+	}
+	n, err := r.d.ReadULong()
+	if err == nil && int64(n)*int64(min) > int64(r.d.Remaining()) {
+		err = fmt.Errorf("totem: count %d overruns the packet", n)
+	}
+	if r.err = err; err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *pktReader) strings() []string {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for ; n > 0 && r.err == nil; n-- {
+		out = append(out, r.str())
+	}
+	return out
+}
+
+func (r *pktReader) storedMsgs() []storedMsg {
+	n := r.count(20) // a seq and three length words
+	if n == 0 {
+		return nil
+	}
+	out := make([]storedMsg, 0, n)
+	for ; n > 0 && r.err == nil; n-- {
+		out = append(out, storedMsg{Seq: r.u64(), Group: r.str(), Sender: r.str(), Payload: r.octets()})
+	}
+	return out
 }

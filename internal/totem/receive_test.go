@@ -2,7 +2,6 @@ package totem
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -57,10 +56,10 @@ func TestIdleSingletonParks(t *testing.T) {
 			default:
 				t.Fatalf("%s: self-token due but no wake signalled", what)
 			}
-			r.handleWake()
+			r.handleWake(time.Now())
 		}
 	}
-	r.handleToken(&token{Ring: r.ring})
+	r.handleToken(&token{Ring: r.ring}, time.Now())
 	wakes("idle ring")
 	if !r.pace.parked {
 		t.Fatal("idle singleton did not park")
@@ -73,7 +72,7 @@ func TestIdleSingletonParks(t *testing.T) {
 	default:
 		t.Fatal("Multicast did not signal the wake channel")
 	}
-	r.handleWake()
+	r.handleWake(time.Now())
 	if r.delivered != 1 {
 		t.Fatalf("delivered %d after the wake, want 1", r.delivered)
 	}
@@ -185,6 +184,39 @@ func TestTokenHopAllocs(t *testing.T) {
 	}
 }
 
+// TestResendIsOneMessageFrame serves a token's retransmission request for
+// a message another member sent: the message goes to both peers as a data
+// frame of one message that still names its original sender, and a token
+// carrying the request is forwarded without it.
+func TestResendIsOneMessageFrame(t *testing.T) {
+	r, f := bareRing(t)
+	peers := openPeers(t, r, f, "n1", "n3")
+	r.handleDataBatch(retransmission(r.ring, 1, "g", "n3", "lost-at-n1"))
+	r.receive(transport.Datagram{From: "n1", Payload: mustEncodePacket(t, &token{
+		Ring: r.ring, Round: 1, Seq: 1, Aru: 0, LastAru: 0, Rtr: []uint64{1},
+	})})
+	want := retransmission(r.ring, 1, "g", "n3", "lost-at-n1")
+	for i, p := range peers {
+		dg, ok := p.TryRecv(transport.ClassData)
+		if !ok {
+			t.Fatalf("peer %d received no resend", i)
+		}
+		got, err := decodePacketIn(dg.Payload, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("peer %d received %+v, want %+v", i, got, want)
+		}
+	}
+	if fwd := r.retained; fwd == nil || len(fwd.Rtr) != 0 {
+		t.Fatalf("forwarded token %+v still requests the resent message", fwd)
+	}
+	if n := r.Stats().Retransmit; n != 1 {
+		t.Fatalf("Stats.Retransmit = %d, want 1", n)
+	}
+}
+
 // TestTickAllocs pins the heartbeat path on an operational 3-node ring: a
 // tick that gossips a heartbeat to both peers (their lanes drained by the
 // test) and the peers' heartbeats received through the fabric into the
@@ -197,7 +229,7 @@ func TestTickAllocs(t *testing.T) {
 	peers := openPeers(t, r, f, "n1", "n3")
 	hellos := make([][]byte, len(peers))
 	for i, p := range []string{"n1", "n3"} {
-		hellos[i] = mustEncodePacket(t, &hello{From: p, Alive: []string{"n1", "n2", "n3"}, MaxEpoch: r.ring.Epoch, Ring: r.ring})
+		hellos[i] = mustEncodePacket(t, &hello{From: p, MaxEpoch: r.ring.Epoch})
 	}
 	got := make(map[pktType]int)
 	beat := func() {
@@ -207,8 +239,9 @@ func TestTickAllocs(t *testing.T) {
 			}
 		}
 		r.serve()
-		r.lastToken = time.Now()
-		r.tick()
+		now := time.Now()
+		r.lastToken = now
+		r.tick(now)
 		drain(peers, got)
 	}
 	beat() // first sight of each peer starts its suspicion machine
@@ -256,7 +289,7 @@ func TestTokenAfterQueuedDataRequestsNoRetransmission(t *testing.T) {
 	if !ok {
 		t.Fatal("n2 did not forward the token to n3")
 	}
-	pkt, err := decodePacket(dg.Payload)
+	pkt, err := decodePacketIn(dg.Payload, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +302,7 @@ func TestTokenAfterQueuedDataRequestsNoRetransmission(t *testing.T) {
 func everyPacketKind() []any {
 	rid := RingID{Epoch: 4, Coord: "n1"}
 	return []any{
-		&hello{From: "n2", Alive: []string{"n1", "n2"}, MaxEpoch: 9, Ring: rid},
+		&hello{From: "n2", MaxEpoch: 9},
 		&propose{Ring: rid, Members: []string{"n1", "n2", "n3"}},
 		&accept{
 			Ring: rid, From: "n2", OldRing: RingID{Epoch: 3, Coord: "n1"}, Delivered: 17,
@@ -284,7 +317,7 @@ func everyPacketKind() []any {
 		},
 		&token{Ring: rid, Round: 7, Seq: 100, Aru: 90, LastAru: 80, Rtr: []uint64{91, 95}},
 		&token{Ring: rid, Round: 8, Seq: 100, Aru: 100, LastAru: 90},
-		&data{Ring: rid, Seq: 101, Group: "g", Sender: "n1", Payload: []byte("p"), Resend: true},
+		retransmission(rid, 101, "g", "n1", "p"),
 		testBatch(102, 3),
 		&dataBatch{Ring: rid, Sender: "n1", FirstSeq: 200},
 		&nudge{Ring: rid, From: "n3"},
@@ -292,9 +325,14 @@ func everyPacketKind() []any {
 	}
 }
 
+// retransmission is the frame that resends one logged message.
+func retransmission(rid RingID, seq uint64, group, sender, payload string) *dataBatch {
+	return &dataBatch{Ring: rid, Sender: sender, FirstSeq: seq, Groups: []string{group}, Payloads: [][]byte{[]byte(payload)}}
+}
+
 // dirtyScratch returns hot decode storage that last held a larger batch,
-// a token with a long retransmission list and a heartbeat with a long live
-// set, so a decode that fails to reset a field shows as a mismatch.
+// a token with a long retransmission list and another node's heartbeat, so
+// a decode that fails to reset a field shows as a mismatch.
 func dirtyScratch() *hotPackets {
 	h := &hotPackets{}
 	h.batch = *testBatch(9000, 64)
@@ -302,10 +340,7 @@ func dirtyScratch() *hotPackets {
 	for i := 0; i < 64; i++ {
 		h.tok.Rtr = append(h.tok.Rtr, uint64(i))
 	}
-	h.hb = hello{From: "zz", MaxEpoch: 99, Ring: RingID{Epoch: 99, Coord: "zz"}}
-	for i := 0; i < 16; i++ {
-		h.hb.Alive = append(h.hb.Alive, fmt.Sprintf("z%d", i))
-	}
+	h.hb = hello{From: "zz", MaxEpoch: 99}
 	return h
 }
 
@@ -318,12 +353,12 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Add(mustEncodePacket(f, p))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ref, refErr := decodePacket(b)
+		ref, refErr := decodePacketIn(b, false, nil)
 		decoders := []struct {
 			name   string
 			decode func() (any, error)
 		}{
-			{"owned", func() (any, error) { return decodePacketOwned(bytes.Clone(b)) }},
+			{"owned", func() (any, error) { return decodePacketIn(bytes.Clone(b), true, nil) }},
 			{"hot", func() (any, error) { return decodePacketIn(b, false, dirtyScratch()) }},
 			{"hot owned", func() (any, error) { return decodePacketIn(bytes.Clone(b), true, dirtyScratch()) }},
 		}

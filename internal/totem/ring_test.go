@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -167,7 +168,7 @@ func (c *cluster) waitStableRing(d time.Duration, nodes []string) {
 		var rid RingID
 		for i, n := range nodes {
 			id, members := c.rings[n].CurrentRing()
-			if id.IsZero() || !sameStrings(members, sortedCopy(nodes)) {
+			if id.IsZero() || !slices.Equal(members, sortedCopy(nodes)) {
 				return false
 			}
 			if i == 0 {
@@ -294,7 +295,7 @@ func TestGroupViewsConsistent(t *testing.T) {
 	c.rings["n2"].JoinGroup("g")
 	waitFor(t, 3*time.Second, "group views", func() bool {
 		for _, n := range c.nodes {
-			if !sameStrings(c.rings[n].GroupMembers("g"), []string{"n1", "n2"}) {
+			if !slices.Equal(c.rings[n].GroupMembers("g"), []string{"n1", "n2"}) {
 				return false
 			}
 		}
@@ -303,7 +304,7 @@ func TestGroupViewsConsistent(t *testing.T) {
 	c.rings["n2"].LeaveGroup("g")
 	waitFor(t, 3*time.Second, "leave view", func() bool {
 		for _, n := range c.nodes {
-			if !sameStrings(c.rings[n].GroupMembers("g"), []string{"n1"}) {
+			if !slices.Equal(c.rings[n].GroupMembers("g"), []string{"n1"}) {
 				return false
 			}
 		}
@@ -589,7 +590,7 @@ func TestMsgIDComposition(t *testing.T) {
 
 func TestPacketRoundTrips(t *testing.T) {
 	pkts := []any{
-		&hello{From: "a", Alive: []string{"a", "b"}, MaxEpoch: 9, Ring: RingID{Epoch: 3, Coord: "a"}},
+		&hello{From: "a", MaxEpoch: 9},
 		&propose{Ring: RingID{Epoch: 4, Coord: "b"}, Members: []string{"a", "b"}},
 		&accept{
 			Ring: RingID{Epoch: 4, Coord: "b"}, From: "a",
@@ -604,10 +605,10 @@ func TestPacketRoundTrips(t *testing.T) {
 			Subs: []groupSub{{Node: "a", Group: "g"}},
 		},
 		&token{Ring: RingID{Epoch: 4, Coord: "b"}, Round: 7, Seq: 100, Aru: 90, LastAru: 80, Rtr: []uint64{91, 95}},
-		&data{Ring: RingID{Epoch: 4, Coord: "b"}, Seq: 101, Group: "g", Sender: "a", Payload: []byte("p"), Resend: true},
+		retransmission(RingID{Epoch: 4, Coord: "b"}, 101, "g", "a", "p"),
 	}
 	for _, p := range pkts {
-		got, err := decodePacket(mustEncodePacket(t, p))
+		got, err := decodePacketIn(mustEncodePacket(t, p), false, nil)
 		if err != nil {
 			t.Fatalf("%T: %v", p, err)
 		}
@@ -615,10 +616,10 @@ func TestPacketRoundTrips(t *testing.T) {
 			t.Errorf("%T round trip: %+v vs %+v", p, got, p)
 		}
 	}
-	if _, err := decodePacket([]byte{99}); err == nil {
+	if _, err := decodePacketIn([]byte{99}, false, nil); err == nil {
 		t.Error("unknown packet type must error")
 	}
-	if _, err := decodePacket(nil); err == nil {
+	if _, err := decodePacketIn(nil, false, nil); err == nil {
 		t.Error("empty packet must error")
 	}
 }

@@ -20,11 +20,6 @@ func ShardPort(base uint16, shard int) uint16 {
 	return transport.ShardPort(base, shard)
 }
 
-// ShardName labels one shard of a pool for diagnostics and logs.
-func ShardName(node string, shard int) string {
-	return fmt.Sprintf("%s#%d", node, shard)
-}
-
 // NewRingPool creates (but does not start) shards rings on consecutive
 // ports starting at cfg.Port, all sharing the remaining configuration. With
 // shards == 1 the pool is exactly one NewRing at cfg.Port — the single-ring

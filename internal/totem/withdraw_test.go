@@ -36,15 +36,14 @@ func TestWithdrawOnAnotherSendersDelivery(t *testing.T) {
 	mustMulticastOnce(t, r, "g", "KEY1/plain", 0)   // unkeyed
 	mustMulticastOnce(t, r, "g", "KEY3/from-n2", 4) // matched only by n2's own KEY3
 
-	deliver := []*data{
-		{Seq: 1, Group: "g", Sender: "n2", Payload: []byte("KEY3/own")},
-		{Seq: 2, Group: "g", Sender: "n3", Payload: []byte("KEY")}, // shorter than the key
-		{Seq: 3, Group: "g", Sender: "n3", Payload: []byte("KEY4/other")},
-		{Seq: 4, Group: "g", Sender: "n1", Payload: []byte("KEY1/from-n1")},
+	deliver := []*dataBatch{
+		retransmission(r.ring, 1, "g", "n2", "KEY3/own"),
+		retransmission(r.ring, 2, "g", "n3", "KEY"), // shorter than the key
+		retransmission(r.ring, 3, "g", "n3", "KEY4/other"),
+		retransmission(r.ring, 4, "g", "n1", "KEY1/from-n1"),
 	}
 	for _, d := range deliver {
-		d.Ring = r.ring
-		r.handleData(d)
+		r.handleDataBatch(d)
 	}
 	if r.delivered != uint64(len(deliver)) {
 		t.Fatalf("delivered %d, want %d", r.delivered, len(deliver))
@@ -61,7 +60,7 @@ func TestWithdrawOnAnotherSendersDelivery(t *testing.T) {
 	}
 
 	// The token takes what is left; the keyed count follows it out.
-	r.handleToken(&token{Ring: r.ring, Round: 1, Seq: r.delivered, Aru: r.delivered})
+	r.handleToken(&token{Ring: r.ring, Round: 1, Seq: r.delivered, Aru: r.delivered}, time.Now())
 	if got := queued(r); len(got) != 0 {
 		t.Fatalf("queue after a token visit = %q, want empty", got)
 	}
@@ -86,7 +85,7 @@ func TestWithdrawDuringEVSRecovery(t *testing.T) {
 		Recovery: []recoverySet{{OldRing: r.ring, Msgs: []storedMsg{
 			{Seq: 1, Group: "g", Sender: "n3", Payload: []byte("KEY1/from-n3")},
 		}}},
-	})
+	}, time.Now())
 	if got, want := queued(r), []string{"g:KEY2/from-n2"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("queue after recovery = %q, want %q", got, want)
 	}
@@ -111,7 +110,7 @@ func TestWithdrawReleasesBlockedMulticast(t *testing.T) {
 		t.Fatalf("Multicast on a full queue returned (%v) instead of blocking", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.handleData(&data{Ring: r.ring, Seq: 1, Group: "g", Sender: "n1", Payload: []byte("KEY1/from-n1")})
+	r.handleDataBatch(retransmission(r.ring, 1, "g", "n1", "KEY1/from-n1"))
 	select {
 	case err := <-done:
 		if err != nil {
