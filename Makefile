@@ -16,8 +16,8 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detect the concurrency-heavy layers — the delivery hand-off
-## queue, the CDR intern table every decoder shares, the ORB and the
+## race: race-detect the concurrency-heavy layers — the executor queue
+## the ring's protocol loop hands deliveries to, the CDR intern table every decoder shares, the ORB and the
 ## deterministic-execution context (whose objects replication builds per
 ## execution), totem, replication, the transport
 ## conformance suite on both backends (netsim and loopback UDP), a
@@ -45,10 +45,14 @@ chaos:
 ## totem-soak: repeat the totem tests that ride loss, token retransmission,
 ## parking, a lost install, the data-before-token receive order, the
 ## withdrawal of queued messages, ring formation, a crash, a partition and
-## its remerge, and EVS recovery across a partition 50 times — a
-## one-in-twenty flake there hides behind the single run of the tier-1 gate
+## its remerge, EVS recovery across a partition, and the order in which the
+## consumer gets views and deliveries 50 times — a one-in-twenty flake
+## there hides behind the single run of the tier-1 gate — then 20 times the
+## replication test that holds a servant for five token timeouts while
+## another group on the ring must keep completing calls
 totem-soak:
-	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData|Withdraw|RingFormation|CrashReforms|PartitionBoth|EVSSamePrefix' ./internal/totem
+	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData|Withdraw|RingFormation|CrashReforms|PartitionBoth|EVSSamePrefix|StreamMixes' ./internal/totem
+	$(GO) test -count=20 -run 'SlowServantDoesNotStallRing' ./internal/replication
 
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is

@@ -142,6 +142,7 @@ func BenchmarkOrderedMulticast(b *testing.B) {
 	for _, n := range nodes {
 		fabric.AddNode(n)
 	}
+	deliver := make(chan struct{}, 1024)
 	var rings []*totem.Ring
 	for _, n := range nodes {
 		r, err := totem.NewRing(fabric, totem.Config{
@@ -151,7 +152,11 @@ func BenchmarkOrderedMulticast(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.Start()
+		var c totem.Consumer
+		if len(rings) == 0 { // the sender
+			c.Deliver = signalMessages(deliver)
+		}
+		r.Start(c)
 		rings = append(rings, r)
 	}
 	b.Cleanup(func() {
@@ -161,8 +166,6 @@ func BenchmarkOrderedMulticast(b *testing.B) {
 	})
 	sender := rings[0]
 	sender.JoinGroup("g")
-	deliver := make(chan struct{}, 1024)
-	go signalDeliveries(sender, deliver)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, m := sender.CurrentRing(); len(m) == 3 {
@@ -189,9 +192,14 @@ func BenchmarkSequencerMulticast(b *testing.B) {
 	for _, n := range nodes {
 		fabric.AddNode(n)
 	}
+	deliver := make(chan struct{}, 1024)
 	var seqs []*totem.Sequencer
-	for _, n := range nodes {
-		s, err := totem.NewSequencer(fabric, n, nodes, 5000)
+	for i, n := range nodes {
+		var fn func(totem.Delivery)
+		if i == 2 { // the sender
+			fn = signalMessages(deliver)
+		}
+		s, err := totem.NewSequencer(fabric, n, nodes, 5000, fn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,8 +211,6 @@ func BenchmarkSequencerMulticast(b *testing.B) {
 		}
 	})
 	sender := seqs[2]
-	deliver := make(chan struct{}, 1024)
-	go signalDeliveries(sender, deliver)
 	payload := make([]byte, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -215,29 +221,12 @@ func BenchmarkSequencerMulticast(b *testing.B) {
 	}
 }
 
-// deliveryStream is the consumer side of totem.Ring and totem.Sequencer.
-type deliveryStream interface {
-	Drain(prev []totem.Delivery) ([]totem.Delivery, bool)
-	Ready() <-chan struct{}
-}
-
-// signalDeliveries sends on ch once per message delivery of s until s
-// stops.
-func signalDeliveries(s deliveryStream, ch chan<- struct{}) {
-	var batch []totem.Delivery
-	for {
-		var closed bool
-		batch, closed = s.Drain(batch)
-		for i := range batch {
-			if batch[i].Event == nil {
-				ch <- struct{}{}
-			}
-		}
-		if closed {
-			return
-		}
-		if len(batch) == 0 {
-			<-s.Ready()
+// signalMessages returns a consumer that sends on ch once per message
+// delivery; ch's buffer must hold every delivery not yet received.
+func signalMessages(ch chan<- struct{}) func(totem.Delivery) {
+	return func(d totem.Delivery) {
+		if d.Event == nil {
+			ch <- struct{}{}
 		}
 	}
 }

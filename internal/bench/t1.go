@@ -60,6 +60,7 @@ func ringTrial(nodes, size int, scale Scale) (summary, float64, error) {
 	if err != nil {
 		return summary{}, 0, err
 	}
+	var delivered atomic.Int64
 	rings := make([]*totem.Ring, 0, nodes)
 	defer func() {
 		for _, r := range rings {
@@ -76,15 +77,17 @@ func ringTrial(nodes, size int, scale Scale) (summary, float64, error) {
 		if err != nil {
 			return summary{}, 0, err
 		}
-		r.Start()
+		var c totem.Consumer
+		if len(rings) == 0 { // the sender
+			c.Deliver = countMessages(&delivered)
+		}
+		r.Start(c)
 		rings = append(rings, r)
 	}
 	sender := rings[0]
 	if err := sender.JoinGroup("bench"); err != nil {
 		return summary{}, 0, err
 	}
-	var delivered atomic.Int64
-	go countDeliveries(sender, &delivered)
 	// Wait for a stable full ring.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -134,23 +137,26 @@ func sequencerTrial(nodes, size int, scale Scale) (summary, float64, error) {
 	if err != nil {
 		return summary{}, 0, err
 	}
+	var delivered atomic.Int64
 	seqs := make([]*totem.Sequencer, 0, nodes)
 	defer func() {
 		for _, s := range seqs {
 			s.Stop()
 		}
 	}()
-	for _, n := range names {
-		s, err := totem.NewSequencer(tp, n, names, 5000)
+	for i, n := range names {
+		// Measure at a non-sequencer node (worst case: two hops).
+		var deliver func(totem.Delivery)
+		if i == len(names)-1 {
+			deliver = countMessages(&delivered)
+		}
+		s, err := totem.NewSequencer(tp, n, names, 5000, deliver)
 		if err != nil {
 			return summary{}, 0, err
 		}
 		seqs = append(seqs, s)
 	}
-	// Measure at a non-sequencer node (worst case: two hops).
 	sender := seqs[len(seqs)-1]
-	var delivered atomic.Int64
-	go countDeliveries(sender, &delivered)
 
 	payload := payloadOf(size)
 	lat, err := measure(scale, func() error {
@@ -191,28 +197,11 @@ func waitDelivered(counter *atomic.Int64, target int64, timeout time.Duration) e
 	return fmt.Errorf("delivery timeout (%d/%d)", counter.Load(), target)
 }
 
-// deliveryStream is the consumer side of totem.Ring and totem.Sequencer.
-type deliveryStream interface {
-	Drain(prev []totem.Delivery) ([]totem.Delivery, bool)
-	Ready() <-chan struct{}
-}
-
-// countDeliveries counts the message deliveries of s into n until s stops.
-func countDeliveries(s deliveryStream, n *atomic.Int64) {
-	var batch []totem.Delivery
-	for {
-		var closed bool
-		batch, closed = s.Drain(batch)
-		for i := range batch {
-			if batch[i].Event == nil {
-				n.Add(1)
-			}
-		}
-		if closed {
-			return
-		}
-		if len(batch) == 0 {
-			<-s.Ready()
+// countMessages returns a consumer that counts message deliveries into n.
+func countMessages(n *atomic.Int64) func(totem.Delivery) {
+	return func(d totem.Delivery) {
+		if d.Event == nil {
+			n.Add(1)
 		}
 	}
 }

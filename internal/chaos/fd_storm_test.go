@@ -73,7 +73,6 @@ func fdStormRun(t *testing.T) fdStormResult {
 
 	var evictions atomic.Int64
 	rings := make([]*totem.Ring, 0, len(nodes))
-	var evWG sync.WaitGroup
 	for _, n := range nodes {
 		ring, err := totem.NewRing(fabric, totem.Config{
 			Node:              n,
@@ -89,13 +88,16 @@ func fdStormRun(t *testing.T) fdStormResult {
 			t.Fatal(err)
 		}
 		rings = append(rings, ring)
-		evWG.Add(1)
-		// Drain every ring's events; on the healthy nodes, count views
-		// that exclude the victim after a full view was installed (the
-		// startup views grow toward full membership and must not count).
+		// On the healthy nodes, count views that exclude the victim after
+		// a full view was installed (the startup views grow toward full
+		// membership and must not count).
 		healthy := n != victim
 		sawFull := false
-		go consumeViews(ring, func(vc totem.ViewChange) {
+		ring.Start(totem.Consumer{Deliver: func(d totem.Delivery) {
+			vc, ok := d.Event.(totem.ViewChange)
+			if !ok {
+				return
+			}
 			hasVictim := false
 			for _, m := range vc.Members {
 				if m == victim {
@@ -108,14 +110,12 @@ func fdStormRun(t *testing.T) fdStormResult {
 			case healthy && sawFull && !hasVictim:
 				evictions.Add(1)
 			}
-		}, evWG.Done)
-		ring.Start()
+		}})
 	}
 	defer func() {
 		for _, r := range rings {
 			r.Stop()
 		}
-		evWG.Wait()
 		cancelSub()
 		<-repDone
 	}()
@@ -219,27 +219,5 @@ func TestFDStormAdaptiveHoldsSlowNode(t *testing.T) {
 	}
 	if res.dropped != 0 {
 		t.Fatalf("notifier dropped %d fault reports (subscriber overflow)", res.dropped)
-	}
-}
-
-// consumeViews hands every ViewChange of s to fn, in order, and calls done
-// once s stops.
-func consumeViews(s *totem.Ring, fn func(totem.ViewChange), done func()) {
-	defer done()
-	var batch []totem.Delivery
-	for {
-		var closed bool
-		batch, closed = s.Drain(batch)
-		for i := range batch {
-			if vc, ok := batch[i].Event.(totem.ViewChange); ok {
-				fn(vc)
-			}
-		}
-		if closed {
-			return
-		}
-		if len(batch) == 0 {
-			<-s.Ready()
-		}
 	}
 }

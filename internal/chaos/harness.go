@@ -259,7 +259,6 @@ func (h *Harness) startNode(node string, fromLog bool) {
 			totem.StopPool(rings)
 			h.tb.Fatalf("ring %s shard %d: %v", node, shard, err)
 		}
-		ring.Start()
 		rings = append(rings, ring)
 	}
 	eng, err := replication.NewEngine(replication.Config{
@@ -273,6 +272,7 @@ func (h *Harness) startNode(node string, fromLog bool) {
 		DR:                h.store,
 	})
 	if err != nil {
+		totem.StopPool(rings)
 		h.tb.Fatalf("engine %s: %v", node, err)
 	}
 	eng.Start()

@@ -150,7 +150,6 @@ func (d *Domain) startNode(name string) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ring pool on %s: %w", name, err)
 	}
-	totem.StartPool(rings)
 	engine, err := replication.NewEngine(replication.Config{
 		Node:          name,
 		Rings:         rings,

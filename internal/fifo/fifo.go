@@ -1,12 +1,13 @@
-// Package fifo is the batch hand-off queue at the layer boundaries of the
-// delivery path: totem's ordered delivery stream and each replica's
-// executor queue.
+// Package fifo is the batch hand-off queue on the delivery path: each
+// replica's executor queue (replication's taskQueue), the one queue between
+// a totem ring's protocol loop, which routes deliveries as it makes them,
+// and the executor that runs them.
 //
-// A producer never blocks — the totem protocol loop must not stall on a
-// slow consumer, or token circulation would stop and trigger spurious
-// membership changes — so the queue is unbounded. A consumer takes
-// everything queued in one Drain per wake-up instead of one lock (and one
-// goroutine hand-off) per item.
+// A producer never blocks — the busiest producer is the totem protocol
+// loop, which must not stall on a slow servant, or token circulation would
+// stop and trigger spurious membership changes — so the queue is
+// unbounded. A consumer takes everything queued in one Drain per wake-up
+// instead of one lock (and one goroutine hand-off) per item.
 package fifo
 
 import "sync"
@@ -20,7 +21,6 @@ type Queue[T any] struct {
 	mu     sync.Mutex
 	items  []T
 	closed bool
-	high   int // largest batch Drain returned
 	ready  chan struct{}
 }
 
@@ -65,20 +65,9 @@ func (q *Queue[T]) Drain(prev []T) ([]T, bool) {
 	q.mu.Lock()
 	batch := q.items
 	q.items = prev[:0]
-	if len(batch) > q.high {
-		q.high = len(batch)
-	}
 	closed := q.closed
 	q.mu.Unlock()
 	return batch, closed
-}
-
-// HighWater returns the largest batch Drain has returned: the deepest the
-// queue was when its consumer came to take it.
-func (q *Queue[T]) HighWater() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.high
 }
 
 // Close stops the queue: later Pushes are dropped, and the consumer is

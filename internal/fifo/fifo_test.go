@@ -110,23 +110,6 @@ func TestReturnedBatchIsCleared(t *testing.T) {
 	}
 }
 
-func TestHighWaterIsLargestDrainedBatch(t *testing.T) {
-	q := New[int]()
-	if q.HighWater() != 0 {
-		t.Fatalf("fresh queue high-water %d, want 0", q.HighWater())
-	}
-	var batch []int
-	for i := 0; i < 7; i++ {
-		q.Push(i)
-	}
-	batch, _ = q.Drain(batch)
-	q.Push(7)
-	batch, _ = q.Drain(batch)
-	if len(batch) != 1 || q.HighWater() != 7 {
-		t.Fatalf("high-water %d after batches of 7 and 1, want 7", q.HighWater())
-	}
-}
-
 // Concurrent producers interleave, but each producer's items stay in the
 // order it pushed them (run under -race).
 func TestConcurrentProducersKeepPerProducerOrder(t *testing.T) {

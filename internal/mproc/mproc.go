@@ -98,7 +98,6 @@ func StartNode(cfg Config, servants map[string]func() orb.Servant) (*Node, error
 	if err != nil {
 		return nil, err
 	}
-	totem.StartPool(rings)
 	engine, err := replication.NewEngine(replication.Config{
 		Node:          cfg.Node,
 		Rings:         rings,

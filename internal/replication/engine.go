@@ -33,9 +33,9 @@ var (
 type Config struct {
 	// Node is this engine's node name (must match the ring's node).
 	Node string
-	// Rings is the transport pool: R independent totem rings (distinct
-	// ports, distinct tokens) that the engine fans in events from; one
-	// ring is a pool of one. Each object group lives entirely on one shard
+	// Rings is the transport pool, not yet started (Start starts it): R
+	// independent totem rings (distinct ports, distinct tokens); one ring
+	// is a pool of one. Each object group lives entirely on one shard
 	// (ShardFor(gid, R), or its explicit pin), so per-group total order is
 	// preserved while independent groups proceed in parallel. The caller
 	// retains ownership of the rings (and stops them after the engine).
@@ -156,14 +156,15 @@ type Engine struct {
 	clientID string
 	roots    openOps
 
-	// mu is a RWMutex because the delivery fan-in is read-dominated: every
+	// mu is a RWMutex because delivery routing is read-dominated: every
 	// ordered message does a replicaFor lookup (and every proxy call an
-	// ensureReplyJoined check), while the map itself changes only on group
-	// creation/removal. With R shards delivering concurrently the old
-	// exclusive Mutex serialized the shards against each other
-	// (BenchmarkEngineLookupContention measures the difference).
+	// ensureReplyJoined check), while the maps change only on group
+	// creation/removal, and R rings route concurrently
+	// (BenchmarkEngineLookupContention). The rings' protocol loops take it
+	// (see deliverer), so no critical section may block.
 	mu          sync.RWMutex
 	hosted      map[uint64]*replica
+	byInv       map[string]*replica // hosted, keyed by invocation group name
 	pending     map[opKey]*pendingCall
 	replyJoined map[uint64]bool
 	shardPin    map[uint64]int // explicit gid→shard placements (0-based)
@@ -182,8 +183,8 @@ type pendingCall struct {
 	ch          chan *msgReply
 }
 
-// NewEngine creates an engine bound to a pool of started rings
-// (Config.Rings).
+// NewEngine creates an engine bound to a pool of rings (Config.Rings) that
+// Start will start.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg.fill()
 	if len(cfg.Rings) == 0 {
@@ -202,6 +203,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		clientID:    rootClientPrefix + cfg.Node + "." + strconv.FormatUint(newIncarnation(), 36),
 		roots:       newOpenOps(),
 		hosted:      make(map[uint64]*replica),
+		byInv:       make(map[string]*replica),
 		pending:     make(map[opKey]*pendingCall),
 		replyJoined: make(map[uint64]bool),
 		shardPin:    make(map[uint64]int),
@@ -210,17 +212,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start launches one delivery loop per transport shard, the sync-retry
-// maintenance timer, and the LEADER_FOLLOWER lease renewal loop; it also
-// claims each ring's direct (off-order) lane for the LF fast path.
+// Start launches the sync-retry maintenance timer and the
+// LEADER_FOLLOWER lease renewal loop, then starts every ring with the
+// engine as its consumer: the shard's deliverer for the ordered stream and
+// onDirect for the direct (off-order) lane of the LF fast path.
 func (e *Engine) Start() {
-	e.wg.Add(len(e.cfg.Rings) + 2)
-	for i, ring := range e.cfg.Rings {
-		ring.SetDirectHandler(e.onDirect)
-		go e.runRing(ring, i)
-	}
+	e.wg.Add(2)
 	go e.syncRetryLoop()
 	go e.lfLeaseLoop()
+	for i, ring := range e.cfg.Rings {
+		ring.Start(totem.Consumer{Deliver: e.deliverer(i), Direct: e.onDirect})
+	}
 }
 
 // lfLeaseLoop periodically renews read leases for every hosted
@@ -251,11 +253,15 @@ func (e *Engine) lfLeaseLoop() {
 	}
 }
 
-// onDirect is the rings' direct-lane handler: submits route to the hosted
+// onDirect is the rings' Consumer.Direct: submits route to the hosted
 // replica's executor, replies complete the waiting client call. The lane
 // is unordered and unreliable by design — anything confusing is dropped
-// and the ordered path picks up the slack.
+// and the ordered path picks up the slack. It runs on a protocol loop
+// (or a loopback sender's goroutine) under deliverer's rules.
 func (e *Engine) onDirect(from, group string, payload []byte) {
+	if e.halted() {
+		return
+	}
 	m, err := decodeWire(payload)
 	if err != nil {
 		return
@@ -321,12 +327,12 @@ func (e *Engine) syncRetryLoop() {
 			return
 		case <-ticker.C:
 		}
-		e.mu.Lock()
+		e.mu.RLock()
 		reps := make(map[uint64]*replica, len(e.hosted))
 		for gid, r := range e.hosted {
 			reps[gid] = r
 		}
-		e.mu.Unlock()
+		e.mu.RUnlock()
 		stuck := make(map[uint64]uint64)
 		for gid, r := range reps {
 			if st := r.status(); st.Syncing {
@@ -341,8 +347,8 @@ func (e *Engine) syncRetryLoop() {
 	}
 }
 
-// Stop shuts the engine down (the ring is left running for its owner to
-// stop).
+// Stop shuts the engine down. The rings are left running for their owner
+// to stop; what they deliver from then on is dropped.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if e.stopped {
@@ -515,6 +521,7 @@ func (e *Engine) addHosted(def GroupDef, r *replica) error {
 		return fmt.Errorf("%w: %d", ErrAlreadyHosted, def.ID)
 	}
 	e.hosted[def.ID] = r
+	e.byInv[r.names.inv] = r
 	return nil
 }
 
@@ -560,6 +567,7 @@ func (e *Engine) RemoveReplica(gid uint64) {
 	r, ok := e.hosted[gid]
 	if ok {
 		delete(e.hosted, gid)
+		delete(e.byInv, r.names.inv)
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -615,54 +623,49 @@ func (e *Engine) ensureReplyJoined(gid uint64) {
 	}
 }
 
-// runRing is the per-shard delivery loop: it demultiplexes one ring's
-// totally ordered stream to hosted replicas and pending client calls. It
-// must never block on servant execution — that happens in per-replica
-// executor goroutines. With R shards, R of these loops run concurrently;
-// per-group order is safe because a group's traffic arrives on exactly one
+// deliverer returns the Consumer.Deliver of the shard's ring: it routes the
+// ring's ordered stream to hosted replicas and pending client calls.
+// Per-group order holds because a group's traffic arrives on exactly one
 // ring and its replica executes from a single FIFO queue.
 //
-// Each wake-up drains every entry the ring has queued in one batch; the
-// loop parks on the ring (or Stop) only when a drain comes back empty.
-func (e *Engine) runRing(ring *totem.Ring, shard int) {
-	defer e.wg.Done()
-	var batch []totem.Delivery
-	for {
-		var closed bool
-		batch, closed = ring.Drain(batch)
-		for i := range batch {
-			switch v := batch[i].Event.(type) {
-			case nil:
-				e.onDeliver(&batch[i].Deliver)
-			case totem.GroupView:
-				e.onGroupView(v)
-			case totem.ViewChange:
-				// All shards share one fate domain (a node crash silences
-				// every ring it runs), so shard 0 alone feeds node-level
-				// fault reports — R near-simultaneous ViewChanges would
-				// otherwise push R duplicate crash reports per dead node.
-				if shard == 0 {
-					e.onRingView(v)
-				}
-			}
-		}
-		if closed {
+// It runs on the ring's protocol loop, which holds the token, so it (and
+// onDirect) must never block and never multicast or join: Multicast may
+// wait for the very loop that is calling. Servants run on the executors,
+// behind never-blocking taskQueues. The locks it takes, Engine.mu and
+// replica.mu (markAnswered), guard only in-memory bookkeeping: no critical
+// section on either waits on a channel, a ring, a servant, the WAL or the
+// DR store. completeCall's send cannot block (the channel has room for the
+// call's one reply), nor can fault.Notifier.Push. After Stop it drops
+// everything.
+func (e *Engine) deliverer(shard int) func(totem.Delivery) {
+	return func(d totem.Delivery) {
+		if e.halted() {
 			return
 		}
-		if len(batch) > 0 {
-			// A busy ring may never drain empty: poll Stop between batches.
-			select {
-			case <-e.stopCh:
-				return
-			default:
+		switch v := d.Event.(type) {
+		case nil:
+			e.onDeliver(&d.Deliver)
+		case totem.GroupView:
+			e.onGroupView(v)
+		case totem.ViewChange:
+			// All shards share one fate domain (a node crash silences
+			// every ring it runs), so shard 0 alone feeds node-level
+			// fault reports — R near-simultaneous ViewChanges would
+			// otherwise push R duplicate crash reports per dead node.
+			if shard == 0 {
+				e.onRingView(v)
 			}
-			continue
 		}
-		select {
-		case <-e.stopCh:
-			return
-		case <-ring.Ready():
-		}
+	}
+}
+
+// halted reports whether Stop has begun.
+func (e *Engine) halted() bool {
+	select {
+	case <-e.stopCh:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -705,13 +708,7 @@ func (e *Engine) onDeliver(d *totem.Deliver) {
 
 func (e *Engine) onGroupView(gv totem.GroupView) {
 	e.mu.RLock()
-	var target *replica
-	for _, r := range e.hosted {
-		if gv.Group == r.names.inv {
-			target = r
-			break
-		}
-	}
+	target := e.byInv[gv.Group]
 	e.mu.RUnlock()
 	if target != nil {
 		target.q.Push(task{m: &taskView{members: gv.Members, epoch: gv.Ring.Epoch}})

@@ -105,32 +105,7 @@ func newCluster(t *testing.T, n int, tune ...func(*Config)) *cluster {
 		c.fabric.AddNode(node)
 	}
 	for _, node := range c.nodes {
-		r, err := totem.NewRing(c.fabric, totem.Config{
-			Node:              node,
-			Universe:          c.nodes,
-			Port:              4000,
-			HeartbeatInterval: 4 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Start()
-		c.rings[node] = r
-		cfg := Config{
-			Node:          node,
-			Rings:         []*totem.Ring{r},
-			CallTimeout:   8 * time.Second,
-			RetryInterval: time.Second,
-		}
-		for _, f := range tune {
-			f(&cfg)
-		}
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Start()
-		c.engines[node] = e
+		c.startNode(node, tune...)
 		c.servants[node] = make(map[uint64]*account)
 	}
 	t.Cleanup(func() {
@@ -142,6 +117,37 @@ func newCluster(t *testing.T, n int, tune ...func(*Config)) *cluster {
 		}
 	})
 	return c
+}
+
+// startNode gives node a fresh ring and a started engine on it; tune, when
+// given, adjusts the engine's configuration.
+func (c *cluster) startNode(node string, tune ...func(*Config)) {
+	c.t.Helper()
+	r, err := totem.NewRing(c.fabric, totem.Config{
+		Node:              node,
+		Universe:          c.nodes,
+		Port:              4000,
+		HeartbeatInterval: 4 * time.Millisecond,
+	})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.rings[node] = r
+	cfg := Config{
+		Node:          node,
+		Rings:         []*totem.Ring{r},
+		CallTimeout:   8 * time.Second,
+		RetryInterval: time.Second,
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	e.Start()
+	c.engines[node] = e
 }
 
 // host places replicas of a fresh group on the given nodes.

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/fault"
+	"repro/internal/netsim"
+	"repro/internal/orb"
 	"repro/internal/totem"
 )
 
@@ -66,26 +69,29 @@ func TestTaskQueuePopWakesOnPushAndStop(t *testing.T) {
 	}
 }
 
-// runRingLoops counts goroutines currently inside Engine.runRing.
-func runRingLoops() int {
+// goroutineFrames counts the goroutines whose stacks contain frame.
+func goroutineFrames(frame string) int {
 	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "replication.(*Engine).runRing(")
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), frame)
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
-// Engine.Stop ends the engine's delivery loop while its ring keeps
-// running: the loop parks on the ring's Ready or Stop, not on the stream
-// closing. The ring stays usable, its stream now free for another consumer.
+// Engine.Stop leaves its rings running and delivering: the engine is their
+// consumer, not their owner. A delivery the ring hands to the stopped
+// engine — ordered or direct, message or view — is dropped: it reaches no
+// replica, no pending call and no fault subscriber.
 func TestEngineStopWhileRingRuns(t *testing.T) {
-	before := runRingLoops()
-	c := newCluster(t, 1)
+	faults := &fault.Notifier{}
+	c := newCluster(t, 1, func(cfg *Config) { cfg.Notifier = faults })
 	c.host(GroupDef{ID: 21, Name: "stop", Style: Active}, "n1")
 	eng, ring := c.engines["n1"], c.rings["n1"]
 	if _, err := eng.Proxy(GroupRef{ID: 21}).Invoke("add", cdr.Long(1)); err != nil {
 		t.Fatal(err)
-	}
-	if got := runRingLoops(); got != before+1 {
-		t.Fatalf("%d runRing loops with one engine running, want %d", got, before+1)
 	}
 
 	done := make(chan struct{})
@@ -98,34 +104,181 @@ func TestEngineStopWhileRingRuns(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Engine.Stop did not return while the ring runs")
 	}
-	if got := runRingLoops(); got != before {
-		t.Fatalf("%d runRing loops after Stop, want %d (leaked loop)", got, before)
-	}
 
+	before := ring.Stats().Delivered
 	if err := ring.JoinGroup("probe"); err != nil {
 		t.Fatal(err)
 	}
 	if err := ring.Multicast("probe", []byte("after-stop")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	var batch []totem.Delivery
-	for {
-		var closed bool
-		batch, closed = ring.Drain(batch)
-		for _, d := range batch {
-			if d.Event == nil && d.Group == "probe" {
-				return
-			}
+	waitFor(t, 5*time.Second, "the ring delivering after Engine.Stop", func() bool {
+		return ring.Stats().Delivered >= before+2
+	})
+
+	reports, cancel := faults.Subscribe(nil)
+	defer cancel()
+	stats := eng.Stats()
+	reply, _ := encodeReply(&msgReply{GroupID: 21, Key: opKey{ClientID: "late", OpSeq: 1}, Node: "n1"})
+	deliver := eng.deliverer(0)
+	deliver(totem.Delivery{Deliver: totem.Deliver{MsgID: 1 << 50, Group: invGroupName(21) + "/r", Payload: reply}})
+	deliver(totem.Delivery{Event: totem.ViewChange{Members: []string{"n9"}}})
+	eng.onDirect("n1", invGroupName(21)+"/r", reply)
+	if got := eng.Stats(); got != stats {
+		t.Fatalf("late deliveries changed the stopped engine's stats:\n before %+v\n after  %+v", stats, got)
+	}
+	select {
+	case r := <-reports:
+		t.Fatalf("stopped engine reported %v", r)
+	default:
+	}
+}
+
+// A node runs one goroutine per ring, its protocol loop, between the
+// network and the executors: the loop routes deliveries itself.
+func TestNodeRunsOneLoopPerRing(t *testing.T) {
+	const loop = "totem.(*Ring).run("
+	before := goroutineFrames(loop)
+	fabric := netsim.NewFabric(netsim.Config{})
+	fabric.AddNode("n1")
+	rings, err := totem.NewRingPool(fabric, totem.Config{
+		Node: "n1", Universe: []string{"n1"}, Port: 4000,
+		HeartbeatInterval: 4 * time.Millisecond,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer totem.StopPool(rings)
+	eng, err := NewEngine(Config{Node: "n1", Rings: rings})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Stop()
+	if err := eng.HostReplica(GroupDef{ID: 22, Name: "loops", Style: Active}, &account{}, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Proxy(GroupRef{ID: 22}).Invoke("add", cdr.Long(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := goroutineFrames(loop); got != before+len(rings) {
+		t.Fatalf("%d protocol loops for %d rings", got-before, len(rings))
+	}
+	for _, gone := range []string{"runRing", "runDirect"} {
+		if n := goroutineFrames(gone); n != 0 {
+			t.Fatalf("%d goroutines in a %s frame", n, gone)
 		}
-		if closed || time.Now().After(deadline) {
-			t.Fatal("ring stopped delivering after Engine.Stop")
+	}
+}
+
+// hangServant blocks every dispatch until release closes, announcing each
+// on entered first.
+type hangServant struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *hangServant) RepoID() string { return "IDL:repro/Hang:1.0" }
+
+func (h *hangServant) Dispatch(*orb.Invocation) ([]cdr.Value, error) {
+	h.entered <- struct{}{}
+	<-h.release
+	return nil, nil
+}
+
+// The ring hands deliveries over on the goroutine that holds the token, so
+// routing must never wait on an executor. With group A's servant stuck on
+// every member for several token timeouts, group B on the same ring keeps
+// completing calls, and no member's token times out into a re-formation.
+func TestSlowServantDoesNotStallRing(t *testing.T) {
+	c := newCluster(t, 3)
+	hang := &hangServant{entered: make(chan struct{}, len(c.nodes)), release: make(chan struct{})}
+	defer func() {
+		select {
+		case <-hang.release:
+		default:
+			close(hang.release)
 		}
-		if len(batch) == 0 {
-			select {
-			case <-ring.Ready():
-			case <-time.After(time.Until(deadline)):
-			}
+	}()
+	slow := GroupDef{ID: 23, Name: "slow", Style: Active}
+	for _, n := range c.nodes {
+		if err := c.engines[n].HostReplica(slow, hang, true); err != nil {
+			t.Fatal(err)
 		}
+	}
+	c.waitMembers(slow.ID, c.nodes)
+	c.host(GroupDef{ID: 24, Name: "fast", Style: Active}, c.nodes...)
+
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := c.engines["n1"].Proxy(GroupRef{ID: slow.ID}).Invoke("wait")
+		slowDone <- err
+	}()
+	for range c.nodes {
+		select {
+		case <-hang.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the slow servant never started on every member")
+		}
+	}
+
+	forms := map[string]uint64{}
+	for n, r := range c.rings {
+		forms[n] = r.Stats().Formations
+	}
+	// 12 heartbeats without a token visit re-form the ring; hold the slow
+	// servants for five times that.
+	const tokenTimeout = 12 * 4 * time.Millisecond
+	fast := c.engines["n1"].Proxy(GroupRef{ID: 24})
+	calls := 0
+	for start := time.Now(); time.Since(start) < 5*tokenTimeout; calls++ {
+		if _, err := fast.Invoke("add", cdr.Long(1)); err != nil {
+			t.Fatalf("group B call %d while group A hangs: %v", calls, err)
+		}
+	}
+	for n, r := range c.rings {
+		if got := r.Stats().Formations; got != forms[n] {
+			t.Fatalf("%s re-formed its ring %d times while a servant hung (%d calls done)", n, got-forms[n], calls)
+		}
+	}
+	close(hang.release)
+	select {
+	case err := <-slowDone:
+		if err != nil {
+			t.Fatalf("the slow call: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slow call never completed after release")
+	}
+}
+
+// A GroupView reaches the replica hosted under its invocation group now:
+// after RemoveReplica and re-hosting the same group, the view goes to the
+// live replica, not the removed one, and to no other group's.
+func TestGroupViewReachesOnlyLiveReplica(t *testing.T) {
+	c := newCluster(t, 1)
+	def := GroupDef{ID: 25, Name: "rehost", Style: Active}
+	c.host(def, "n1")
+	c.host(GroupDef{ID: 26, Name: "other", Style: Active}, "n1")
+	eng := c.engines["n1"]
+	removed := eng.replicaFor(def.ID)
+	eng.RemoveReplica(def.ID)
+	c.host(def, "n1")
+	live := eng.replicaFor(def.ID)
+	if live == removed {
+		t.Fatal("re-hosting reused the removed replica")
+	}
+
+	view := []string{"n1", "ghost"}
+	rid, _ := c.rings["n1"].CurrentRing()
+	eng.deliverer(0)(totem.Delivery{Event: totem.GroupView{Ring: rid, Group: invGroupName(def.ID), Members: view}})
+	waitFor(t, 5*time.Second, "the live replica taking the view", func() bool {
+		return equalStrings(live.status().Members, view)
+	})
+	if got := removed.status().Members; equalStrings(got, view) {
+		t.Fatalf("the removed replica took the view: %v", got)
+	}
+	if st, _ := eng.GroupStatus(26); !equalStrings(st.Members, []string{"n1"}) {
+		t.Fatalf("another group took the view: %v", st.Members)
 	}
 }

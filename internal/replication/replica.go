@@ -34,10 +34,11 @@ type task struct {
 	m     any
 }
 
-// taskQueue feeds one replica's executor goroutine: the engine's delivery
-// loop must never block on a servant executing a (possibly nested,
-// possibly slow) operation, so producers Push onto an unbounded queue and
-// the executor pops from batches it drains whole.
+// taskQueue feeds one replica's executor goroutine: the ring's protocol
+// loop, which routes deliveries (Engine.deliverer), must never block on a
+// servant executing a (possibly nested, possibly slow) operation, so
+// producers Push onto an unbounded queue and the executor pops from
+// batches it drains whole.
 type taskQueue struct {
 	*fifo.Queue[task]
 	batch []task
@@ -83,7 +84,7 @@ type fulfillRec struct {
 }
 
 // replica is one hosted member of an object group. All fields below `mu`
-// are shared between the engine loop and the executor; the remaining
+// are shared between delivery routing and the executor; the remaining
 // protocol state is owned by the executor goroutine.
 type replica struct {
 	eng     *Engine
@@ -175,7 +176,7 @@ func (r *replica) status() GroupStatus {
 	return st
 }
 
-// markAnswered is called from the engine loop the moment a reply is
+// markAnswered is called from delivery routing the moment a reply is
 // delivered: it records the logged reply for duplicate answering and
 // implements sender-side response suppression (a replica that learns of
 // another replica's response before transmitting its own suppresses its
@@ -650,7 +651,7 @@ func (r *replica) multicastReply(rep *msgReply) {
 
 // onReply applies passive state updates and clears covered pending
 // operations. (Client-call completion and answered-marking already happened
-// in the engine loop.)
+// in delivery routing.)
 func (r *replica) onReply(m *msgReply) {
 	r.mu.Lock()
 	syncing := r.syncing

@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/giop"
 	"repro/internal/orb"
-	"repro/internal/totem"
 	"repro/internal/wal"
 )
 
@@ -39,12 +38,15 @@ func TestRestartedClientKeysDoNotCollide(t *testing.T) {
 		}
 	}
 	c.engines["n4"].Stop()
-	fresh, err := NewEngine(Config{Node: "n4", Rings: []*totem.Ring{c.rings["n4"]}, CallTimeout: 2 * time.Second, RetryInterval: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Start()
-	c.engines["n4"] = fresh
+	c.rings["n4"].Stop()
+	c.startNode("n4", func(cfg *Config) {
+		cfg.CallTimeout, cfg.RetryInterval = 2*time.Second, 200*time.Millisecond
+	})
+	fresh := c.engines["n4"]
+	waitFor(t, 5*time.Second, "the restarted node back in the ring", func() bool {
+		_, members := c.rings["n4"].CurrentRing()
+		return len(members) == 4
+	})
 	out, err := fresh.Proxy(GroupRef{ID: 40}).Invoke("add", cdr.Long(100))
 	if err != nil {
 		t.Fatalf("restarted client's add: %v", err)

@@ -102,8 +102,9 @@ func BenchmarkPR2MulticastBurst(b *testing.B) {
 	for _, n := range nodes {
 		fabric.AddNode(n)
 	}
+	deliver := make(chan struct{}, 4096)
 	var rings []*Ring
-	for _, n := range nodes {
+	for i, n := range nodes {
 		r, err := NewRing(fabric, Config{
 			Node: n, Universe: nodes, Port: 4000,
 			HeartbeatInterval: 3 * time.Millisecond,
@@ -111,7 +112,11 @@ func BenchmarkPR2MulticastBurst(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.Start()
+		var c Consumer
+		if i == 0 {
+			c.Deliver = signalMessages(deliver)
+		}
+		r.Start(c)
 		rings = append(rings, r)
 	}
 	b.Cleanup(func() {
@@ -123,12 +128,6 @@ func BenchmarkPR2MulticastBurst(b *testing.B) {
 	if err := sender.JoinGroup("g"); err != nil {
 		b.Fatal(err)
 	}
-	deliver := make(chan struct{}, 4096)
-	go consume(sender, func(d Delivery) {
-		if d.Event == nil {
-			deliver <- struct{}{}
-		}
-	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, m := sender.CurrentRing(); len(m) == 3 {
@@ -165,17 +164,12 @@ func BenchmarkPR2SingletonMulticast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Start()
+	deliver := make(chan struct{}, 1024)
+	r.Start(Consumer{Deliver: signalMessages(deliver)})
 	b.Cleanup(r.Stop)
 	if err := r.JoinGroup("g"); err != nil {
 		b.Fatal(err)
 	}
-	deliver := make(chan struct{}, 1024)
-	go consume(r, func(d Delivery) {
-		if d.Event == nil {
-			deliver <- struct{}{}
-		}
-	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, m := r.CurrentRing(); len(m) == 1 {
@@ -197,5 +191,15 @@ func BenchmarkPR2SingletonMulticast(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-deliver
+	}
+}
+
+// signalMessages returns a Consumer.Deliver that sends on ch for every
+// message delivery; ch's buffer must hold every delivery not yet received.
+func signalMessages(ch chan<- struct{}) func(Delivery) {
+	return func(d Delivery) {
+		if d.Event == nil {
+			ch <- struct{}{}
+		}
 	}
 }

@@ -1,11 +1,11 @@
 package totem
 
-// Delivery is one entry of a ring's ordered stream, handed to the
-// application in a single total order per ring (and, across rings, in local
-// delivery order). Message deliveries, the hot case, travel inline in
-// Deliver; a membership change travels in Event, and Deliver is then zero.
-// Sharing one queue keeps deliveries and views in the one order extended
-// virtual synchrony requires.
+// Delivery is one entry of a ring's ordered stream, handed to
+// Consumer.Deliver in a single total order per ring. Message deliveries,
+// the hot case, travel inline in Deliver; a membership change travels in
+// Event, and Deliver is then zero. One stream carries both, so deliveries
+// and views reach the consumer in the one order extended virtual synchrony
+// requires.
 type Delivery struct {
 	Deliver
 	// Event is nil for a message delivery, else a ViewChange or GroupView.
@@ -30,7 +30,10 @@ type Deliver struct {
 	Group string
 	// Sender is the node that multicast the message.
 	Sender string
-	// Payload is the application payload.
+	// Payload is the application payload. It aliases storage the ring
+	// never reuses — its private copy of the frame that carried the
+	// message, or, for this node's own message, the buffer handed to
+	// Multicast — so a consumer may keep it, and must not modify it.
 	Payload []byte
 }
 

@@ -281,7 +281,7 @@ func (r *Ring) handleInstall(ins *install, now time.Time) {
 }
 
 // publishView publishes the installed ring to the snapshot accessors and
-// the ordered stream: the view change, then every group's view in group
+// the consumer: the view change, then every group's view in group
 // order. Each member list is built once and shared by the snapshot and the
 // event that announces it.
 func (r *Ring) publishView() {
@@ -297,8 +297,8 @@ func (r *Ring) publishView() {
 	r.mu.Lock()
 	r.pubRing, r.pubMembers, r.pubGroups = r.ring, r.members, pub
 	r.mu.Unlock()
-	r.events.Push(Delivery{Event: ViewChange{Ring: r.ring, Members: r.members}})
+	r.emit(Delivery{Event: ViewChange{Ring: r.ring, Members: r.members}})
 	for _, g := range groups {
-		r.events.Push(Delivery{Event: GroupView{Ring: r.ring, Group: g, Members: pub[g]}})
+		r.emit(Delivery{Event: GroupView{Ring: r.ring, Group: g, Members: pub[g]}})
 	}
 }

@@ -33,25 +33,6 @@ func (r *Ring) wake() {
 	}
 }
 
-// runDirect delivers direct-lane messages to the registered handler on a
-// goroutine of their own, decoupled from the protocol loop.
-func (r *Ring) runDirect() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		case d := <-r.directCh:
-			r.directMu.RLock()
-			fn := r.directFn
-			r.directMu.RUnlock()
-			if fn != nil {
-				fn(d.From, d.Group, d.Payload)
-			}
-		}
-	}
-}
-
 // run is the protocol loop. It owns the transport port's receive side: a
 // datagram goes from the port's lane to its handler with no goroutine in
 // between.
@@ -131,12 +112,10 @@ func (r *Ring) receive(dg transport.Datagram) {
 	}
 	switch v := pkt.(type) {
 	case *direct:
-		// Direct packets carry no ordering state: they go to their own
-		// lane and goroutine, so their latency is not coupled to token
-		// processing. A full lane drops (UDP semantics).
-		select {
-		case r.directCh <- v:
-		default:
+		// Direct packets carry no ordering state: the consumer gets each
+		// as it arrives.
+		if r.consumer.Direct != nil {
+			r.consumer.Direct(v.From, v.Group, v.Payload)
 		}
 	case *dataBatch:
 		r.handleDataBatch(v) // the hot path, which needs no clock

@@ -324,7 +324,14 @@ func (r *Ring) deliverMsg(rid RingID, m storedMsg) {
 	if !subscribed {
 		return
 	}
-	r.events.Push(Delivery{Deliver: d})
+	r.emit(Delivery{Deliver: d})
+}
+
+// emit hands one entry of the ordered stream to the consumer.
+func (r *Ring) emit(d Delivery) {
+	if r.consumer.Deliver != nil {
+		r.consumer.Deliver(d)
+	}
 }
 
 // applyCtl applies an ordered join or leave and publishes the one group it
@@ -350,7 +357,7 @@ func (r *Ring) applyCtl(rid RingID, payload []byte) {
 	r.mu.Lock()
 	r.pubGroups[group] = members
 	r.mu.Unlock()
-	r.events.Push(Delivery{Event: GroupView{Ring: rid, Group: group, Members: members}})
+	r.emit(Delivery{Event: GroupView{Ring: rid, Group: group, Members: members}})
 }
 
 func (r *Ring) groupMemberList(g string) []string {

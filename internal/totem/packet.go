@@ -130,9 +130,9 @@ type nudge struct {
 
 // direct is an unordered point-to-point message between two ring endpoints.
 // It bypasses the token and the total order entirely — no sequence number,
-// no store, no retransmission — and is delivered to the registered direct
-// handler (Ring.SetDirectHandler) on its own goroutine, so its latency is
-// decoupled from token pacing. Reliability is the application's problem
+// no store, no retransmission — and the receiving protocol loop hands it to
+// Consumer.Direct as it arrives, so its latency does not wait on the token.
+// Reliability is the application's problem
 // (request/response layers retry or fall back to the ordered path), exactly
 // like UDP.
 type direct struct {

@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/fault"
-	"repro/internal/fifo"
 	"repro/internal/transport"
 )
 
@@ -154,9 +153,12 @@ type outMsg struct {
 
 // Ring is one node's endpoint of the group communication layer.
 type Ring struct {
-	cfg    Config
-	port   transport.Port
-	events *fifo.Queue[Delivery]
+	cfg  Config
+	port transport.Port
+	// consumer receives the ring's deliveries; Start installs it before
+	// the protocol loop runs, so the loop reads it without a lock (see
+	// Consumer for what it may do).
+	consumer Consumer
 
 	// Application-facing state, guarded by mu.
 	mu       sync.Mutex
@@ -217,16 +219,9 @@ type Ring struct {
 	// wakeCh (1-slot) wakes the protocol loop for local events: Multicast
 	// queued work (resume a parked token, or nudge the coordinator) and a
 	// singleton ring's self-addressed token.
-	wakeCh   chan struct{}
-	directCh chan *direct // unordered point-to-point lane (SendDirect)
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
-
-	// Direct-lane handler, set once via SetDirectHandler before traffic
-	// flows (rings are constructed before the engines that consume them,
-	// so this cannot be a Config field).
-	directMu sync.RWMutex
-	directFn func(from, group string, payload []byte)
+	wakeCh chan struct{}
+	stopCh chan struct{}
+	wg     sync.WaitGroup
 
 	// Stats counters (read via Stats), written by the protocol loop.
 	statDelivered, statSent, statRetrans  atomic.Uint64
@@ -241,9 +236,6 @@ type Stats struct {
 	Formations uint64 // ring formations participated in
 	Batches    uint64 // coalesced multi-message frames this node emitted
 	Withdrawn  uint64 // queued messages withdrawn before sending (MulticastOnce)
-	// QueueHighWater is the largest batch the consumer drained from the
-	// ordered stream: how far delivery ran ahead of the application.
-	QueueHighWater uint64
 }
 
 // NewRing creates (but does not start) a ring endpoint on the transport
@@ -261,13 +253,11 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 	r := &Ring{
 		cfg:          cfg,
 		port:         port,
-		events:       fifo.New[Delivery](),
 		subs:         make(map[string]bool),
 		peerFD:       make(map[string]*fault.Suspicion),
 		store:        make(map[uint64]storedMsg),
 		groupMembers: make(map[string]map[string]bool),
 		wakeCh:       make(chan struct{}, 1),
-		directCh:     make(chan *direct, 1024),
 		stopCh:       make(chan struct{}),
 		state:        stForming,
 		formingFrom:  time.Now(),
@@ -277,11 +267,35 @@ func NewRing(tp transport.Transport, cfg Config) (*Ring, error) {
 	return r, nil
 }
 
-// Start launches the protocol goroutines.
-func (r *Ring) Start() {
-	r.wg.Add(2)
+// Consumer is what a ring hands its traffic to. The ring calls both
+// functions from its protocol loop — the goroutine that holds the token —
+// so neither may block, and neither may call Multicast, MulticastOnce,
+// JoinGroup or LeaveGroup: a full send queue makes those wait for the very
+// loop that is calling. A consumer that has slow work queues it for a
+// goroutine of its own. While a call runs, the ring serves no datagram,
+// heartbeat or token.
+type Consumer struct {
+	// Deliver receives every entry of the ordered stream — a message for a
+	// group this node subscribes to, a ViewChange or a GroupView — one
+	// call per entry, in the ring's delivery order. A message's Payload
+	// may be kept, not modified (see Deliver.Payload). Nil drops the
+	// stream.
+	Deliver func(Delivery)
+	// Direct receives every direct (point-to-point, unordered) packet
+	// addressed to this endpoint; payload may be kept, as Deliver's may.
+	// A packet SendDirect addresses to this node is handed over on the
+	// sender's goroutine instead. Nil drops direct packets.
+	Direct func(from, group string, payload []byte)
+}
+
+// Start installs the consumer and launches the protocol loop. A ring is
+// started once.
+func (r *Ring) Start(c Consumer) {
+	r.mu.Lock()
+	r.consumer = c
+	r.mu.Unlock()
+	r.wg.Add(1)
 	go r.run()
-	go r.runDirect()
 }
 
 // Stop shuts the endpoint down and waits for its goroutines.
@@ -296,23 +310,11 @@ func (r *Ring) Stop() {
 	r.mu.Unlock()
 	close(r.stopCh)
 	r.port.Close()
-	r.events.Close()
 	r.wg.Wait()
 }
 
 // Node returns this endpoint's node name.
 func (r *Ring) Node() string { return r.cfg.Node }
-
-// Drain returns every entry queued on the ordered stream, in order, and
-// whether the stream is closed (the ring stopped; nothing follows). prev
-// hands back the batch the previous Drain returned: it is cleared and its
-// storage reused. A consumer loops: Drain, handle the batch, return if
-// closed, and wait on Ready when the batch came back empty. The ring never
-// blocks on its consumer, so the stream is unbounded.
-func (r *Ring) Drain(prev []Delivery) ([]Delivery, bool) { return r.events.Drain(prev) }
-
-// Ready receives when the ordered stream may have entries or has closed.
-func (r *Ring) Ready() <-chan struct{} { return r.events.Ready() }
 
 // Multicast queues a totally ordered multicast to a process group. The
 // message is sent when the token next visits this node; delivery is to all
@@ -366,45 +368,29 @@ func (r *Ring) MulticastOnce(group string, payload []byte, keyLen int) error {
 	return nil
 }
 
-// SetDirectHandler registers the callback invoked for every direct
-// (point-to-point, unordered) message addressed to this endpoint. The
-// callback runs on a dedicated delivery goroutine — never on the protocol
-// loop — so handling latency is decoupled from token pacing, but it must
-// still be quick (hand off to a queue) or it backlogs the direct lane.
-// Calling back into the Ring (SendDirect, Multicast) from the handler is
-// allowed.
-func (r *Ring) SetDirectHandler(fn func(from, group string, payload []byte)) {
-	r.directMu.Lock()
-	r.directFn = fn
-	r.directMu.Unlock()
-}
-
 // SendDirect sends an unordered point-to-point message to one ring
 // endpoint, bypassing the token and the total order entirely. Delivery is
 // best-effort with UDP semantics: no retransmission, no ordering relative
-// to anything, silently dropped if the peer is down, partitioned, has no
-// handler registered, or its direct lane is full. Callers layer their own
-// request/response retries on top, falling back to the ordered multicast
-// path for liveness.
+// to anything, silently dropped if the peer is down, partitioned, or has
+// no Direct consumer. Callers layer their own request/response retries on
+// top, falling back to the ordered multicast path for liveness.
 //
 // SendDirect runs on the caller's goroutine, so it encodes into a pooled
 // encoder of its own, released once the transport has copied the packet.
 // A message to another node keeps nothing of payload; a message to this
-// node reaches the handler as payload itself, so the caller must not
-// mutate payload after SendDirect returns.
+// node skips the wire: Consumer.Direct receives payload itself, on the
+// caller's goroutine, before SendDirect returns. So the caller must hold
+// no lock the consumer takes, and must not mutate payload afterwards.
 func (r *Ring) SendDirect(to, group string, payload []byte) error {
 	r.mu.Lock()
-	stopped := r.stopped
+	stopped, deliver := r.stopped, r.consumer.Direct
 	r.mu.Unlock()
 	if stopped {
 		return ErrStopped
 	}
 	if to == r.cfg.Node {
-		// Loopback: skip the wire, deliver on the direct goroutine (the
-		// caller may hold locks the handler also wants).
-		select {
-		case r.directCh <- &direct{From: r.cfg.Node, Group: group, Payload: payload}:
-		default: // lane full: drop, like UDP
+		if deliver != nil {
+			deliver(r.cfg.Node, group, payload)
 		}
 		return nil
 	}
@@ -460,12 +446,11 @@ func (r *Ring) GroupMembers(group string) []string {
 // Stats returns a snapshot of protocol counters.
 func (r *Ring) Stats() Stats {
 	return Stats{
-		Delivered:      r.statDelivered.Load(),
-		Sent:           r.statSent.Load(),
-		Retransmit:     r.statRetrans.Load(),
-		Formations:     r.statForms.Load(),
-		Batches:        r.statBatches.Load(),
-		Withdrawn:      r.statWithdrawn.Load(),
-		QueueHighWater: uint64(r.events.HighWater()),
+		Delivered:  r.statDelivered.Load(),
+		Sent:       r.statSent.Load(),
+		Retransmit: r.statRetrans.Load(),
+		Formations: r.statForms.Load(),
+		Batches:    r.statBatches.Load(),
+		Withdrawn:  r.statWithdrawn.Load(),
 	}
 }

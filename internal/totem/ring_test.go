@@ -10,7 +10,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// collector drains a ring's event stream into inspectable slices.
+// collector records a ring's ordered stream into inspectable slices; its
+// add is the ring's Consumer.Deliver.
 type collector struct {
 	mu       sync.Mutex
 	delivers []Deliver
@@ -18,44 +19,16 @@ type collector struct {
 	groups   []GroupView
 }
 
-func collect(r *Ring) *collector {
-	c := &collector{}
-	go consume(r, func(d Delivery) {
-		c.mu.Lock()
-		switch v := d.Event.(type) {
-		case nil:
-			c.delivers = append(c.delivers, d.Deliver)
-		case ViewChange:
-			c.views = append(c.views, v)
-		case GroupView:
-			c.groups = append(c.groups, v)
-		}
-		c.mu.Unlock()
-	})
-	return c
-}
-
-// stream is the consumer side Ring and Sequencer share.
-type stream interface {
-	Drain(prev []Delivery) ([]Delivery, bool)
-	Ready() <-chan struct{}
-}
-
-// consume hands every entry of s to fn, in order, until s closes.
-func consume(s stream, fn func(Delivery)) {
-	var batch []Delivery
-	for {
-		var closed bool
-		batch, closed = s.Drain(batch)
-		for _, d := range batch {
-			fn(d)
-		}
-		if closed {
-			return
-		}
-		if len(batch) == 0 {
-			<-s.Ready()
-		}
+func (c *collector) add(d Delivery) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch v := d.Event.(type) {
+	case nil:
+		c.delivers = append(c.delivers, d.Deliver)
+	case ViewChange:
+		c.views = append(c.views, v)
+	case GroupView:
+		c.groups = append(c.groups, v)
 	}
 }
 
@@ -131,7 +104,7 @@ func newCluster(t *testing.T, netCfg netsim.Config, n int, opts ...func(*Config)
 			t.Fatalf("NewRing(%s): %v", node, err)
 		}
 		c.rings[node] = r
-		c.collect[node] = collect(r)
+		c.collect[node] = &collector{}
 	}
 	t.Cleanup(func() {
 		for _, r := range c.rings {
@@ -143,8 +116,13 @@ func newCluster(t *testing.T, netCfg netsim.Config, n int, opts ...func(*Config)
 
 func (c *cluster) startAll() {
 	for _, node := range c.nodes {
-		c.rings[node].Start()
+		c.start(node)
 	}
+}
+
+// start starts node's ring with its collector as the consumer.
+func (c *cluster) start(node string) {
+	c.rings[node].Start(Consumer{Deliver: c.collect[node].add})
 }
 
 // waitFor polls until cond is true or the deadline passes.
@@ -195,8 +173,8 @@ func TestRingFormation(t *testing.T) {
 	c := newCluster(t, netsim.Config{Latency: 100 * time.Microsecond}, 3)
 	c.startAll()
 	c.waitStableRing(3*time.Second, c.nodes)
-	// The view reaches each consumer asynchronously, after the ring
-	// publishes it to CurrentRing: wait for the consumer to catch up.
+	// The ring hands the view to its consumer just after publishing it to
+	// CurrentRing: wait for the consumer to have it.
 	for _, n := range c.nodes {
 		waitFor(t, 3*time.Second, n+" consumes the 3-member view", func() bool {
 			v, ok := c.collect[n].lastView()
@@ -340,8 +318,8 @@ func TestCrashReformsRing(t *testing.T) {
 func TestLostInstallIsResent(t *testing.T) {
 	const hb = 10 * time.Millisecond
 	c := newCluster(t, netsim.Config{}, 3, withHeartbeat(hb))
-	c.rings["n1"].Start()
-	c.rings["n2"].Start()
+	c.start("n1")
+	c.start("n2")
 	c.waitStableRing(3*time.Second, []string{"n1", "n2"})
 	forms := map[string]uint64{}
 	for _, n := range c.nodes {
@@ -360,7 +338,7 @@ func TestLostInstallIsResent(t *testing.T) {
 		return true
 	})
 	defer c.fabric.SetDropFilter(nil)
-	c.rings["n3"].Start()
+	c.start("n3")
 	c.waitStableRing(3*time.Second, c.nodes)
 	mu.Lock()
 	if !dropped {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/cdr"
-	"repro/internal/fifo"
 	"repro/internal/transport"
 )
 
@@ -27,7 +26,7 @@ type Sequencer struct {
 	stopped   bool
 	delivered uint64
 	pending   map[uint64]seqData
-	events    *fifo.Queue[Delivery]
+	consume   func(Delivery)
 	nextSeq   uint64 // sequencer only
 	wg        sync.WaitGroup
 }
@@ -83,12 +82,18 @@ func decodeSeqPkt(b []byte) (stamped bool, m seqData, err error) {
 	return stamped, m, err
 }
 
-// NewSequencer creates one endpoint of the fixed-sequencer baseline. All
-// endpoints must be given the same member list; the smallest member name is
-// the sequencer.
-func NewSequencer(tp transport.Transport, node string, members []string, port uint16) (*Sequencer, error) {
+// NewSequencer creates and starts one endpoint of the fixed-sequencer
+// baseline. All endpoints must be given the same member list; the smallest
+// member name is the sequencer. deliver receives the ordered messages, one
+// call at a time, in sequence order, on the receive goroutine or, at the
+// sequencer, on a Multicast caller's; like Consumer.Deliver it must not
+// block or call Multicast, and nil drops the messages.
+func NewSequencer(tp transport.Transport, node string, members []string, port uint16, deliver func(Delivery)) (*Sequencer, error) {
 	if len(members) == 0 {
 		return nil, errors.New("totem: sequencer needs members")
+	}
+	if deliver == nil {
+		deliver = func(Delivery) {}
 	}
 	sorted := append([]string(nil), members...)
 	for i := 1; i < len(sorted); i++ {
@@ -107,7 +112,7 @@ func NewSequencer(tp transport.Transport, node string, members []string, port ui
 		portNum: port,
 		isSeq:   sorted[0] == node,
 		pending: make(map[uint64]seqData),
-		events:  fifo.New[Delivery](),
+		consume: deliver,
 	}
 	s.wg.Add(1)
 	go s.recvLoop()
@@ -165,7 +170,7 @@ func (s *Sequencer) deliver(m seqData) {
 		}
 		delete(s.pending, s.delivered+1)
 		s.delivered++
-		s.events.Push(Delivery{Deliver: Deliver{
+		s.consume(Delivery{Deliver: Deliver{
 			MsgID:   next.seq,
 			Seq:     next.seq,
 			Group:   next.group,
@@ -191,13 +196,6 @@ func (s *Sequencer) Multicast(group string, payload []byte) error {
 	return s.port.Send(s.members[0], s.portNum, encodeSeqPkt(false, m))
 }
 
-// Drain returns the queued ordered deliveries, as Ring.Drain does. The
-// stream closes on Stop.
-func (s *Sequencer) Drain(prev []Delivery) ([]Delivery, bool) { return s.events.Drain(prev) }
-
-// Ready receives when deliveries may be queued or the stream has closed.
-func (s *Sequencer) Ready() <-chan struct{} { return s.events.Ready() }
-
 // Stop shuts the endpoint down.
 func (s *Sequencer) Stop() {
 	s.mu.Lock()
@@ -208,6 +206,5 @@ func (s *Sequencer) Stop() {
 	s.stopped = true
 	s.mu.Unlock()
 	s.port.Close()
-	s.events.Close()
 	s.wg.Wait()
 }

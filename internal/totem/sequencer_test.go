@@ -23,20 +23,17 @@ func newSeqCluster(t *testing.T, n int) (map[string]*Sequencer, map[string]*[]De
 	logs := make(map[string]*[]Deliver)
 	var mu sync.Mutex
 	for _, m := range members {
-		s, err := NewSequencer(fabric, m, members, 5000)
+		log := &[]Deliver{}
+		logs[m] = log
+		s, err := NewSequencer(fabric, m, members, 5000, func(d Delivery) {
+			mu.Lock()
+			*log = append(*log, d.Deliver)
+			mu.Unlock()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqs[m] = s
-		log := &[]Deliver{}
-		logs[m] = log
-		go consume(s, func(d Delivery) {
-			if d.Event == nil {
-				mu.Lock()
-				*log = append(*log, d.Deliver)
-				mu.Unlock()
-			}
-		})
 	}
 	t.Cleanup(func() {
 		for _, s := range seqs {
@@ -96,7 +93,7 @@ func TestSequencerStop(t *testing.T) {
 
 func TestSequencerNeedsMembers(t *testing.T) {
 	fabric := netsim.NewFabric(netsim.Config{})
-	if _, err := NewSequencer(fabric, "x", nil, 1); err == nil {
+	if _, err := NewSequencer(fabric, "x", nil, 1, nil); err == nil {
 		t.Error("want error for empty member list")
 	}
 }

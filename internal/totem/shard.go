@@ -45,13 +45,6 @@ func NewRingPool(tp transport.Transport, cfg Config, shards int) ([]*Ring, error
 	return rings, nil
 }
 
-// StartPool starts every ring in the pool.
-func StartPool(rings []*Ring) {
-	for _, r := range rings {
-		r.Start()
-	}
-}
-
 // StopPool stops every ring in the pool (idempotent, like Ring.Stop).
 func StopPool(rings []*Ring) {
 	for _, r := range rings {
@@ -59,9 +52,8 @@ func StopPool(rings []*Ring) {
 	}
 }
 
-// AggregateStats sums protocol counters across a pool, taking the largest
-// QueueHighWater — the per-ring snapshots remain available from each Ring
-// individually.
+// AggregateStats sums protocol counters across a pool — the per-ring
+// snapshots remain available from each Ring individually.
 func AggregateStats(rings []*Ring) Stats {
 	var total Stats
 	for _, r := range rings {
@@ -72,7 +64,6 @@ func AggregateStats(rings []*Ring) Stats {
 		total.Formations += s.Formations
 		total.Batches += s.Batches
 		total.Withdrawn += s.Withdrawn
-		total.QueueHighWater = max(total.QueueHighWater, s.QueueHighWater)
 	}
 	return total
 }

@@ -54,6 +54,8 @@ func TestRingPoolTrafficOnLayoutPorts(t *testing.T) {
 	})
 	defer fabric.SetDropFilter(nil)
 
+	// Node 0 signals each shard's message deliveries on its own channel.
+	delivered := []chan struct{}{make(chan struct{}, 16), make(chan struct{}, 16)}
 	pools := make([][]*Ring, len(nodes))
 	for i, n := range nodes {
 		p, err := NewRingPool(fabric, Config{
@@ -64,7 +66,13 @@ func TestRingPoolTrafficOnLayoutPorts(t *testing.T) {
 			t.Fatal(err)
 		}
 		pools[i] = p
-		StartPool(p)
+		for shard, r := range p {
+			var c Consumer
+			if i == 0 {
+				c.Deliver = signalMessages(delivered[shard])
+			}
+			r.Start(c)
+		}
 		defer StopPool(p)
 	}
 	waitFull := func(r *Ring) {
@@ -86,12 +94,6 @@ func TestRingPoolTrafficOnLayoutPorts(t *testing.T) {
 	// Push a multicast through each shard so the tap sees data traffic,
 	// not just formation and tokens.
 	for shard, ring := range pools[0] {
-		deliver := make(chan struct{}, 16)
-		go consume(ring, func(d Delivery) {
-			if d.Event == nil {
-				deliver <- struct{}{}
-			}
-		})
 		if err := ring.JoinGroup("g"); err != nil {
 			t.Fatalf("shard %d join: %v", shard, err)
 		}
@@ -99,7 +101,7 @@ func TestRingPoolTrafficOnLayoutPorts(t *testing.T) {
 			t.Fatalf("shard %d multicast: %v", shard, err)
 		}
 		select {
-		case <-deliver:
+		case <-delivered[shard]:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("shard %d never delivered", shard)
 		}

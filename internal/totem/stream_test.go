@@ -3,15 +3,16 @@ package totem
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 )
 
-// startSolo starts a one-node ring with no consumer on its stream and
-// waits until the ring is installed.
-func startSolo(t *testing.T) *Ring {
+// startSolo starts a one-node ring with deliver as its consumer's Deliver
+// and waits until the ring is installed.
+func startSolo(t *testing.T, deliver func(Delivery)) *Ring {
 	t.Helper()
 	fabric := netsim.NewFabric(netsim.Config{})
 	fabric.AddNode("solo")
@@ -22,7 +23,7 @@ func startSolo(t *testing.T) *Ring {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
+	r.Start(Consumer{Deliver: deliver})
 	t.Cleanup(r.Stop)
 	waitFor(t, 5*time.Second, "solo ring installed", func() bool {
 		_, m := r.CurrentRing()
@@ -31,37 +32,46 @@ func startSolo(t *testing.T) *Ring {
 	return r
 }
 
-// multicastAndWait multicasts n payloads to group and waits until the ring
-// has delivered want messages in all (membership control included).
-func multicastAndWait(t *testing.T, r *Ring, group string, n int, want uint64) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		if err := r.Multicast(group, []byte(fmt.Sprint(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 5*time.Second, "deliveries", func() bool { return r.Stats().Delivered >= want })
+// recorder keeps every entry of an ordered stream, in order.
+type recorder struct {
+	mu      sync.Mutex
+	entries []Delivery
 }
 
-// One drained batch that mixes a ViewChange, a GroupView and message
-// deliveries keeps the protocol's order: the view, then the join's group
-// view, then the messages in sequence order.
-func TestStreamBatchMixesViewsAndDeliveriesInOrder(t *testing.T) {
-	r := startSolo(t)
+func (rec *recorder) add(d Delivery) {
+	rec.mu.Lock()
+	rec.entries = append(rec.entries, d)
+	rec.mu.Unlock()
+}
+
+func (rec *recorder) snapshot() []Delivery {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return append([]Delivery(nil), rec.entries...)
+}
+
+// The consumer sees views and deliveries in the protocol's one order: the
+// ring's view, then the join's group view, then the messages in sequence
+// order, each handed over before Stats counts the next.
+func TestStreamMixesViewsAndDeliveriesInOrder(t *testing.T) {
+	rec := &recorder{}
+	r := startSolo(t, rec.add)
 	if err := r.JoinGroup("g"); err != nil {
 		t.Fatal(err)
 	}
 	const msgs = 3
-	multicastAndWait(t, r, "g", msgs, 1+msgs) // the join, then the messages
-
-	batch, closed := r.Drain(nil)
-	if closed {
-		t.Fatal("running ring's stream reported closed")
+	for i := 0; i < msgs; i++ {
+		if err := r.Multicast("g", []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
+	waitFor(t, 5*time.Second, "deliveries", func() bool { return r.Stats().Delivered >= 1+msgs })
+
 	view, group, first := -1, -1, -1
 	var payloads [][]byte
 	lastSeq := uint64(0)
-	for i, d := range batch {
+	entries := rec.snapshot()
+	for i, d := range entries {
 		switch v := d.Event.(type) {
 		case ViewChange:
 			if view < 0 {
@@ -83,13 +93,13 @@ func TestStreamBatchMixesViewsAndDeliveriesInOrder(t *testing.T) {
 		}
 	}
 	if view < 0 || group < 0 || first < 0 {
-		t.Fatalf("batch of %d lacks a ViewChange, GroupView or Deliver (indexes %d, %d, %d)", len(batch), view, group, first)
+		t.Fatalf("stream of %d lacks a ViewChange, GroupView or Deliver (indexes %d, %d, %d)", len(entries), view, group, first)
 	}
 	if !(view < group && group < first) {
-		t.Fatalf("batch order: ViewChange at %d, GroupView at %d, first Deliver at %d", view, group, first)
+		t.Fatalf("stream order: ViewChange at %d, GroupView at %d, first Deliver at %d", view, group, first)
 	}
 	if len(payloads) != msgs {
-		t.Fatalf("batch holds %d deliveries, want %d", len(payloads), msgs)
+		t.Fatalf("stream holds %d deliveries, want %d", len(payloads), msgs)
 	}
 	for i, p := range payloads {
 		if !bytes.Equal(p, []byte(fmt.Sprint(i))) {
@@ -98,84 +108,75 @@ func TestStreamBatchMixesViewsAndDeliveriesInOrder(t *testing.T) {
 	}
 }
 
-// The queue high-water mark in Stats stays low while the consumer keeps
-// up, and rises to the backlog once it stops draining.
-func TestQueueHighWaterRisesWhenConsumerStalls(t *testing.T) {
-	r := startSolo(t)
+// Stop waits for the protocol loop, so once it returns the consumer is
+// never called again.
+func TestStreamEndsAtStop(t *testing.T) {
+	rec := &recorder{}
+	r := startSolo(t, rec.add)
 	if err := r.JoinGroup("g"); err != nil {
 		t.Fatal(err)
 	}
-	multicastAndWait(t, r, "g", 1, 2)
-	batch, _ := r.Drain(nil)
-	low := r.Stats().QueueHighWater
-	if low != uint64(len(batch)) {
-		t.Fatalf("high-water %d after draining a batch of %d", low, len(batch))
+	for i := 0; i < 50; i++ {
+		if err := r.Multicast("g", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	const backlog = 50
-	multicastAndWait(t, r, "g", backlog, 2+backlog)
-	batch, _ = r.Drain(batch)
-	if len(batch) != backlog {
-		t.Fatalf("stalled consumer drained %d entries, want %d", len(batch), backlog)
+	r.Stop()
+	n := len(rec.snapshot())
+	if err := r.Multicast("g", []byte("late")); err != ErrStopped {
+		t.Fatalf("Multicast after Stop: %v, want ErrStopped", err)
 	}
-	if got := r.Stats().QueueHighWater; got != backlog || got <= low {
-		t.Fatalf("high-water %d after a stalled backlog of %d (was %d)", got, backlog, low)
-	}
-	if got := AggregateStats([]*Ring{r}).QueueHighWater; got != backlog {
-		t.Fatalf("aggregate high-water %d, want %d", got, backlog)
+	time.Sleep(20 * time.Millisecond)
+	if got := len(rec.snapshot()); got != n {
+		t.Fatalf("consumer called %d more times after Stop returned", got-n)
 	}
 }
 
-// A consumer parked on Ready wakes when the ring delivers and when the
-// ring stops; the stop closes the stream after what was still queued.
-func TestStreamReadyWakesOnDeliveryAndStop(t *testing.T) {
-	r := startSolo(t)
-	if err := r.JoinGroup("g"); err != nil {
-		t.Fatal(err)
+// A direct packet reaches the addressee's Consumer.Direct through its
+// protocol loop; one addressed to this node is handed over before
+// SendDirect returns.
+func TestDirectReachesConsumer(t *testing.T) {
+	fabric := netsim.NewFabric(netsim.Config{})
+	nodes := []string{"n1", "n2"}
+	type got struct{ from, group, payload string }
+	ch := map[string]chan got{}
+	for _, n := range nodes {
+		fabric.AddNode(n)
+		ch[n] = make(chan got, 4)
 	}
-	waitFor(t, 5*time.Second, "join delivered", func() bool { return r.Stats().Delivered >= 1 })
-	r.Drain(nil) // the formation view and the join
-
-	woke := make(chan struct{})
-	result := make(chan int, 1) // deliveries seen before the stream closed
-	go func() {
-		delivered := 0
-		var b []Delivery
-		for {
-			var closed bool
-			b, closed = r.Drain(b)
-			for _, d := range b {
-				if d.Event == nil {
-					delivered++
-					if delivered == 1 {
-						close(woke)
-					}
-				}
-			}
-			if closed {
-				result <- delivered
-				return
-			}
-			if len(b) == 0 {
-				<-r.Ready()
-			}
+	rings := map[string]*Ring{}
+	for _, n := range nodes {
+		r, err := NewRing(fabric, testConfig(n, nodes))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	if err := r.Multicast("g", []byte("x")); err != nil {
+		out := ch[n]
+		r.Start(Consumer{Direct: func(from, group string, payload []byte) {
+			out <- got{from, group, string(payload)}
+		}})
+		t.Cleanup(r.Stop)
+		rings[n] = r
+	}
+	if err := rings["n1"].SendDirect("n1", "g", []byte("self")); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-woke:
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked consumer never woke for a delivery")
+	case g := <-ch["n1"]:
+		if g != (got{"n1", "g", "self"}) {
+			t.Fatalf("loopback direct = %+v", g)
+		}
+	default:
+		t.Fatal("loopback direct not handed over before SendDirect returned")
 	}
-	r.Stop()
+	if err := rings["n1"].SendDirect("n2", "g", []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
 	select {
-	case n := <-result:
-		if n != 1 {
-			t.Fatalf("consumer saw %d deliveries before close, want 1", n)
+	case g := <-ch["n2"]:
+		if g != (got{"n1", "g", "hi"}) {
+			t.Fatalf("direct at n2 = %+v", g)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked consumer never woke for Stop")
+		t.Fatal("direct packet never reached n2's consumer")
 	}
 }
