@@ -61,13 +61,16 @@ totem-soak:
 ## open over arbitrary file bytes) for 10 s, then the totem wire decoder
 ## (every packet kind; copying, owned and reused-storage decodes must agree)
 ## for 10 s, then the GIOP frame decoder (copying and zero-copy decodes must
-## agree) and the CDR value-sequence decoder for 10 s each.
+## agree), the CDR value-sequence decoder, the object-reference decoder and
+## the FT service-context decoders for 10 s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime 10s ./internal/totem
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/giop
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime 10s ./internal/cdr
+	$(GO) test -run '^$$' -fuzz '^FuzzIORUnmarshal$$' -fuzztime 10s ./internal/ior
+	$(GO) test -run '^$$' -fuzz '^FuzzFTContexts$$' -fuzztime 10s ./internal/giop
 
 ## bench: snapshot the PR2 hot-path + PR5 sharded-transport benchmarks,
 ## the full-profile SLO workload percentiles (~10^6-client population over

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/cdr"
 )
 
 // FuzzUnmarshal runs the GIOP frame decoder over arbitrary bytes. The
@@ -73,4 +75,42 @@ func normalize(v reflect.Value) reflect.Value {
 		return out
 	}
 	return v
+}
+
+// FuzzFTContexts runs the FT service-context and system-exception body
+// decoders over arbitrary bytes: nothing may panic, and whatever one of
+// them decodes must re-encode to bytes that decode to the same value.
+func FuzzFTContexts(f *testing.F) {
+	for _, b := range [][]byte{
+		FTRequest{ClientID: "client-7", RetentionID: 42, ExpirationTicks: 9}.Encode(),
+		FTGroupVersion{Version: 3}.Encode(),
+		OperationID{MsgSeq: 100, ParentSeq: 75, OpSeq: 5}.Encode(),
+		SystemException{RepoID: ExcCommFailure, Minor: 1, Completed: CompletedMaybe}.Encode(),
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if v, err := DecodeFTRequest(b); err == nil {
+			if again, err := DecodeFTRequest(v.Encode()); err != nil || again != v {
+				t.Fatalf("FT_REQUEST %+v re-decodes as %+v, %v", v, again, err)
+			}
+		}
+		if v, err := DecodeFTGroupVersion(b); err == nil {
+			if again, err := DecodeFTGroupVersion(v.Encode()); err != nil || again != v {
+				t.Fatalf("FT_GROUP_VERSION %+v re-decodes as %+v, %v", v, again, err)
+			}
+		}
+		if v, err := DecodeOperationID(b); err == nil {
+			if again, err := DecodeOperationID(v.Encode()); err != nil || again != v {
+				t.Fatalf("OperationID %+v re-decodes as %+v, %v", v, again, err)
+			}
+		}
+		for _, order := range []byte{cdr.BigEndian, cdr.LittleEndian} {
+			if v, err := DecodeSystemException(b, order); err == nil {
+				if again, err := DecodeSystemException(v.Encode(), cdr.BigEndian); err != nil || again != v {
+					t.Fatalf("system exception %+v re-decodes as %+v, %v", v, again, err)
+				}
+			}
+		}
+	})
 }

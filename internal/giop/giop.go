@@ -187,15 +187,12 @@ func encodeContexts(e *cdr.Encoder, ctxs []ServiceContext) {
 }
 
 func decodeContexts(d *cdr.Decoder) ([]ServiceContext, error) {
-	n, err := d.ReadULong()
+	n, err := d.ReadCount(8) // an id and a length word each
 	if err != nil {
 		return nil, err
 	}
-	if n > 4096 {
-		return nil, fmt.Errorf("giop: implausible service context count %d", n)
-	}
 	ctxs := make([]ServiceContext, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var c ServiceContext
 		if c.ID, err = d.ReadULong(); err != nil {
 			return nil, err

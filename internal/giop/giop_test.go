@@ -3,6 +3,7 @@ package giop
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +268,30 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if MsgType(200).String() == "" {
 		t.Error("unknown type name empty")
+	}
+}
+
+// A reply that claims more service contexts than its bytes can hold fails
+// before anything is sized by the claim: 24 bytes (the header, the request
+// id, the status and a count of 4096) must not allocate the 128 KiB that
+// 4096 contexts would take.
+func TestContextCountBoundedByBytesLeft(t *testing.T) {
+	frame := Marshal(&Reply{RequestID: 1})
+	if len(frame) != 24 {
+		t.Fatalf("a reply with no contexts is %d bytes, want 24", len(frame))
+	}
+	frame[20], frame[21], frame[22], frame[23] = 0, 0, 0x10, 0 // 4096 contexts, big-endian
+	if _, err := Unmarshal(frame); err == nil {
+		t.Fatal("4096 contexts in 0 bytes decoded")
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, _ = Unmarshal(frame)
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4<<10 {
+		t.Fatalf("a refused 24-byte reply allocated %d bytes", perRun)
 	}
 }

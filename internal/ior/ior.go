@@ -278,14 +278,11 @@ func Unmarshal(b []byte) (*Ref, error) {
 	if r.TypeID, err = d.ReadString(); err != nil {
 		return nil, fmt.Errorf("ior: type id: %w", err)
 	}
-	n, err := d.ReadULong()
+	n, err := d.ReadCount(8) // a tag and a length word each
 	if err != nil {
 		return nil, fmt.Errorf("ior: profile count: %w", err)
 	}
-	if n > 1024 {
-		return nil, fmt.Errorf("ior: implausible profile count %d", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		tag, err := d.ReadULong()
 		if err != nil {
 			return nil, fmt.Errorf("ior: profile tag: %w", err)
@@ -330,14 +327,11 @@ func decodeIIOPProfile(body []byte) (Profile, error) {
 	if p.ObjectKey, err = pd.ReadOctetSeq(); err != nil {
 		return p, fmt.Errorf("ior: object key: %w", err)
 	}
-	nc, err := pd.ReadULong()
+	nc, err := pd.ReadCount(8) // a tag and a length word each
 	if err != nil {
 		return p, fmt.Errorf("ior: component count: %w", err)
 	}
-	if nc > 1024 {
-		return p, fmt.Errorf("ior: implausible component count %d", nc)
-	}
-	for j := uint32(0); j < nc; j++ {
+	for j := 0; j < nc; j++ {
 		var c Component
 		if c.Tag, err = pd.ReadULong(); err != nil {
 			return p, fmt.Errorf("ior: component tag: %w", err)

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -60,11 +59,11 @@ type Config struct {
 	// time.Now). Tests inject skewed clocks per engine here — the lease
 	// protocol never compares timestamps across nodes, only durations.
 	Clock func() time.Time
-	// DR, when set, is the disaster-recovery shipping target: the senior
-	// primary-component member of each hosted group ships its definition,
-	// periodic checkpoints (with the duplicate-suppression window), and
-	// per-operation update records there, so a standby domain can re-host
-	// every group after this whole domain dies. Nil disables shipping.
+	// DR, when set, is the disaster-recovery shipping target: every group
+	// ships its definition, checkpoints (with the duplicate-suppression
+	// window) and update records there (who ships what: style.go), so a
+	// standby domain can re-host every group after this whole domain
+	// dies. Nil disables shipping.
 	DR drstore.Store
 }
 
@@ -175,14 +174,6 @@ type Engine struct {
 	wg     sync.WaitGroup
 }
 
-// pendingCall is a client call waiting for its reply. Only a voting call
-// (votesNeeded > 1) collects votes, keyed by replying node.
-type pendingCall struct {
-	votesNeeded int
-	votes       map[string]*msgReply
-	ch          chan *msgReply
-}
-
 // NewEngine creates an engine bound to a pool of rings (Config.Rings) that
 // Start will start.
 func NewEngine(cfg Config) (*Engine, error) {
@@ -239,40 +230,11 @@ func (e *Engine) lfLeaseLoop() {
 			return
 		case <-ticker.C:
 		}
-		e.mu.RLock()
-		reps := make([]*replica, 0, len(e.hosted))
-		for _, r := range e.hosted {
-			if r.def.Style.IsLeaderFollower() {
-				reps = append(reps, r)
+		for _, r := range e.replicas() {
+			if r.rules.executes == execLeader {
+				r.lfMaybeGrant()
 			}
 		}
-		e.mu.RUnlock()
-		for _, r := range reps {
-			r.lfMaybeGrant()
-		}
-	}
-}
-
-// onDirect is the rings' Consumer.Direct: submits route to the hosted
-// replica's executor, replies complete the waiting client call. The lane
-// is unordered and unreliable by design — anything confusing is dropped
-// and the ordered path picks up the slack. It runs on a protocol loop
-// (or a loopback sender's goroutine) under deliverer's rules.
-func (e *Engine) onDirect(from, group string, payload []byte) {
-	if e.halted() {
-		return
-	}
-	m, err := decodeWire(payload)
-	if err != nil {
-		return
-	}
-	switch v := m.(type) {
-	case *msgLfSubmit:
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.q.Push(task{m: v})
-		}
-	case *msgReply:
-		e.completeCall(v)
 	}
 }
 
@@ -284,14 +246,8 @@ func (e *Engine) Shards() int { return len(e.cfg.Rings) }
 // Out-of-range shards clamp into the pool (a domain restarted with fewer
 // shards must still reach groups pinned under the old layout).
 func (e *Engine) PinShard(gid uint64, shard int) {
-	if shard < 0 {
-		shard = 0
-	}
-	if shard >= len(e.cfg.Rings) {
-		shard = len(e.cfg.Rings) - 1
-	}
 	e.mu.Lock()
-	e.shardPin[gid] = shard
+	e.shardPin[gid] = min(max(shard, 0), len(e.cfg.Rings)-1)
 	e.mu.Unlock()
 }
 
@@ -327,21 +283,9 @@ func (e *Engine) syncRetryLoop() {
 			return
 		case <-ticker.C:
 		}
-		e.mu.RLock()
-		reps := make(map[uint64]*replica, len(e.hosted))
-		for gid, r := range e.hosted {
-			reps[gid] = r
-		}
-		e.mu.RUnlock()
-		stuck := make(map[uint64]uint64)
-		for gid, r := range reps {
+		for _, r := range e.replicas() {
 			if st := r.status(); st.Syncing {
-				stuck[gid] = st.LastExec
-			}
-		}
-		for gid, lastExec := range stuck {
-			if payload := e.encodeOrReport(&msgStateReq{GroupID: gid, From: e.cfg.Node, LastExec: lastExec}); payload != nil {
-				_ = e.ringFor(gid).Multicast(invGroupName(gid), payload)
+				r.multicast(&msgStateReq{GroupID: r.def.ID, From: e.cfg.Node, LastExec: st.LastExec})
 			}
 		}
 	}
@@ -356,10 +300,7 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.stopped = true
-	reps := make([]*replica, 0, len(e.hosted))
-	for _, r := range e.hosted {
-		reps = append(reps, r)
-	}
+	reps := e.replicasLocked()
 	pend := e.pending
 	e.pending = make(map[opKey]*pendingCall)
 	e.mu.Unlock()
@@ -378,14 +319,8 @@ func (e *Engine) Node() string { return e.cfg.Node }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	e.mu.RLock()
-	reps := make([]*replica, 0, len(e.hosted))
-	for _, r := range e.hosted {
-		reps = append(reps, r)
-	}
-	e.mu.RUnlock()
 	var records int
-	for _, r := range reps {
+	for _, r := range e.replicas() {
 		r.mu.Lock()
 		records += len(r.dedup.recs)
 		r.mu.Unlock()
@@ -419,11 +354,7 @@ func (e *Engine) Stats() Stats {
 // member.
 func (e *Engine) HostReplica(def GroupDef, servant orb.Servant, initial bool) error {
 	def.fill()
-	r := newReplica(e, def, servant, !initial, e.cfg.LogFactory(def))
-	if err := e.addHosted(def, r); err != nil {
-		return err
-	}
-	return e.startHosting(def, r)
+	return e.host(newReplica(e, def, servant, !initial, e.cfg.LogFactory(def)))
 }
 
 // HostReplicaFromLog hosts a replica whose state is first recovered from a
@@ -445,7 +376,7 @@ func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.L
 	// The replayed log's newest update is also the logged horizon: a stale
 	// duplicate checkpoint offered during rejoin must not compact past it.
 	r.lastLogged = lastMsgID
-	if def.Style.IsLeaderFollower() {
+	if r.rules.executes == execLeader {
 		// LF record ids carry the leader sequence in the low bits; resume
 		// the session-token horizon (and promotion numbering) from it.
 		r.lfApplied = lastMsgID & lfSeqMask
@@ -454,28 +385,21 @@ func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.L
 		rec := r.dedup.record(k)
 		rec.deliveredInv, rec.answered, rec.executedLocal = true, true, true
 	}
-	if err := e.addHosted(def, r); err != nil {
-		return err
-	}
-	return e.startHosting(def, r)
+	return e.host(r)
 }
 
 // HostRecoveredReplica hosts a group restored from a shipped
 // disaster-recovery snapshot — the standby-promotion path. The servant
 // already carries the recovered state (core.Standby staged it from the
-// store) and state is its snapshot, which the replica's log keeps (the
-// caller does not write it again); window is the last shipped checkpoint's
-// duplicate-suppression window and replayed the logged invocations the
-// standby applied after it.
-// The replica starts operational with lastExec 0: message ids from the
-// source domain's ring lineage don't compare against this domain's, so
-// exactly-once for shipped operations rests entirely on the duplicate
-// table, seeded the way checkpoint adoption seeds it — the window's
-// horizons, then every covered key as delivered and executed. A
-// retransmission of a covered operation is therefore suppressed, and one
-// the source's record cap had evicted is refused; neither re-executes
-// (like crash-restart rejoin, the original replies stayed with the dead
-// domain, so such retries time out).
+// store) and state is its snapshot, which the replica's log keeps; window
+// is the last shipped checkpoint's duplicate-suppression window and
+// replayed the logged invocations the standby applied after it. The
+// replica starts operational with lastExec 0 (the source domain's message
+// ids do not compare against this domain's), so exactly-once for shipped
+// operations rests on the duplicate table, seeded as checkpoint adoption
+// seeds it: a retransmission of a covered operation is suppressed, one the
+// source's record cap had evicted is refused, and neither re-executes (the
+// original replies stayed with the dead domain, so such retries time out).
 func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state, window []byte, replayed []wal.Record) error {
 	def.fill()
 	win, err := decodeWindow(window)
@@ -483,8 +407,8 @@ func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state, 
 		return fmt.Errorf("replication: group %d: shipped window: %w", def.ID, err)
 	}
 	for _, rec := range replayed {
-		if _, _, k, ok := loggedInvocation(rec); ok {
-			win.keys = append(win.keys, k)
+		if inv, ok := loggedInvocation(rec); ok {
+			win.keys = append(win.keys, inv.Key)
 		}
 	}
 	r := newReplica(e, def, servant, false, e.cfg.LogFactory(def))
@@ -494,10 +418,7 @@ func (e *Engine) HostRecoveredReplica(def GroupDef, servant orb.Servant, state, 
 		// recovers to the shipped state, not to zero.
 		_ = r.log.Append(wal.Record{Kind: wal.KindCheckpoint, MsgID: 0, Data: state})
 	}
-	if err := e.addHosted(def, r); err != nil {
-		return err
-	}
-	return e.startHosting(def, r)
+	return e.host(r)
 }
 
 // LogLen reports the number of live records in a hosted replica's
@@ -511,21 +432,23 @@ func (e *Engine) LogLen(gid uint64) (int, bool) {
 	return r.log.Len(), true
 }
 
-func (e *Engine) addHosted(def GroupDef, r *replica) error {
+// host registers r, joins its group's two process groups and starts its
+// executor.
+func (e *Engine) host(r *replica) error {
+	def := r.def
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
+	_, dup := e.hosted[def.ID]
+	switch {
+	case e.stopped:
+		e.mu.Unlock()
 		return ErrEngineStopped
-	}
-	if _, ok := e.hosted[def.ID]; ok {
+	case dup:
+		e.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrAlreadyHosted, def.ID)
 	}
 	e.hosted[def.ID] = r
 	e.byInv[r.names.inv] = r
-	return nil
-}
-
-func (e *Engine) startHosting(def GroupDef, r *replica) error {
+	e.mu.Unlock()
 	if def.Shard > 0 {
 		e.PinShard(def.ID, def.Shard-1)
 	}
@@ -589,223 +512,32 @@ type GroupStatus struct {
 
 // GroupStatus returns the replica's status, or false if not hosted here.
 func (e *Engine) GroupStatus(gid uint64) (GroupStatus, bool) {
-	e.mu.RLock()
-	r, ok := e.hosted[gid]
-	e.mu.RUnlock()
-	if !ok {
+	r := e.replicaFor(gid)
+	if r == nil {
 		return GroupStatus{}, false
 	}
 	return r.status(), true
+}
+
+// replicas returns the hosted replicas.
+func (e *Engine) replicas() []*replica {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.replicasLocked()
+}
+
+func (e *Engine) replicasLocked() []*replica {
+	reps := make([]*replica, 0, len(e.hosted))
+	for _, r := range e.hosted {
+		reps = append(reps, r)
+	}
+	return reps
 }
 
 func (e *Engine) replicaFor(gid uint64) *replica {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.hosted[gid]
-}
-
-func (e *Engine) ensureReplyJoined(gid uint64) {
-	e.mu.RLock()
-	joined := e.replyJoined[gid]
-	e.mu.RUnlock()
-	if joined {
-		return
-	}
-	e.mu.Lock()
-	joined = e.replyJoined[gid]
-	if !joined {
-		e.replyJoined[gid] = true
-	}
-	stopped := e.stopped
-	e.mu.Unlock()
-	if !joined && !stopped {
-		_ = e.ringFor(gid).JoinGroup(namesOf(gid).rep)
-	}
-}
-
-// deliverer returns the Consumer.Deliver of the shard's ring: it routes the
-// ring's ordered stream to hosted replicas and pending client calls.
-// Per-group order holds because a group's traffic arrives on exactly one
-// ring and its replica executes from a single FIFO queue.
-//
-// It runs on the ring's protocol loop, which holds the token, so it (and
-// onDirect) must never block and never multicast or join: Multicast may
-// wait for the very loop that is calling. Servants run on the executors,
-// behind never-blocking taskQueues. The locks it takes, Engine.mu and
-// replica.mu (markAnswered), guard only in-memory bookkeeping: no critical
-// section on either waits on a channel, a ring, a servant, the WAL or the
-// DR store. completeCall's send cannot block (the channel has room for the
-// call's one reply), nor can fault.Notifier.Push. After Stop it drops
-// everything.
-func (e *Engine) deliverer(shard int) func(totem.Delivery) {
-	return func(d totem.Delivery) {
-		if e.halted() {
-			return
-		}
-		switch v := d.Event.(type) {
-		case nil:
-			e.onDeliver(&d.Deliver)
-		case totem.GroupView:
-			e.onGroupView(v)
-		case totem.ViewChange:
-			// All shards share one fate domain (a node crash silences
-			// every ring it runs), so shard 0 alone feeds node-level
-			// fault reports — R near-simultaneous ViewChanges would
-			// otherwise push R duplicate crash reports per dead node.
-			if shard == 0 {
-				e.onRingView(v)
-			}
-		}
-	}
-}
-
-// halted reports whether Stop has begun.
-func (e *Engine) halted() bool {
-	select {
-	case <-e.stopCh:
-		return true
-	default:
-		return false
-	}
-}
-
-func (e *Engine) onDeliver(d *totem.Deliver) {
-	m, err := decodeWire(d.Payload)
-	if err != nil {
-		return // foreign traffic on our groups: drop
-	}
-	var gid uint64
-	switch v := m.(type) {
-	case *msgInvocation:
-		gid = v.GroupID
-	case *msgReply:
-		e.completeCall(v)
-		if r := e.replicaFor(v.GroupID); r != nil {
-			r.markAnswered(v)
-			// Only passive and LF replicas act on a reply (apply the
-			// update, settle a pending operation); an active replica's
-			// executor would take it as a no-op, so it is not woken.
-			if !r.def.Style.IsActive() {
-				r.q.Push(task{msgID: d.MsgID, m: v})
-			}
-		}
-		return
-	case *msgCheckpoint:
-		gid = v.GroupID
-	case *msgStateReq:
-		gid = v.GroupID
-	case *msgLfOrder:
-		gid = v.GroupID
-	case *msgLfLease:
-		gid = v.GroupID
-	default:
-		return
-	}
-	if r := e.replicaFor(gid); r != nil {
-		r.q.Push(task{msgID: d.MsgID, m: m})
-	}
-}
-
-func (e *Engine) onGroupView(gv totem.GroupView) {
-	e.mu.RLock()
-	target := e.byInv[gv.Group]
-	e.mu.RUnlock()
-	if target != nil {
-		target.q.Push(task{m: &taskView{members: gv.Members, epoch: gv.Ring.Epoch}})
-	}
-}
-
-// onRingView reports node-level faults derived from ring membership.
-func (e *Engine) onRingView(vc totem.ViewChange) {
-	e.mu.Lock()
-	old := e.ringMembers
-	e.ringMembers = append([]string(nil), vc.Members...)
-	notifier := e.cfg.Notifier
-	e.mu.Unlock()
-	if notifier == nil {
-		return
-	}
-	cur := make(map[string]bool, len(vc.Members))
-	for _, m := range vc.Members {
-		cur[m] = true
-	}
-	for _, m := range old {
-		if !cur[m] {
-			notifier.Push(fault.Report{Kind: fault.NodeCrash, Node: m, Member: m})
-		}
-	}
-}
-
-// completeCall routes a reply to the waiting client call, applying majority
-// voting when requested.
-func (e *Engine) completeCall(m *msgReply) {
-	e.mu.Lock()
-	p, ok := e.pending[m.Key]
-	if !ok {
-		e.mu.Unlock()
-		e.stat.dupReplies.Add(1)
-		return
-	}
-	winner := m
-	if p.votesNeeded > 1 {
-		if _, seen := p.votes[m.Node]; seen {
-			e.mu.Unlock()
-			e.stat.dupReplies.Add(1)
-			return
-		}
-		p.votes[m.Node] = m
-		if len(p.votes) < p.votesNeeded {
-			e.mu.Unlock()
-			return
-		}
-		winner = majorityReply(p.votes)
-	}
-	delete(e.pending, m.Key)
-	e.mu.Unlock()
-	p.ch <- winner
-}
-
-// majorityReply picks the most common outcome among votes: replies agree
-// when their status and body bytes are equal. Only called when more than
-// one vote was collected; the single-vote styles take the reply directly.
-func majorityReply(votes map[string]*msgReply) *msgReply {
-	var best *msgReply
-	bestCount := 0
-	for _, v := range votes {
-		count := 0
-		for _, o := range votes {
-			if o.Status == v.Status && bytes.Equal(o.Body, v.Body) {
-				count++
-			}
-		}
-		if count > bestCount {
-			best, bestCount = v, count
-		}
-	}
-	return best
-}
-
-func (e *Engine) registerCall(key opKey, votes int) (*pendingCall, error) {
-	if votes < 1 {
-		votes = 1
-	}
-	p := &pendingCall{votesNeeded: votes, ch: make(chan *msgReply, 1)}
-	if votes > 1 {
-		p.votes = make(map[string]*msgReply, votes)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
-		return nil, ErrEngineStopped
-	}
-	e.pending[key] = p
-	return p, nil
-}
-
-func (e *Engine) unregisterCall(key opKey) {
-	e.mu.Lock()
-	delete(e.pending, key)
-	e.mu.Unlock()
 }
 
 // encodeOrReport marshals a wire message, reporting (rather than panicking

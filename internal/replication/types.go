@@ -8,17 +8,9 @@
 // every replica of a group observes the identical sequence of events — the
 // foundation of strong replica consistency.
 //
-// Supported replication styles (FT-CORBA vocabulary):
-//
-//   - STATELESS: every replica executes; no state transfer ever.
-//   - ACTIVE: every replica executes every invocation; duplicate
-//     invocations and responses are suppressed via operation identifiers.
-//   - ACTIVE_WITH_VOTING: active, with the client collecting a majority of
-//     replies (value-fault masking on the client side).
-//   - WARM_PASSIVE: only the primary executes; it multicasts the reply
-//     together with a state update (postimage) that backups apply.
-//   - COLD_PASSIVE: only the primary executes; backups log invocations and
-//     periodic checkpoints, and rebuild state by replay at failover.
+// The replication styles (FT-CORBA's five and LLFT's leader-follower) run
+// on one replica core; what each decides is one row of the rules table in
+// style.go.
 //
 // The engine also implements the partitioned-operation model: when the
 // group communication layer partitions, every component keeps operating;
@@ -29,14 +21,9 @@
 package replication
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
-
-	"repro/internal/cdr"
-	"repro/internal/giop"
-	"repro/internal/orb"
 )
 
 // Style selects the replication style of an object group.
@@ -228,9 +215,9 @@ type msgInvocation struct {
 	Done uint64
 }
 
-// msgReply carries the outcome of an operation, plus (for passive styles)
-// the state update backups must apply. On the leader-follower direct lane
-// ExecMsgID is instead the leader sequence the reply reflects (the
+// msgReply carries the outcome of an operation, plus the postimage the
+// backups apply when that is the style's update record (recPostimage). On
+// the leader-follower direct lane ExecMsgID is instead the leader sequence the reply reflects (the
 // client's next session token), and status replyRedirect names in Body a
 // node to retry at.
 type msgReply struct {
@@ -244,25 +231,20 @@ type msgReply struct {
 	UpdateFull bool   // Update is a full state snapshot, not a delta
 }
 
-// msgCheckpoint transfers full state: periodic (cold passive and
-// leader-follower), to a joining replica, or to a remerging secondary
-// component. A warm-passive periodic checkpoint is a marker (ckptMarker)
-// with neither State nor Covered.
+// msgCheckpoint transfers full state — periodic (styleRules.periodic), to
+// a joiner or to a remerging secondary component — or is a marker
+// (ckptMarker) with neither State nor Covered.
 type msgCheckpoint struct {
 	GroupID   uint64
 	Reason    uint8
 	UpToMsgID uint64 // state reflects ordered invocations up to this id
 	State     []byte
-	// Covered is the sender's duplicate-suppression window: keys of
-	// executed operations whose effects State already includes, and every
-	// root client's retired horizon and eviction mark. Adopters seed their
-	// dedup tables from it, so an operation covered by the
-	// snapshot cannot re-execute on top of it if the recovery machinery
-	// re-delivers it — state transfer must carry this infrastructure
-	// state along with the application state, or exactly-once breaks for
-	// members that adopted across a delivery gap. It holds the compact
-	// window encoding (window.go); a decoded message aliases the delivery
-	// buffer like Args, and only adoption parses it (decodeWindow).
+	// Covered is the sender's duplicate-suppression window (window.go):
+	// keys of executed operations whose effects State already includes,
+	// and every root client's retired horizon and eviction mark. Adopters
+	// seed their dedup tables from it, so a re-delivered operation the
+	// snapshot covers cannot re-execute on top of it. A decoded message
+	// aliases the delivery buffer like Args; only adoption parses it.
 	Covered []byte
 	// LfSeq is the leader sequence State reflects (LEADER_FOLLOWER only):
 	// an adopter resumes serving session-token-gated reads — and, on
@@ -330,410 +312,4 @@ type msgStateReq struct {
 	GroupID  uint64
 	From     string
 	LastExec uint64
-}
-
-func encodeOpKey(e *cdr.Encoder, k opKey) {
-	e.WriteString(k.ClientID)
-	e.WriteULongLong(k.ParentSeq)
-	e.WriteULongLong(k.OpSeq)
-}
-
-func decodeOpKey(d *cdr.Decoder) (opKey, error) {
-	var k opKey
-	var err error
-	if k.ClientID, err = d.ReadStringInterned(); err != nil {
-		return k, err
-	}
-	if k.ParentSeq, err = d.ReadULongLong(); err != nil {
-		return k, err
-	}
-	if k.OpSeq, err = d.ReadULongLong(); err != nil {
-		return k, err
-	}
-	return k, nil
-}
-
-// encodeWire marshals an engine message into a caller-owned buffer. The
-// buffer comes from the shared encoder pool and is handed to
-// Ring.Multicast, which takes ownership (no defensive copies anywhere on
-// the path). An unknown message type is a local programming error reported
-// to the caller instead of panicking on the invocation path. The two hot
-// messages also have typed writers that encode their bodies in place:
-// encodeInvocation (a proxy's call) and encodeExecReply (an execution's
-// reply).
-func encodeWire(m any) ([]byte, error) {
-	e := cdr.GetEncoder(cdr.BigEndian)
-	switch v := m.(type) {
-	case *msgInvocation:
-		writeInvocationHead(e, v)
-		e.WriteOctetSeq(v.Args)
-		writeInvocationTail(e, v)
-	case *msgReply:
-		writeReply(e, v)
-	case *msgCheckpoint:
-		e.WriteOctet(byte(wireCheckpoint))
-		e.WriteULongLong(v.GroupID)
-		e.WriteOctet(v.Reason)
-		e.WriteULongLong(v.UpToMsgID)
-		e.WriteOctetSeq(v.State)
-		e.WriteOctetSeq(v.Covered)
-		e.WriteULongLong(v.LfSeq)
-	case *msgStateReq:
-		e.WriteOctet(byte(wireStateReq))
-		e.WriteULongLong(v.GroupID)
-		e.WriteString(v.From)
-		e.WriteULongLong(v.LastExec)
-	case *msgLfOrder:
-		e.WriteOctet(byte(wireLfOrder))
-		e.WriteULongLong(v.GroupID)
-		e.WriteULongLong(v.Epoch)
-		e.WriteULongLong(v.Seq)
-		e.WriteString(v.Leader)
-		encodeOpKey(e, v.Key)
-		e.WriteString(v.Operation)
-		e.WriteOctetSeq(v.Args)
-		e.WriteBool(v.Oneway)
-		e.WriteULongLong(v.Done)
-	case *msgLfSubmit:
-		e.WriteOctet(byte(wireLfSubmit))
-		e.WriteULongLong(v.GroupID)
-		encodeOpKey(e, v.Key)
-		e.WriteString(v.Operation)
-		e.WriteOctetSeq(v.Args)
-		e.WriteBool(v.ReadOnly)
-		e.WriteULongLong(v.MinSeq)
-		e.WriteString(v.From)
-		e.WriteULongLong(v.Done)
-	case *msgLfLease:
-		e.WriteOctet(byte(wireLfLease))
-		e.WriteULongLong(v.GroupID)
-		e.WriteULongLong(v.Epoch)
-		e.WriteString(v.Leader)
-		e.WriteULongLong(uint64(v.Dur))
-	default:
-		e.Release()
-		return nil, fmt.Errorf("replication: encodeWire: unknown message %T", m)
-	}
-	out := e.TakeBytes()
-	e.Release()
-	return out, nil
-}
-
-// writeInvocationHead writes an invocation's fields up to its Args body and
-// writeInvocationTail the fields after it; the caller writes the body
-// between them.
-func writeInvocationHead(e *cdr.Encoder, v *msgInvocation) {
-	e.WriteOctet(byte(wireInvocation))
-	e.WriteULongLong(v.GroupID)
-	encodeOpKey(e, v.Key)
-	e.WriteString(v.Operation)
-}
-
-func writeInvocationTail(e *cdr.Encoder, v *msgInvocation) {
-	e.WriteBool(v.Oneway)
-	e.WriteBool(v.Fulfillment)
-	e.WriteULongLong(v.Done)
-}
-
-// encodeInvocation marshals v with args written in place as its Args body
-// (v.Args is not read): the arguments are encoded once, into the payload
-// itself, as a length-prefixed region whose alignment starts at its first
-// byte, so the payload is byte-identical to encodeWire's for v with Args
-// set to orb.EncodeRequestBody(args). It also returns the body: the Args a
-// decoder of payload sees, a view into payload.
-func encodeInvocation(v *msgInvocation, args []cdr.Value) (payload, body []byte) {
-	e := cdr.GetEncoder(cdr.BigEndian)
-	writeInvocationHead(e, v)
-	reg := e.BeginRegion()
-	orb.WriteRequestBody(e, args)
-	at, end := e.EndRegion(reg)
-	writeInvocationTail(e, v)
-	payload = e.TakeBytes()
-	e.Release()
-	return payload, payload[at:end:end]
-}
-
-// writeReply encodes a reply and returns the length of its withdraw key
-// (totem.Ring.MulticastOnce): the encoding up to the end of the op key —
-// kind, GroupID and opKey. Replies from different replicas to one
-// operation share it; replies to different operations or groups never do,
-// since every field in it is fixed-width or length-prefixed.
-func writeReply(e *cdr.Encoder, v *msgReply) (keyLen int) {
-	keyLen = writeReplyHead(e, v)
-	e.WriteOctetSeq(v.Body)
-	writeReplyTail(e, v)
-	return keyLen
-}
-
-// writeReplyHead writes a reply's fields up to its Body and returns the
-// withdraw key length; writeReplyTail writes the fields after the Body.
-func writeReplyHead(e *cdr.Encoder, v *msgReply) (keyLen int) {
-	e.WriteOctet(byte(wireReply))
-	e.WriteULongLong(v.GroupID)
-	encodeOpKey(e, v.Key)
-	keyLen = e.Len()
-	e.WriteULong(v.Status)
-	return keyLen
-}
-
-func writeReplyTail(e *cdr.Encoder, v *msgReply) {
-	e.WriteString(v.Node)
-	e.WriteULongLong(v.ExecMsgID)
-	e.WriteOctetSeq(v.Update)
-	e.WriteBool(v.UpdateFull)
-}
-
-// encodeReply is encodeWire for a reply, returning its withdraw key length
-// along with the caller-owned encoding.
-func encodeReply(v *msgReply) (payload []byte, keyLen int) {
-	e := cdr.GetEncoder(cdr.BigEndian)
-	keyLen = writeReply(e, v)
-	payload = e.TakeBytes()
-	e.Release()
-	return payload, keyLen
-}
-
-// encodeExecReply marshals v with the outcome of the execution it answers
-// written in place as its Body, as encodeInvocation does for arguments. It
-// sets v.Status and points v.Body at the body inside the returned payload,
-// so a record that logs v keeps no second copy.
-func encodeExecReply(v *msgReply, results []cdr.Value, err error) (payload []byte, keyLen int) {
-	o := outcomeOf(results, err)
-	v.Status = o.status
-	e := cdr.GetEncoder(cdr.BigEndian)
-	keyLen = writeReplyHead(e, v)
-	reg := e.BeginRegion()
-	o.writeBody(e)
-	at, end := e.EndRegion(reg)
-	writeReplyTail(e, v)
-	payload = e.TakeBytes()
-	e.Release()
-	v.Body = payload[at:end:end]
-	return payload, keyLen
-}
-
-// outcome is a Dispatch outcome classified into its reply status: results,
-// a user exception, or a system exception (any other error becomes an
-// INTERNAL one).
-type outcome struct {
-	status  uint32
-	results []cdr.Value
-	user    *orb.UserException
-	sys     giop.SystemException
-}
-
-func outcomeOf(results []cdr.Value, err error) outcome {
-	if err == nil {
-		return outcome{status: replyOK, results: results}
-	}
-	var uexc *orb.UserException
-	if errors.As(err, &uexc) {
-		return outcome{status: replyUserExc, user: uexc}
-	}
-	var sysExc giop.SystemException
-	if !errors.As(err, &sysExc) {
-		sysExc = giop.SystemException{RepoID: giop.ExcInternal, Completed: giop.CompletedMaybe}
-	}
-	return outcome{status: replySysExc, sys: sysExc}
-}
-
-// writeBody writes the reply body for o into e.
-func (o *outcome) writeBody(e *cdr.Encoder) {
-	switch o.status {
-	case replyOK:
-		orb.WriteReplyBody(e, o.results)
-	case replyUserExc:
-		orb.WriteUserException(e, o.user)
-	default:
-		o.sys.EncodeTo(e)
-	}
-}
-
-// outcomeToWire converts a Dispatch outcome to reply status + body, for
-// the replies whose body is carried in a message of its own (the
-// leader-follower paths).
-func outcomeToWire(results []cdr.Value, err error) (uint32, []byte) {
-	o := outcomeOf(results, err)
-	e := cdr.GetEncoder(cdr.BigEndian)
-	o.writeBody(e)
-	body := e.TakeBytes()
-	e.Release()
-	return o.status, body
-}
-
-func decodeWire(b []byte) (any, error) {
-	// Callers hand decodeWire buffers they own and never modify — a totem
-	// delivery (copied off the transport once by the ring) or a WAL
-	// record — so Args/Body/Covered may alias b instead of copying. Frames
-	// are never recycled, so the aliases stay valid for as long as they
-	// are kept; the servant boundary decodes arguments in place too
-	// (orb.AppendRequestArgs), its octet sequences aliasing b.
-	d := cdr.NewDecoder(b, cdr.BigEndian)
-	d.SetZeroCopy(true)
-	t, err := d.ReadOctet()
-	if err != nil {
-		return nil, err
-	}
-	switch wireKind(t) {
-	case wireInvocation:
-		v := &msgInvocation{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Key, err = decodeOpKey(d); err != nil {
-			return nil, err
-		}
-		if v.Operation, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Args, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.Oneway, err = d.ReadBool(); err != nil {
-			return nil, err
-		}
-		if v.Fulfillment, err = d.ReadBool(); err != nil {
-			return nil, err
-		}
-		if v.Done, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireReply:
-		v := &msgReply{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Key, err = decodeOpKey(d); err != nil {
-			return nil, err
-		}
-		if v.Status, err = d.ReadULong(); err != nil {
-			return nil, err
-		}
-		if v.Body, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.Node, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.ExecMsgID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Update, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.UpdateFull, err = d.ReadBool(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireCheckpoint:
-		v := &msgCheckpoint{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Reason, err = d.ReadOctet(); err != nil {
-			return nil, err
-		}
-		if v.UpToMsgID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.State, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.Covered, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.LfSeq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireStateReq:
-		v := &msgStateReq{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.From, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.LastExec, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireLfOrder:
-		v := &msgLfOrder{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Epoch, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Leader, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Key, err = decodeOpKey(d); err != nil {
-			return nil, err
-		}
-		if v.Operation, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Args, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.Oneway, err = d.ReadBool(); err != nil {
-			return nil, err
-		}
-		if v.Done, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireLfSubmit:
-		v := &msgLfSubmit{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Key, err = decodeOpKey(d); err != nil {
-			return nil, err
-		}
-		if v.Operation, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Args, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if v.ReadOnly, err = d.ReadBool(); err != nil {
-			return nil, err
-		}
-		if v.MinSeq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.From, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		if v.Done, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case wireLfLease:
-		v := &msgLfLease{}
-		if v.GroupID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Epoch, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if v.Leader, err = d.ReadStringInterned(); err != nil {
-			return nil, err
-		}
-		var dur uint64
-		if dur, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		v.Dur = time.Duration(dur)
-		return v, nil
-	default:
-		return nil, fmt.Errorf("replication: unknown wire kind %d", t)
-	}
 }

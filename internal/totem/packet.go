@@ -387,9 +387,9 @@ func (h *hotPackets) dataBatch() *dataBatch {
 // non-nil, supplies reused storage for a token, a data frame or a
 // heartbeat (see hotPackets).
 func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
-	r := pktReader{d: *cdr.NewDecoder(b, cdr.BigEndian)}
-	r.d.SetZeroCopy(owned)
-	t, err := r.d.ReadOctet()
+	r := pktReader{cdr.NewReader(b, cdr.BigEndian)}
+	r.SetZeroCopy(owned)
+	t, err := r.ReadOctet()
 	if err != nil {
 		return nil, err
 	}
@@ -397,131 +397,81 @@ func decodePacketIn(b []byte, owned bool, hot *hotPackets) (any, error) {
 	switch pktType(t) {
 	case pktHello:
 		v := hot.hello()
-		v.From, v.MaxEpoch = r.str(), r.u64()
+		v.From, v.MaxEpoch = r.Str(), r.U64()
 		pkt = v
 	case pktPropose:
 		pkt = &propose{Ring: r.ringID(), Members: r.strings()}
 	case pktAccept:
-		pkt = &accept{Ring: r.ringID(), From: r.str(), OldRing: r.ringID(), Delivered: r.u64(),
+		pkt = &accept{Ring: r.ringID(), From: r.Str(), OldRing: r.ringID(), Delivered: r.U64(),
 			Stored: r.storedMsgs(), Groups: r.strings()}
 	case pktInstall:
 		v := &install{Ring: r.ringID(), Members: r.strings()}
-		for n := r.count(16); n > 0 && r.err == nil; n-- {
+		for n := r.Count(16); n > 0 && r.Err() == nil; n-- {
 			v.Recovery = append(v.Recovery, recoverySet{OldRing: r.ringID(), Msgs: r.storedMsgs()})
 		}
-		for n := r.count(8); n > 0 && r.err == nil; n-- {
-			v.Subs = append(v.Subs, groupSub{Node: r.str(), Group: r.str()})
+		for n := r.Count(8); n > 0 && r.Err() == nil; n-- {
+			v.Subs = append(v.Subs, groupSub{Node: r.Str(), Group: r.Str()})
 		}
 		pkt = v
 	case pktToken:
 		v := hot.token()
-		v.Ring, v.Round, v.Seq, v.Aru, v.LastAru = r.ringID(), r.u64(), r.u64(), r.u64(), r.u64()
-		for n := r.count(8); n > 0 && r.err == nil; n-- {
-			v.Rtr = append(v.Rtr, r.u64())
+		v.Ring, v.Round, v.Seq, v.Aru, v.LastAru = r.ringID(), r.U64(), r.U64(), r.U64(), r.U64()
+		for n := r.Count(8); n > 0 && r.Err() == nil; n-- {
+			v.Rtr = append(v.Rtr, r.U64())
 		}
 		pkt = v
 	case pktDataBatch:
 		v := hot.dataBatch()
-		v.Ring, v.Sender, v.FirstSeq = r.ringID(), r.str(), r.u64()
-		n := r.count(8) // each message takes at least its two length words
+		v.Ring, v.Sender, v.FirstSeq = r.ringID(), r.Str(), r.U64()
+		n := r.Count(8) // each message takes at least its two length words
 		if cap(v.Payloads) < n {
 			v.Groups = make([]string, 0, n)
 			v.Payloads = make([][]byte, 0, n)
 		}
-		for ; n > 0 && r.err == nil; n-- {
-			v.Groups = append(v.Groups, r.str())
-			v.Payloads = append(v.Payloads, r.octets())
+		for ; n > 0 && r.Err() == nil; n-- {
+			v.Groups = append(v.Groups, r.Str())
+			v.Payloads = append(v.Payloads, r.Octets())
 		}
 		pkt = v
 	case pktNudge:
-		pkt = &nudge{Ring: r.ringID(), From: r.str()}
+		pkt = &nudge{Ring: r.ringID(), From: r.Str()}
 	case pktDirect:
-		pkt = &direct{From: r.str(), Group: r.str(), Payload: r.octets()}
+		pkt = &direct{From: r.Str(), Group: r.Str(), Payload: r.Octets()}
 	default:
 		return nil, fmt.Errorf("totem: unknown packet type %d", t)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return pkt, nil
 }
 
 // pktReader reads a packet's fields in wire order and keeps the first
-// error: every read after it returns the zero value, so a decode checks
-// once, at the end, instead of after every field.
-type pktReader struct {
-	d   cdr.Decoder
-	err error
-}
+// error (cdr.Reader), with the readers of totem's composite fields.
+type pktReader struct{ cdr.Reader }
 
-func (r *pktReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := r.d.ReadULongLong()
-	r.err = err
-	return v
-}
-
-// str reads an interned string: node, group and coordinator names come
-// from a small fixed vocabulary.
-func (r *pktReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	v, err := r.d.ReadStringInterned()
-	r.err = err
-	return v
-}
-
-func (r *pktReader) octets() []byte {
-	if r.err != nil {
-		return nil
-	}
-	v, err := r.d.ReadOctetSeq()
-	r.err = err
-	return v
-}
-
-func (r *pktReader) ringID() RingID { return RingID{Epoch: r.u64(), Coord: r.str()} }
-
-// count reads a sequence length. A count whose elements, at least min
-// bytes each, overrun the packet is an error, so a corrupt count never
-// sizes an allocation.
-func (r *pktReader) count(min int) int {
-	if r.err != nil {
-		return 0
-	}
-	n, err := r.d.ReadULong()
-	if err == nil && int64(n)*int64(min) > int64(r.d.Remaining()) {
-		err = fmt.Errorf("totem: count %d overruns the packet", n)
-	}
-	if r.err = err; err != nil {
-		return 0
-	}
-	return int(n)
-}
+func (r *pktReader) ringID() RingID { return RingID{Epoch: r.U64(), Coord: r.Str()} }
 
 func (r *pktReader) strings() []string {
-	n := r.count(4)
+	n := r.Count(4)
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for ; n > 0 && r.err == nil; n-- {
-		out = append(out, r.str())
+	for ; n > 0 && r.Err() == nil; n-- {
+		out = append(out, r.Str())
 	}
 	return out
 }
 
 func (r *pktReader) storedMsgs() []storedMsg {
-	n := r.count(20) // a seq and three length words
+	n := r.Count(20) // a seq and three length words
 	if n == 0 {
 		return nil
 	}
 	out := make([]storedMsg, 0, n)
-	for ; n > 0 && r.err == nil; n-- {
-		out = append(out, storedMsg{Seq: r.u64(), Group: r.str(), Sender: r.str(), Payload: r.octets()})
+	for ; n > 0 && r.Err() == nil; n-- {
+		out = append(out, storedMsg{Seq: r.U64(), Group: r.Str(), Sender: r.Str(), Payload: r.Octets()})
 	}
 	return out
 }
