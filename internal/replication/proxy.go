@@ -52,8 +52,8 @@ type CallCtx struct {
 // ProxyOption customizes a group proxy.
 type ProxyOption func(*Proxy)
 
-// WithVotes makes the proxy wait for n replies and return the majority
-// outcome (ACTIVE_WITH_VOTING on the client side).
+// WithVotes makes the proxy vote over n replies and return once a majority
+// of them agree (ACTIVE_WITH_VOTING on the client side).
 func WithVotes(n int) ProxyOption {
 	return func(p *Proxy) {
 		if n > 0 {

@@ -133,9 +133,9 @@ func TestActiveRepliesWithdrawn(t *testing.T) {
 	}
 }
 
-// TestVotingRepliesNotWithdrawn: an ACTIVE_WITH_VOTING client needs every
-// replica's reply, so none is withdrawn or suppressed. A call with three
-// votes completes only once all three replicas' replies reached the client.
+// TestVotingRepliesNotWithdrawn: an ACTIVE_WITH_VOTING client votes over
+// every replica's reply, so none is withdrawn or suppressed: the three
+// replicas send a reply each for every call.
 func TestVotingRepliesNotWithdrawn(t *testing.T) {
 	c := newCluster(t, 4)
 	replicas := []string{"n1", "n2", "n3"}
@@ -149,9 +149,11 @@ func TestVotingRepliesNotWithdrawn(t *testing.T) {
 			t.Fatalf("voted add %d: %v", i, err)
 		}
 	}
-	if sent := c.ringSent(replicas...) - sent0; sent < 3*calls {
-		t.Fatalf("the replicas sent %d messages for %d voted calls, want at least %d", sent, calls, 3*calls)
-	}
+	// A call returns on two agreeing replies; the third may still be on
+	// its way.
+	waitFor(t, 5*time.Second, "a reply from every replica for every call", func() bool {
+		return c.ringSent(replicas...)-sent0 >= 3*calls
+	})
 	if s := c.suppressed(replicas...); s != 0 {
 		t.Fatalf("voting replicas suppressed %d replies", s)
 	}
