@@ -48,26 +48,36 @@ chaos:
 ## its remerge, EVS recovery across a partition, and the order in which the
 ## consumer gets views and deliveries 50 times — a one-in-twenty flake
 ## there hides behind the single run of the tier-1 gate — then 20 times the
-## replication test that holds a servant for five token timeouts while
-## another group on the ring must keep completing calls
+## replication tests that ride real timers: the one that holds a servant
+## for five token timeouts while another group on the ring must keep
+## completing calls, and the state-transfer tests (a cold joiner gets every
+## acknowledged write behind a slow snapshot, from the primary or, when it
+## crashes first, from the backup's log; a join costs one checkpoint per
+## style; a missed lineage is repaired; a refused snapshot is not fetched
+## again at once)
 totem-soak:
 	$(GO) test -count=50 -run 'Coalesced|Lossy|Park|TwoLostHops|LostInstall|QueuedData|Withdraw|RingFormation|CrashReforms|PartitionBoth|EVSSamePrefix|StreamMixes' ./internal/totem
-	$(GO) test -count=20 -run 'SlowServantDoesNotStallRing' ./internal/replication
+	$(GO) test -count=20 -run 'SlowServantDoesNotStallRing|ColdJoinerSyncsFromPrimary|ColdBackupAnswersFromLog|JoinOneCheckpoint|MissedLineageRepaired|RefusedAdoptionAsksNoMore' ./internal/replication
 
 ## fuzz-smoke: fuzz the replication wire decoder (every message kind,
 ## including a checkpoint's executed-key window) for 15 s; minimization is
 ## capped because shrinking inputs grown from the 12 KB window seed would
-## otherwise take the whole budget. Then fuzz the storage decoder (segment
-## open over arbitrary file bytes) for 10 s, then the totem wire decoder
-## (every packet kind; copying, owned and reused-storage decodes must agree)
-## for 10 s, then the GIOP frame decoder (copying and zero-copy decodes must
-## agree), the CDR value-sequence decoder, the object-reference decoder and
-## the FT service-context decoders for 10 s each.
+## otherwise take the whole budget. Then, for 10 s each: the storage
+## decoders (segment open over arbitrary file bytes; a DR store directory
+## whose group holds arbitrary meta, checkpoint and segment files), the
+## totem wire decoder (every packet kind; copying, owned and reused-storage
+## decodes must agree), the GIOP frame decoder (copying and zero-copy
+## decodes must agree) and stream reader (fragment reassembly; allocation
+## bounded by the stream, not by claimed sizes), the CDR value-sequence
+## decoder, the object-reference decoder and the FT service-context
+## decoders. Nine targets, 95 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenDirStore$$' -fuzztime 10s ./internal/drstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePacket$$' -fuzztime 10s ./internal/totem
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/giop
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 10s ./internal/giop
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime 10s ./internal/cdr
 	$(GO) test -run '^$$' -fuzz '^FuzzIORUnmarshal$$' -fuzztime 10s ./internal/ior
 	$(GO) test -run '^$$' -fuzz '^FuzzFTContexts$$' -fuzztime 10s ./internal/giop

@@ -262,14 +262,13 @@ func (h *Harness) startNode(node string, fromLog bool) {
 		rings = append(rings, ring)
 	}
 	eng, err := replication.NewEngine(replication.Config{
-		Node:              node,
-		Rings:             rings,
-		Notifier:          h.Faults,
-		CallTimeout:       10 * time.Second,
-		RetryInterval:     120 * time.Millisecond,
-		SyncRetryInterval: 50 * time.Millisecond,
-		LogFactory:        func(replication.GroupDef) wal.Log { return h.logFor(node) },
-		DR:                h.store,
+		Node:          node,
+		Rings:         rings,
+		Notifier:      h.Faults,
+		CallTimeout:   10 * time.Second,
+		RetryInterval: 120 * time.Millisecond,
+		LogFactory:    func(replication.GroupDef) wal.Log { return h.logFor(node) },
+		DR:            h.store,
 	})
 	if err != nil {
 		totem.StopPool(rings)

@@ -108,5 +108,36 @@ func readGob(path string, v any) error {
 	if err != nil {
 		return err
 	}
+	if err := checkGobFraming(b); err != nil {
+		return err
+	}
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
+
+// checkGobFraming checks that every message of a gob stream fits in it.
+// The decoder allocates a message at its claimed length before reading it,
+// so a torn or corrupt file claiming megabytes would cost that much.
+func checkGobFraming(b []byte) error {
+	for len(b) > 0 {
+		// A gob count is one byte below 0x80, else the negated byte
+		// count of the big-endian value that follows.
+		n, w := uint64(b[0]), 1
+		if n >= 0x80 {
+			w += 256 - int(b[0])
+			if w > 9 || w > len(b) {
+				return errBadFraming
+			}
+			n = 0
+			for _, c := range b[1:w] {
+				n = n<<8 | uint64(c)
+			}
+		}
+		if n > uint64(len(b)-w) {
+			return errBadFraming
+		}
+		b = b[w+int(n):]
+	}
+	return nil
+}
+
+var errBadFraming = errors.New("drstore: gob message longer than its file")

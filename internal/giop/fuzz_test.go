@@ -3,6 +3,7 @@ package giop
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cdr"
@@ -111,6 +112,43 @@ func FuzzFTContexts(f *testing.F) {
 					t.Fatalf("system exception %+v re-decodes as %+v, %v", v, again, err)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadMessage reads GIOP messages from an arbitrary byte stream until
+// the reader fails, fragment reassembly included. Nothing may panic, and
+// the reader must allocate in proportion to the stream, not to the sizes
+// its headers claim.
+func FuzzReadMessage(f *testing.F) {
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	w.MaxFrame = 16
+	for _, m := range []Message{sampleRequest(), &Reply{RequestID: 2, Body: bytes.Repeat([]byte{7}, 40)}, &CloseConnection{}} {
+		if err := w.WriteMessage(m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream.Bytes())
+	huge := Marshal(&CancelRequest{RequestID: 1})
+	huge[8], huge[9], huge[10], huge[11] = 0x0F, 0xFF, 0xFF, 0xFF // claims 256 MiB
+	f.Add(huge)
+	orphan := Marshal(&CancelRequest{RequestID: 1})
+	orphan[7] = byte(MsgFragment)
+	f.Add(orphan)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(bytes.NewReader(data))
+		for {
+			if _, err := r.ReadMessage(); err != nil {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 16*uint64(len(data))+256<<10; alloc > limit {
+			t.Fatalf("reading %d bytes allocated %d (limit %d)", len(data), alloc, limit)
 		}
 	})
 }

@@ -162,6 +162,41 @@ func TestStreamFragmentation(t *testing.T) {
 	}
 }
 
+// A frame larger than DefaultMaxFrame, as a peer with a larger frame
+// limit sends it, reads whole, through both read paths; cut short, it
+// fails.
+func TestStreamLargeFrame(t *testing.T) {
+	big := make([]byte, 5*DefaultMaxFrame+123)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.MaxFrame = len(big) + 1024 // one frame
+	if err := w.WriteMessage(&Request{RequestID: 9, Operation: "bulk", ObjectKey: []byte("k"), Body: big}); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	m, err := NewReader(bytes.NewReader(stream)).ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.(*Request); !bytes.Equal(got.Body, big) {
+		t.Fatalf("body of %d bytes read back as %d", len(big), len(got.Body))
+	}
+	m, frame, err := NewReader(bytes.NewReader(stream)).ReadMessagePooled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.(*Request); !bytes.Equal(got.Body, big) {
+		t.Fatalf("pooled read: body of %d bytes read back as %d", len(big), len(got.Body))
+	}
+	ReleaseFrame(frame)
+	if _, err := NewReader(bytes.NewReader(stream[:len(stream)-1])).ReadMessage(); err == nil {
+		t.Fatal("a frame cut short read without error")
+	}
+}
+
 func TestStreamMultipleMessages(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

@@ -3,6 +3,7 @@ package giop
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/cdr"
@@ -165,6 +166,10 @@ func (r *Reader) readMessage(alloc func(int) []byte, zc bool) (Message, []byte, 
 			ReleaseFrame(frag)
 			return fail(fmt.Errorf("giop: expected Fragment, got %v", MsgType(frag[7])))
 		}
+		if len(frame)+len(frag) > 2*HeaderLen+MaxMessageSize {
+			ReleaseFrame(frag)
+			return fail(ErrTooLarge)
+		}
 		frame = append(frame, frag[HeaderLen:]...)
 		ReleaseFrame(frag)
 		more = m
@@ -196,10 +201,19 @@ func (r *Reader) readFrame(alloc func(int) []byte) (frame []byte, moreFrags bool
 	if size > MaxMessageSize {
 		return nil, false, ErrTooLarge
 	}
-	frame = alloc(HeaderLen + int(size))
+	// The frame grows, doubling, as its bytes arrive, so a header claiming
+	// far more than the stream holds cannot make the reader allocate it. A
+	// body up to DefaultMaxFrame is read at once, into alloc's buffer.
+	n := HeaderLen + int(size)
+	frame = alloc(HeaderLen + min(int(size), DefaultMaxFrame))
 	copy(frame, r.hdr[:])
-	if _, err := io.ReadFull(r.r, frame[HeaderLen:]); err != nil {
-		return nil, false, err
+	for read := HeaderLen; ; {
+		if _, err := io.ReadFull(r.r, frame[read:]); err != nil {
+			return nil, false, err
+		}
+		if read = len(frame); read == n {
+			return frame, r.hdr[6]&flagMoreFrags != 0, nil
+		}
+		frame = slices.Grow(frame, min(n-read, read))[:min(n, 2*read)]
 	}
-	return frame, r.hdr[6]&flagMoreFrags != 0, nil
 }

@@ -31,6 +31,13 @@ var (
 // satisfy it via small adapters.
 type Dialer func(host string, port uint16) (net.Conn, error)
 
+// Network is a stream network of named hosts, the one an ORB or an
+// interception point listens and dials on. The netsim fabric is one.
+type Network interface {
+	Listen(host string, port uint16) (net.Listener, error)
+	Dial(from, host string, port uint16) (net.Conn, error)
+}
+
 // Handler processes inbound requests on a server endpoint. Implementations
 // must be safe for concurrent calls.
 //

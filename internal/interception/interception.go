@@ -23,7 +23,6 @@ import (
 	"repro/internal/giop"
 	"repro/internal/iiop"
 	"repro/internal/ior"
-	"repro/internal/netsim"
 	"repro/internal/orb"
 	"repro/internal/replication"
 )
@@ -36,9 +35,9 @@ type Bridge struct {
 	server *iiop.Server
 }
 
-// Attach binds an interception endpoint on the node. IORs minted with
-// RefFor route unmodified ORB traffic through it.
-func Attach(fabric *netsim.Fabric, node string, port uint16, engine *replication.Engine) (*Bridge, error) {
+// Attach binds an interception endpoint on the node of the network.
+// IORs minted with RefFor route unmodified ORB traffic through it.
+func Attach(fabric iiop.Network, node string, port uint16, engine *replication.Engine) (*Bridge, error) {
 	l, err := fabric.Listen(node, port)
 	if err != nil {
 		return nil, fmt.Errorf("interception: listen: %w", err)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/giop"
 	"repro/internal/iiop"
 	"repro/internal/ior"
-	"repro/internal/netsim"
 )
 
 // ClientInterceptor observes and augments outgoing requests and their
@@ -38,8 +37,9 @@ type ServerInterceptor interface {
 type Config struct {
 	// Node is the fabric node this ORB runs on.
 	Node string
-	// Fabric is the simulated network (nil means real TCP on 127.0.0.1).
-	Fabric *netsim.Fabric
+	// Fabric is the network, such as the simulated one (nil means real
+	// TCP on 127.0.0.1).
+	Fabric iiop.Network
 	// Port is the IIOP listen port.
 	Port uint16
 	// FTDomain tags references exported by this ORB.

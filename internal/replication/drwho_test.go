@@ -40,15 +40,12 @@ func (s *recordingStore) AppendUpdate(gid uint64, rec wal.Record) error {
 	return s.Store.AppendUpdate(gid, rec)
 }
 
-// PutCheckpoint records checkpoints that cover traffic: the join
-// checkpoints hosting sends before any write cover nothing, and how many
-// there are depends on the order in which the members' views arrive.
+// PutCheckpoint records every checkpoint. Hosting a group sends none: no
+// member asks for state, so nothing is shipped before the first write.
 func (s *recordingStore) PutCheckpoint(gid uint64, cp drstore.Checkpoint) error {
-	if cp.UpToMsgID > 0 {
-		s.log.mu.Lock()
-		s.log.ckpts[s.node] = append(s.log.ckpts[s.node], cp.UpToMsgID)
-		s.log.mu.Unlock()
-	}
+	s.log.mu.Lock()
+	s.log.ckpts[s.node] = append(s.log.ckpts[s.node], cp.UpToMsgID)
+	s.log.mu.Unlock()
 	return s.Store.PutCheckpoint(gid, cp)
 }
 

@@ -48,9 +48,6 @@ type Config struct {
 	// RetryInterval is how often an unanswered invocation is retransmitted
 	// (default 500ms).
 	RetryInterval time.Duration
-	// SyncRetryInterval is how often a replica stuck awaiting state
-	// transfer re-requests a snapshot (default 150ms).
-	SyncRetryInterval time.Duration
 	// LogFactory builds the per-replica write-ahead log. The default is an
 	// in-memory log; deployments that need crash-restart recovery supply
 	// file-backed logs (wal.OpenFileLog) here.
@@ -73,9 +70,6 @@ func (c *Config) fill() {
 	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 500 * time.Millisecond
-	}
-	if c.SyncRetryInterval <= 0 {
-		c.SyncRetryInterval = 150 * time.Millisecond
 	}
 	if c.LogFactory == nil {
 		c.LogFactory = func(GroupDef) wal.Log { return &wal.MemLog{} }
@@ -203,13 +197,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start launches the sync-retry maintenance timer and the
-// LEADER_FOLLOWER lease renewal loop, then starts every ring with the
-// engine as its consumer: the shard's deliverer for the ordered stream and
-// onDirect for the direct (off-order) lane of the LF fast path.
+// Start launches the LEADER_FOLLOWER lease renewal loop, then starts every
+// ring with the engine as its consumer: the shard's deliverer for the
+// ordered stream and onDirect for the direct (off-order) lane of the LF
+// fast path.
 func (e *Engine) Start() {
-	e.wg.Add(2)
-	go e.syncRetryLoop()
+	e.wg.Add(1)
 	go e.lfLeaseLoop()
 	for i, ring := range e.cfg.Rings {
 		ring.Start(totem.Consumer{Deliver: e.deliverer(i), Direct: e.onDirect})
@@ -269,26 +262,6 @@ func (e *Engine) shardOf(gid uint64) int {
 // ringFor returns the totem ring carrying the group's traffic.
 func (e *Engine) ringFor(gid uint64) *totem.Ring {
 	return e.cfg.Rings[e.shardOf(gid)]
-}
-
-// syncRetryLoop re-requests state transfer for replicas stuck syncing —
-// the expected sender may have vanished in membership churn.
-func (e *Engine) syncRetryLoop() {
-	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.SyncRetryInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-ticker.C:
-		}
-		for _, r := range e.replicas() {
-			if st := r.status(); st.Syncing {
-				r.multicast(&msgStateReq{GroupID: r.def.ID, From: e.cfg.Node, LastExec: st.LastExec})
-			}
-		}
-	}
 }
 
 // Stop shuts the engine down. The rings are left running for their owner
@@ -358,13 +331,11 @@ func (e *Engine) HostReplica(def GroupDef, servant orb.Servant, initial bool) er
 }
 
 // HostReplicaFromLog hosts a replica whose state is first recovered from a
-// write-ahead log — the crash-restart rejoin path. The servant is rebuilt by
-// ReplayLog (checkpoint + logged updates), the replica's duplicate table is
-// seeded with the replayed operations, and the member then rejoins the group
-// marked syncing: a surviving member answers with a checkpoint, and the
-// adoptState freshness guard keeps the recovered state when the offered
-// snapshot is older. If *all* members crashed and restart from logs, the
-// msgStateReq/selfPromote path elects the senior recovered state.
+// write-ahead log — the crash-restart rejoin path. ReplayLog rebuilds the
+// servant and the replayed operations seed the duplicate table; the member
+// then rejoins syncing, and adoptState keeps the recovered state when the
+// snapshot it is offered is older. If *all* members restart from logs, the
+// state-request rescue elects the most recovered state.
 func (e *Engine) HostReplicaFromLog(def GroupDef, servant orb.Servant, log wal.Log) error {
 	def.fill()
 	lastMsgID, replayed, err := ReplayLog(def, log, servant)

@@ -116,17 +116,15 @@ type replica struct {
 	pendingOps []task       // invocations delivered, not yet covered (passive backups)
 	fulfill    []fulfillRec // operations performed while secondary
 	preSplit   []string     // view before this member became secondary
-	former     map[string]bool
 	opsSinceCk int
 	lastLogged uint64 // newest update-record MsgID appended to the WAL (task-loop owned)
 	// gap is set when a warm backup failed to apply a primary's postimage:
-	// its state no longer follows lastExec, so it applies no further delta
-	// (a full snapshot repairs it) and requests a state transfer at the
-	// next marker.
-	gap          bool
-	fulfillSeq   uint64
-	stuck        map[string]uint64 // members awaiting state transfer → their advertised lastExec
-	lastSnapResp time.Time         // rate limit for state-request answers
+	// it applies no further delta and asks for state at the next marker.
+	gap        bool
+	fulfillSeq uint64
+	askers     map[string]uint64 // members that asked for state since the last view or checkpoint → their advertised lastExec
+	answered   bool              // this member answered the current askers (answer)
+	served     uint64            // horizon of the newest snapshot since the last view (onStateReq)
 
 	// Leader-follower executor-owned state.
 	lfSeq     uint64                    // leader's assignment counter
@@ -154,8 +152,7 @@ func newReplica(e *Engine, def GroupDef, servant orb.Servant, syncing bool, log 
 		log:       log,
 		dedup:     newDedupTable(),
 		syncing:   syncing,
-		former:    make(map[string]bool),
-		stuck:     make(map[string]uint64),
+		askers:    make(map[string]uint64),
 		lfPending: make(map[uint64]lfPendingReply),
 	}
 }

@@ -1,12 +1,13 @@
 package replication
 
 // Checkpoints and state transfer: the periodic checkpoint each style takes
-// (styleRules.periodic), the join, remerge and repair snapshots, their
-// adoption, and the rescue of a group whose members are all stuck.
+// (styleRules.periodic); the one state-transfer path, where a member that
+// needs state asks (msgStateReq) and one member answers with a snapshot;
+// its adoption; and the rescue of a group whose members have all asked.
 
 import (
+	"cmp"
 	"slices"
-	"time"
 
 	"repro/internal/drstore"
 	"repro/internal/orb"
@@ -48,11 +49,9 @@ func (r *replica) maybeCheckpoint() {
 }
 
 // snapshot takes the servant's state and the lastExec it reflects, and
-// ships both to the DR store, with the duplicate-suppression window (the
-// exactly-once metadata every checkpoint must carry), when this member is
-// the group's checkpoint shipper. window asks for the window, in its wire
-// encoding, whether or not it ships. ok is false when the servant has no
-// state to take.
+// ships both, with the duplicate-suppression window every checkpoint must
+// carry, to the DR store when this member is the group's checkpoint
+// shipper. window asks for the encoded window whether or not it ships.
 func (r *replica) snapshot(window bool) (state []byte, upTo uint64, covered []byte, ok bool) {
 	ck, isCk := r.servant.(orb.Checkpointable)
 	if !isCk {
@@ -76,16 +75,19 @@ func (r *replica) snapshot(window bool) (state []byte, upTo uint64, covered []by
 	return state, upTo, covered, true
 }
 
-func (r *replica) sendCheckpoint(reason uint8) {
+// sendCheckpoint multicasts the servant's state; it reports false when the
+// servant has none to give.
+func (r *replica) sendCheckpoint(reason uint8) bool {
 	state, upTo, covered, ok := r.snapshot(true)
 	if !ok {
-		return
+		return false
 	}
 	r.mu.Lock()
 	lfSeq := r.lfApplied
 	r.mu.Unlock()
 	r.eng.stat.checkpoints.Add(1)
 	r.multicast(&msgCheckpoint{GroupID: r.def.ID, Reason: reason, UpToMsgID: upTo, State: state, Covered: covered, LfSeq: lfSeq})
+	return true
 }
 
 // sendMarker is a warm-passive primary's periodic checkpoint. Every backup
@@ -109,27 +111,24 @@ func (r *replica) onCheckpoint(m *msgCheckpoint) {
 		r.onMarker(m)
 		return
 	}
-	r.stuck = make(map[string]uint64) // a snapshot unsticks its adopters
+	r.resetAskers(m.UpToMsgID)
 	syncing, secondary := r.flags()
 	if syncing {
+		// One the servant refuses leaves it waiting for the next snapshot
+		// or view: asking now would fetch the same state again.
 		r.adoptState(m)
 		return
 	}
 	if secondary && m.Reason == ckptRemerge {
-		// A remerge checkpoint can arrive before our own view task if the
-		// primary side reacted first; adopt it as the merged state.
+		// A rescuer's checkpoint (selfPromote) is the merged state.
 		r.adoptState(m)
 		return
 	}
 
-	// Gap repair: a checkpoint covering operations beyond this member's
-	// execution horizon means those operations were ordered in a ring
-	// lineage this member was silently absent from (e.g. a reformation it
-	// never noticed — its own view diff was empty, so no remerge logic ran
-	// here). The checkpoint is the primary component's authoritative state;
-	// adopt it — where the style repairs gaps (rules.repairGap): a cold
-	// backup's servant lags by design, and the log append below repairs
-	// its recovery channel.
+	// Gap repair: a checkpoint past this member's horizon covers a ring
+	// lineage it was silently absent from (answerAdded). Adopt it where
+	// the style repairs gaps; a cold backup's servant lags by design, and
+	// the log append below repairs its recovery channel.
 	r.mu.Lock()
 	lastExec := r.lastExec
 	r.mu.Unlock()
@@ -138,13 +137,10 @@ func (r *replica) onCheckpoint(m *msgCheckpoint) {
 		return
 	}
 
-	// Operational members: persist and compact the log (the cold passive
-	// truncation point), and drop covered pending operations. Staleness
-	// guard: a duplicate checkpoint from behind our logged horizon — a
-	// re-sent join answer arriving after this member moved on, e.g. a
-	// healed LF senior that already resumed leadership and logged newer
-	// assignments — must not compact, because the position-based
-	// truncation would wipe every newer update record from the WAL.
+	// Operational members: persist and compact the log, and drop covered
+	// pending operations. A checkpoint behind the logged horizon (e.g. one
+	// reaching a healed LF senior that already logged newer assignments)
+	// must not compact: the truncation would wipe the newer records.
 	if m.UpToMsgID >= r.lastLogged {
 		r.logCheckpoint(m.UpToMsgID, m.State)
 		r.opsSinceCk = 0
@@ -154,13 +150,10 @@ func (r *replica) onCheckpoint(m *msgCheckpoint) {
 
 // onMarker handles a warm-passive periodic checkpoint where it falls in the
 // total order. A member whose state covers the marker snapshots that state
-// itself and logs it as its checkpoint, labelled with its own lastExec, so
-// its log holds exactly its state; the DR shipper's snapshot goes to the
-// store too (snapshot). A member that is behind — a failed
-// apply, or replies it never saw — goes syncing and requests a full-state
-// transfer instead. Syncing and secondary members ignore markers: they wait
-// for their join or remerge checkpoint. No member adopts state from a
-// marker, and none reads its (empty) Covered window.
+// itself and logs it, labelled with its own lastExec (the DR shipper's
+// snapshot goes to the store too). A member that is behind — a failed
+// apply, or replies it never saw — asks for a full-state transfer instead.
+// Syncing and secondary members ignore markers: they wait for their answer.
 func (r *replica) onMarker(m *msgCheckpoint) {
 	r.mu.Lock()
 	syncing, secondary, lastExec := r.syncing, r.secondary, r.lastExec
@@ -186,21 +179,25 @@ func (r *replica) onMarker(m *msgCheckpoint) {
 	r.dropPending(m.UpToMsgID)
 }
 
-// requestState takes an operational member out of service until a
-// full-state transfer repairs it: like a joiner, it buffers what is
-// delivered meanwhile, and every healthy member answers its request with a
-// snapshot (onStateReq).
+// requestState takes the member out of service, buffering what is
+// delivered like a joiner, and asks for a full-state transfer.
 func (r *replica) requestState() {
 	r.mu.Lock()
 	r.syncing = true
+	r.mu.Unlock()
+	r.ask()
+}
+
+// ask multicasts a request for state with this member's horizon.
+func (r *replica) ask() {
+	r.mu.Lock()
 	myExec := r.lastExec
 	r.mu.Unlock()
 	r.multicast(&msgStateReq{GroupID: r.def.ID, From: r.eng.cfg.Node, LastExec: myExec})
 }
 
 // logCheckpoint appends a snapshot covering operations up to upTo as the
-// log's checkpoint, handing state to the log, and compacts the log against
-// it.
+// log's checkpoint, handing state to the log, and compacts the log.
 func (r *replica) logCheckpoint(upTo uint64, state []byte) {
 	_ = r.log.Append(wal.Record{Kind: wal.KindCheckpoint, MsgID: upTo, Data: state})
 	_ = r.log.TruncateAtCheckpoint()
@@ -256,6 +253,10 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	// The truncation wiped every update record positioned before the
 	// adopted checkpoint; the logged horizon restarts from its coverage.
 	r.lastLogged = m.UpToMsgID
+	// Operations the adopted state covers must not replay at failover.
+	r.dropPending(m.UpToMsgID)
+
+	r.mu.Lock()
 	// Seed duplicate suppression with the horizons and the operations the
 	// snapshot covers. An adopter that missed a delivery lineage (the
 	// gap-repair path) has no dedup records for them, and a recovery
@@ -263,14 +264,7 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	// adopted state already includes. Replies stay with the original
 	// executor — the records are marked executed but not answered, so
 	// duplicate answers still come from the member that logged them.
-	r.mu.Lock()
 	retired := r.dedup.adopt(covered)
-	r.mu.Unlock()
-	r.countRetired(retired)
-	// Operations the adopted state covers must not replay at failover.
-	r.dropPending(m.UpToMsgID)
-
-	r.mu.Lock()
 	r.lastExec = m.UpToMsgID
 	if m.LfSeq > r.lfApplied {
 		// Resume session-token-gated reads (and, on later promotion, the
@@ -287,6 +281,7 @@ func (r *replica) adoptState(m *msgCheckpoint) {
 	}
 	r.secondary = false
 	r.mu.Unlock()
+	r.countRetired(retired)
 
 	if wasSecondary {
 		r.sendFulfillments()
@@ -317,78 +312,115 @@ func (r *replica) replayBuffered(upTo uint64) {
 	}
 }
 
-// onStateReq answers a stuck replica's state request (totally ordered, so
-// every member sees the same request stream). Healthy members respond with
-// a snapshot. If every member of the view is stuck — possible after heavy
-// membership churn leaves all survivors believing some other component was
-// primary — the stuck member with the most applied state promotes its own
-// state to authoritative, guaranteeing the group always recovers without
-// anointing an empty fresh incarnation over a state-bearing survivor.
+// onStateReq handles a request for state. Requests are totally ordered, so
+// the members see the same askers since the last view or checkpoint, and
+// one member answers them (answer). A request advertising less than the
+// newest snapshot since the view was sent before that snapshot reached its
+// asker, which it answered. If every member has asked — possible after
+// heavy churn leaves all survivors believing another component was
+// primary — the one with the most applied state promotes its own.
 func (r *replica) onStateReq(m *msgStateReq) {
-	r.stuck[m.From] = m.LastExec
+	if m.LastExec < r.served {
+		return
+	}
+	r.askers[m.From] = m.LastExec
+	if r.answer() {
+		return
+	}
 	r.mu.Lock()
-	syncing, secondary, myExec := r.syncing, r.secondary, r.lastExec
 	members := append([]string(nil), r.members...)
+	r.askers[r.eng.cfg.Node] = max(r.askers[r.eng.cfg.Node], r.lastExec)
 	r.mu.Unlock()
-
-	if !syncing && !secondary {
-		// Rate-limit: several stuck members may request at once, and the
-		// snapshot can be large.
-		if time.Since(r.lastSnapResp) >= 100*time.Millisecond {
-			r.lastSnapResp = time.Now()
-			r.sendCheckpoint(ckptJoin)
-		}
+	// This replica cannot answer, so it counts itself an asker before its
+	// own request circles back (else two members that need state can each
+	// see only the other's request and both nominate themselves). Rescue
+	// waits while a member that has not asked may yet answer, and a
+	// singleton waits for company: promoting could anoint an empty fresh
+	// incarnation just before a heal merges a member with real state.
+	if len(members) < 2 || r.responder(members) != "" {
 		return
 	}
-	if len(members) < 2 {
-		// A stranded singleton has nobody to offer state and nothing to
-		// arbitrate: promoting here would anoint a possibly-empty fresh
-		// incarnation as authoritative just before a heal merges a member
-		// that still holds real state. Keep waiting for company.
-		return
-	}
-	// Stranded: this replica is syncing or secondary, so no healthy
-	// primary-component member answered above. Rescue falls to the senior
-	// member that has NOT itself requested state — a member that still
-	// considers itself operational would have answered with a checkpoint,
-	// so one that is merely quiet may yet do so. This replica is in the
-	// stranded branch, so it counts itself stuck regardless of whether its
-	// own request has circled back; without that, two mutually-stuck
-	// members can each see only the other's request first and both
-	// nominate themselves.
-	r.stuck[r.eng.cfg.Node] = max(r.stuck[r.eng.cfg.Node], myExec)
-	for _, m := range members {
-		if _, ok := r.stuck[m]; !ok {
-			return // a possibly-healthy member may still answer
-		}
-	}
-	// Every member is stuck: elect the one whose advertised applied-state
-	// horizon is highest (ties break by seniority). The stateReq stream is
-	// totally ordered and carries each requester's horizon, so every member
-	// computes the same rescuer — and a secondary survivor with real state
-	// always beats a freshly recruited incarnation advertising zero.
-	rescuer := members[0]
-	best := r.stuck[members[0]]
-	for _, m := range members[1:] {
-		if exec := r.stuck[m]; exec > best {
-			rescuer, best = m, exec
-		}
-	}
+	// Every member has asked: elect the highest advertised horizon (ties
+	// break by seniority), which every member computes alike from the
+	// ordered requests — a secondary survivor with real state always beats
+	// a freshly recruited incarnation advertising zero.
+	rescuer := slices.MaxFunc(members, func(a, b string) int { return cmp.Compare(r.askers[a], r.askers[b]) })
 	if rescuer == r.eng.cfg.Node {
 		r.selfPromote()
 	}
 }
 
-// selfPromote makes this replica's state authoritative after total
-// stranding: it stops waiting for a transfer, replays anything it buffered,
-// and snapshots the group so the other stuck members adopt its state.
+// answerAdded counts the members a view adds as askers, where this member
+// can answer. A joiner asks for itself, but a member that missed a ring
+// lineage without noticing does not (its own view diff was empty): only
+// the others' view shows it. A member that has ordered nothing has nothing
+// anyone missed, so hosting a group sends no snapshot.
+func (r *replica) answerAdded(added []string) {
+	r.mu.Lock()
+	able := !r.syncing && !r.secondary && max(r.lastExec, r.lastLogged) > 0
+	r.mu.Unlock()
+	if _, ok := r.servant.(orb.Checkpointable); ok && able && r.rules.record != recNone {
+		for _, n := range added {
+			r.askers[n] = 0
+		}
+		r.answer()
+	}
+}
+
+// answer reports whether this member can answer state requests: it is
+// neither syncing nor secondary. Then, if it is the askers' responder (the
+// first member of the view that has not asked), it sends them one
+// snapshot. A warm backup with a gap asks instead, and a member whose
+// snapshot fails asks without leaving service: the answer passes down the
+// view. A cold backup first replays its log, its servant lagging.
+func (r *replica) answer() bool {
+	r.mu.Lock()
+	able := !r.syncing && !r.secondary
+	members := append([]string(nil), r.members...)
+	r.mu.Unlock()
+	switch {
+	case !able || r.answered || r.responder(members) != r.eng.cfg.Node:
+	case r.gap:
+		r.requestState()
+	default:
+		if r.rules.backupLags() && !r.isPrimary() {
+			r.replayLog()
+		}
+		if r.answered = r.sendCheckpoint(ckptJoin); !r.answered {
+			r.ask()
+		}
+	}
+	return able
+}
+
+// responder returns the member that answers the current askers: the first
+// member of the view that has not asked, or "" when every member has.
+func (r *replica) responder(members []string) string {
+	for _, n := range members {
+		if _, asked := r.askers[n]; !asked {
+			return n
+		}
+	}
+	return ""
+}
+
+// resetAskers starts a new set of askers: a view or a snapshot answers, or
+// voids, every request ordered before it. served is the snapshot's horizon
+// (0 for a view).
+func (r *replica) resetAskers(served uint64) {
+	clear(r.askers)
+	r.answered = false
+	r.served = served
+}
+
+// selfPromote makes this replica's state authoritative when every member
+// has asked: it replays anything it buffered and snapshots the group.
 func (r *replica) selfPromote() {
 	r.mu.Lock()
 	r.syncing = false
 	r.secondary = false
 	upTo := r.lastExec
 	r.mu.Unlock()
-	r.stuck = make(map[string]uint64)
 	r.fulfill = nil
 	r.replayBuffered(upTo)
 	r.sendCheckpoint(ckptRemerge)

@@ -100,6 +100,10 @@ func (s styleRules) shippers() who {
 	return whoPrimary
 }
 
+// backupLags: a backup's servant holds its last adopted checkpoint, its log
+// the invocations after it (COLD_PASSIVE).
+func (s styleRules) backupLags() bool { return s.executes == execPrimary && s.record == recInvocation }
+
 var styleTable = map[Style]styleRules{
 	Stateless:        {executes: execEvery, reply: replyWithdraw, repairGap: whoEvery},
 	Active:           {executes: execEvery, reply: replyWithdraw, record: recInvocation, periodic: periodicStore, repairGap: whoEvery},

@@ -300,14 +300,10 @@ type msgLfLease struct {
 	Dur     time.Duration
 }
 
-// msgStateReq is the self-healing sync retry: a replica stuck waiting for
-// state transfer (its expected sender vanished in membership churn)
-// periodically asks the group for a snapshot. Healthy members answer with
-// a checkpoint; if *every* member is stuck, the one with the most applied
-// state promotes its own state to authoritative (see replica.onStateReq).
-// LastExec advertises the requester's applied-state horizon so that
-// election prefers a state-bearing secondary over an empty fresh
-// incarnation regardless of request ordering.
+// msgStateReq asks the group for a snapshot; one member answers (see
+// replica.onStateReq). LastExec advertises the requester's applied-state
+// horizon, so a rescue prefers a state-bearing secondary over an empty
+// fresh incarnation whatever the order of the requests.
 type msgStateReq struct {
 	GroupID  uint64
 	From     string

@@ -16,8 +16,13 @@ func (r *replica) onView(t taskView) {
 	r.members = append([]string(nil), t.members...)
 	syncing, secondary := r.syncing, r.secondary
 	r.mu.Unlock()
-	r.stuck = make(map[string]uint64) // membership changed: re-learn who is stuck
+	r.resetAskers(0) // membership changed: re-learn who needs state
 
+	if syncing {
+		// Ask on every view, the first included: this one may have removed
+		// the member that was to answer.
+		r.ask()
+	}
 	if len(old) == 0 {
 		return
 	}
@@ -27,7 +32,6 @@ func (r *replica) onView(t taskView) {
 
 	if len(removed) > 0 {
 		for _, n := range removed {
-			r.former[n] = true
 			if r.eng.cfg.Notifier != nil {
 				r.eng.cfg.Notifier.Push(fault.Report{Kind: fault.ObjectCrash, Node: n, GroupID: r.def.ID, Member: n})
 			}
@@ -58,42 +62,24 @@ func (r *replica) onView(t taskView) {
 		r.lfOnView(old, t)
 	}
 
-	if len(added) > 0 {
-		remerge := false
-		for _, n := range added {
-			if r.former[n] {
-				remerge = true
-			}
-			delete(r.former, n)
+	switch {
+	case len(added) == 0:
+	case secondary:
+		// A member of the view we split from is back (a true remerge, when
+		// it is in preSplit) or a fresh incarnation joined: either way this
+		// member's WAL and servant lag the merged lineage, so it asks for
+		// state, and adoptState sends the fulfillments. The request also
+		// flushes ordered-delivery catch-up, and the stateReq rescue keeps
+		// the group live when the added member has nothing to offer.
+		if len(intersect(added, r.preSplit)) > 0 {
+			r.preSplit = old
 		}
-		if secondary {
-			// A member of the view we split from is back (a true remerge,
-			// when it is in preSplit) or a fresh incarnation joined: either
-			// way this member's WAL and servant lag the merged lineage, so
-			// it goes syncing, and adoptState sends the fulfillments. The
-			// state request goes out at once: it doubles as post-heal
-			// traffic that flushes ordered-delivery catch-up, and the
-			// stateReq rescue keeps the group live even when the added
-			// member has nothing to offer.
-			if len(intersect(added, r.preSplit)) > 0 {
-				r.preSplit = old
-			}
-			r.eng.stat.healNudges.Add(1)
+		r.eng.stat.healNudges.Add(1)
+		if !syncing { // else it asked above
 			r.requestState()
-			return
 		}
-		if !syncing {
-			// Existing members bring joiners (or remerging secondaries) up
-			// to date; the senior pre-existing member transmits the state.
-			stayers := intersect(old, t.members)
-			if len(stayers) > 0 && stayers[0] == r.eng.cfg.Node {
-				reason := ckptJoin
-				if remerge {
-					reason = ckptRemerge
-				}
-				r.sendCheckpoint(reason)
-			}
-		}
+	default:
+		r.answerAdded(added)
 	}
 }
 
@@ -141,31 +127,13 @@ func (r *replica) sendFulfillments() {
 	}
 }
 
-// failover makes this replica the acting primary. A cold backup (its update
-// record is the invocation) first rebuilds its state from the log; then the
-// operations no reply covered re-execute in delivery order.
+// failover makes this replica the acting primary. A cold backup first
+// rebuilds its state from the log; then the operations no reply covered
+// re-execute in delivery order.
 func (r *replica) failover() {
-	if r.rules.record == recInvocation {
-		if cp, updates, haveCp, err := r.log.Recover(); err == nil {
-			// The checkpoint installs best-effort: one the servant refuses
-			// still leaves every logged invocation to replay and answer.
-			if ck, ok := r.servant.(orb.Checkpointable); ok && haveCp {
-				_ = ck.SetState(cp.Data)
-				r.mu.Lock()
-				r.lastExec = cp.MsgID
-				r.mu.Unlock()
-			}
-			for _, rec := range updates {
-				if inv, ok := loggedInvocation(rec); ok {
-					r.eng.stat.replays.Add(1)
-					r.replayOne(rec.MsgID, inv)
-				}
-			}
-		}
-		r.pendingOps = nil
-		// Give the rebuilt group a fresh checkpoint so the new backups'
-		// logs restart small.
-		r.sendCheckpoint(ckptPeriodic)
+	if r.rules.backupLags() {
+		r.replayLog()
+		r.sendCheckpoint(ckptPeriodic) // the new backups' logs restart small
 		return
 	}
 
@@ -177,6 +145,35 @@ func (r *replica) failover() {
 		r.eng.stat.replays.Add(1)
 		r.replayOne(t.msgID, t.m.(*msgInvocation))
 	}
+}
+
+// replayLog brings a cold backup's servant up to its log: the logged
+// checkpoint when it is newer than the servant's state, then the logged
+// invocations past that, re-executed in order (a second replay is a no-op).
+func (r *replica) replayLog() {
+	cp, updates, haveCp, err := r.log.Recover()
+	if err != nil {
+		return
+	}
+	r.mu.Lock()
+	from := r.lastExec
+	r.mu.Unlock()
+	// The checkpoint installs best-effort: one the servant refuses still
+	// leaves every logged invocation to replay and answer.
+	if ck, ok := r.servant.(orb.Checkpointable); ok && haveCp && cp.MsgID > from {
+		_ = ck.SetState(cp.Data)
+		from = cp.MsgID
+		r.mu.Lock()
+		r.lastExec = from
+		r.mu.Unlock()
+	}
+	for _, rec := range updates {
+		if inv, ok := loggedInvocation(rec); ok && rec.MsgID > from {
+			r.eng.stat.replays.Add(1)
+			r.replayOne(rec.MsgID, inv)
+		}
+	}
+	r.pendingOps = nil
 }
 
 // replayOne re-executes an operation during failover. Operations whose
