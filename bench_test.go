@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -134,6 +135,89 @@ func BenchmarkInvokeVoting3(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelinedActive3 is the E2-style headline: 8 concurrent
+// clients invoking a 3-replica ACTIVE group through one proxy. b.N is the
+// total number of invocations across all clients, so ns/op is the
+// pipelined per-invocation cost (the inverse of E2's ops/s column).
+func BenchmarkPipelinedActive3(b *testing.B) { benchPipelined(b, Active, 3, 8) }
+
+// BenchmarkPipelinedActive1 isolates the protocol floor: one replica,
+// same pipelining.
+func BenchmarkPipelinedActive1(b *testing.B) { benchPipelined(b, Active, 1, 8) }
+
+func benchPipelined(b *testing.B, style Style, replicas, clients int) {
+	_, _, proxy := benchDomain(b, style, replicas)
+	arg := OctetSeq(make([]byte, 256))
+	if _, err := proxy.Invoke("echo", arg); err != nil {
+		b.Fatal(err)
+	}
+	work := make(chan struct{})
+	var wg sync.WaitGroup
+	var errOnce sync.Once
+	var firstErr error
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			failed := false
+			for range work {
+				if failed {
+					continue // keep draining so the feeder never blocks
+				}
+				if _, err := proxy.Invoke("echo", arg); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed = true
+				}
+			}
+		}()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		work <- struct{}{}
+	}
+	close(work)
+	wg.Wait()
+	b.StopTimer()
+	if firstErr != nil {
+		b.Fatal(firstErr)
+	}
+}
+
+// --- Sharded-transport benchmarks --------------------------------------------
+//
+// The benchmark-scale version of experiment E2′ (internal/bench/e2prime.go):
+// aggregate throughput of independent ACTIVE/3 groups over R transport
+// rings. ns/op is the wall clock of one full workload run including domain
+// setup; the ops/s metric times only the drive phase and is directly
+// comparable across shard counts.
+
+func benchSharded(b *testing.B, shards, groups int) {
+	// PerClient is sized so the drive phase dominates domain setup;
+	// shorter runs are startup-transient noise.
+	w := bench.ShardedWorkload{
+		Shards: shards, Groups: groups, Replicas: 3,
+		Clients: 2, PerClient: 50,
+	}
+	var agg float64
+	for i := 0; i < b.N; i++ {
+		thr, err := bench.RunSharded(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		agg += thr
+	}
+	b.ReportMetric(agg/float64(b.N), "ops/s")
+}
+
+func BenchmarkShardedAggregateR1(b *testing.B) { benchSharded(b, 1, 8) }
+func BenchmarkShardedAggregateR2(b *testing.B) { benchSharded(b, 2, 8) }
+func BenchmarkShardedAggregateR4(b *testing.B) { benchSharded(b, 4, 8) }
+
+// BenchmarkShardedSingleGroupR4 is the control row: one group rides one
+// ring no matter how many exist (per-group total order is the invariant),
+// so this must stay within noise of a single-ring run.
+func BenchmarkShardedSingleGroupR4(b *testing.B) { benchSharded(b, 4, 1) }
+
 // --- Substrate micro-benchmarks ----------------------------------------------
 
 func BenchmarkOrderedMulticast(b *testing.B) {
@@ -245,6 +329,43 @@ func BenchmarkCDRValueRoundTrip(b *testing.B) {
 		d := cdr.NewDecoder(e.Bytes(), cdr.BigEndian)
 		if _, err := cdr.DecodeValues(d); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGIOPMarshal measures the encode side of the GIOP layer alone
+// (the path every IIOP request and reply takes) for a 256-byte body with
+// an FT_REQUEST context. giop's TestMarshalAllocs pins its allocations.
+func BenchmarkGIOPMarshal(b *testing.B) {
+	benchMarshal(b, &giop.Request{
+		RequestID:     7,
+		ResponseFlags: giop.ResponseExpected,
+		ObjectKey:     []byte("og/42"),
+		Operation:     "deposit",
+		Contexts: []giop.ServiceContext{
+			{ID: giop.SvcFTRequest, Data: giop.FTRequest{ClientID: "c1", RetentionID: 9}.Encode()},
+		},
+		Body: make([]byte, 256),
+	})
+}
+
+// BenchmarkGIOPMarshalLarge is the same with a 16 KiB body and no
+// context, where a redundant full-frame copy would dominate.
+func BenchmarkGIOPMarshalLarge(b *testing.B) {
+	benchMarshal(b, &giop.Request{
+		RequestID:     7,
+		ResponseFlags: giop.ResponseExpected,
+		ObjectKey:     []byte("og/42"),
+		Operation:     "deposit",
+		Body:          make([]byte, 16<<10),
+	})
+}
+
+func benchMarshal(b *testing.B, req *giop.Request) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(giop.Marshal(req)) == 0 {
+			b.Fatal("empty frame")
 		}
 	}
 }

@@ -1,5 +1,7 @@
-// Command ftbench runs the evaluation experiments (E1–E8, T1, SLO, E2mp)
-// and prints their tables. See DESIGN.md for the experiment index and
+// Command ftbench runs the evaluation experiments (E1–E8, T1, SLO, E2mp,
+// DR, FD, LF) and prints their tables. An experiment that fails, or whose
+// measurement misses a bound it checks, prints its table and the error and
+// exits 1. See DESIGN.md for the experiment index and
 // EXPERIMENTS.md for recorded results.
 //
 // Usage:
@@ -7,22 +9,19 @@
 //	ftbench                    # run everything at full scale
 //	ftbench -quick             # smaller run sizes
 //	ftbench -e e3,e7           # selected experiments
-//	ftbench -e slo -json BENCH_pr6.json
-//	                           # SLO workload; upsert percentile records
-//	ftbench -e slo -smoke -seed 2 -p999max 2s
-//	                           # CI smoke: seconds-long run, tail sanity gate
-//	ftbench -e e2mp -json BENCH_pr7.json
-//	                           # multi-process sharded throughput (spawns
+//	ftbench -e slo,e2mp,dr,fd,lf
+//	                           # the experiments that check full-scale
+//	                           # bounds (`make bench`); exit 1 on a miss
+//	ftbench -e slo -smoke -seed 2
+//	                           # CI smoke: seconds-long run, tail sanity bound
+//	ftbench -e e2mp            # multi-process sharded throughput (spawns
 //	                           # replica-node child processes, loopback UDP)
-//	ftbench -e dr -json BENCH_pr8.json
-//	                           # disaster-recovery failover; upsert RPO/RTO
 //	ftbench -e e2p -transport udp
 //	                           # in-process experiment, ring traffic on
 //	                           # real loopback sockets instead of netsim
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,8 +46,6 @@ func main() {
 	smoke := flag.Bool("smoke", false, "use seconds-long smoke run sizes (implies -quick)")
 	exps := flag.String("e", "all", "comma-separated experiment ids (e1..e8,e2p,t1,slo,e2mp,dr,fd,lf) or 'all'")
 	seed := flag.Int64("seed", 1, "workload seed for the slo experiment")
-	jsonOut := flag.String("json", "", "upsert the slo/e2mp experiments' records into this benchjson snapshot")
-	p999max := flag.Duration("p999max", 0, "fail if the slo calm-phase p999 exceeds this (0 disables)")
 	transp := flag.String("transport", "netsim", "ring transport for in-process experiments: netsim|udp")
 	role := flag.String("role", "", "internal: 'node' runs this process as a multi-process replica child")
 	flag.Parse()
@@ -105,157 +102,20 @@ func main() {
 		start := time.Now()
 		var table *bench.Table
 		var err error
-		switch id {
-		case "slo":
-			table, err = runSLO(scale, *seed, *jsonOut, *p999max)
-		case "e2mp":
-			table, err = runE2MP(scale, *jsonOut)
-		case "dr":
-			table, err = runDR(scale, *jsonOut)
-		case "fd":
-			table, err = runFD(scale, *jsonOut)
-		case "lf":
-			table, err = runLF(scale, *jsonOut)
-		default:
+		if id == "slo" {
+			table, err = bench.SLOWorkloadSeeded(scale, *seed, func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			})
+		} else {
 			table, err = bench.ByID[id](scale)
+		}
+		if table != nil {
+			table.Fprint(os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %s failed: %v\n", id, err)
 			os.Exit(1)
 		}
-		table.Fprint(os.Stdout)
 		fmt.Printf("  (%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runE2MP drives the multi-process experiment and snapshots its records.
-func runE2MP(scale bench.Scale, jsonOut string) (*bench.Table, error) {
-	table, recs, err := bench.E2MPMultiProcRecords(scale)
-	if err != nil {
-		return nil, err
-	}
-	if jsonOut != "" {
-		if err := upsertRecords(jsonOut, recs); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote %d e2mp records to %s\n", len(recs), jsonOut)
-	}
-	return table, nil
-}
-
-// runDR drives the disaster-recovery experiment and snapshots its RPO/RTO
-// records.
-func runDR(scale bench.Scale, jsonOut string) (*bench.Table, error) {
-	table, recs, err := bench.DRRecoveryRecords(scale)
-	if err != nil {
-		return table, err
-	}
-	if jsonOut != "" {
-		if err := upsertRecords(jsonOut, recs); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote %d dr records to %s\n", len(recs), jsonOut)
-	}
-	return table, nil
-}
-
-// runFD drives the fail-detection experiment and snapshots its detection
-// quality records (false_evictions, detect_ms, detect_ratio).
-func runFD(scale bench.Scale, jsonOut string) (*bench.Table, error) {
-	table, recs, err := bench.FDDetectionRecords(scale)
-	if err != nil {
-		return table, err
-	}
-	if jsonOut != "" {
-		if err := upsertRecords(jsonOut, recs); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote %d fd records to %s\n", len(recs), jsonOut)
-	}
-	return table, nil
-}
-
-// runLF drives the leader-follower latency experiment and snapshots its
-// read/write/failover records.
-func runLF(scale bench.Scale, jsonOut string) (*bench.Table, error) {
-	table, recs, err := bench.LFLatencyRecords(scale)
-	if err != nil {
-		return table, err
-	}
-	if jsonOut != "" {
-		if err := upsertRecords(jsonOut, recs); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote %d lf records to %s\n", len(recs), jsonOut)
-	}
-	return table, nil
-}
-
-// runSLO drives the SLO experiment with its extra plumbing: live progress,
-// the p999 sanity gate, and the snapshot upsert.
-func runSLO(scale bench.Scale, seed int64, jsonOut string, p999max time.Duration) (*bench.Table, error) {
-	progress := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	table, recs, err := bench.SLOWorkloadSeeded(scale, seed, progress)
-	if err != nil {
-		return nil, err
-	}
-	if p999max > 0 {
-		for _, r := range recs {
-			if r.Name != "slo/calm" {
-				continue
-			}
-			if p999 := time.Duration(r.Extra["p999_us"] * 1e3); p999 > p999max {
-				return nil, fmt.Errorf("calm p999 %v exceeds -p999max %v", p999, p999max)
-			}
-		}
-	}
-	if jsonOut != "" {
-		if err := upsertRecords(jsonOut, recs); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ftbench: wrote %d slo records to %s\n", len(recs), jsonOut)
-	}
-	return table, nil
-}
-
-// upsertRecords merges the records into a benchjson snapshot: existing
-// entries with the same name are replaced, everything else is preserved,
-// new names append at the end.
-func upsertRecords(path string, recs []bench.Record) error {
-	var out []json.RawMessage
-	byName := map[string]int{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &out); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		for i, raw := range out {
-			var peek struct {
-				Name string `json:"name"`
-			}
-			if json.Unmarshal(raw, &peek) == nil {
-				byName[peek.Name] = i
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	for _, r := range recs {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		if i, ok := byName[r.Name]; ok {
-			out[i] = raw
-		} else {
-			byName[r.Name] = len(out)
-			out = append(out, raw)
-		}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

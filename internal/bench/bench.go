@@ -132,6 +132,29 @@ func benchTransport(nodes []string) (transport.Transport, error) {
 	return fabric, nil
 }
 
+// bound is one acceptance bound an experiment checks on its own
+// measurement: a ceiling, or a minimum when floor is set.
+type bound struct {
+	metric     string
+	got, limit float64
+	unit       string
+	floor      bool
+}
+
+// checkBounds fails on the first measurement past its bound, naming the
+// experiment and the metric; cmd/ftbench exits 1 on it.
+func checkBounds(exp string, bs ...bound) error {
+	for _, b := range bs {
+		if b.floor && b.got < b.limit {
+			return fmt.Errorf("%s: %s %.6g%s is below its %.6g%s bound", exp, b.metric, b.got, b.unit, b.limit, b.unit)
+		}
+		if !b.floor && b.got > b.limit {
+			return fmt.Errorf("%s: %s %.6g%s exceeds its %.6g%s bound", exp, b.metric, b.got, b.unit, b.limit, b.unit)
+		}
+	}
+	return nil
+}
+
 // --- Echo servant ------------------------------------------------------------
 
 // EchoType is the echo servant's repository id.
@@ -274,41 +297,6 @@ func buildDomain(nodes int, orbPort uint16) (*core.Domain, error) {
 	return d, nil
 }
 
-// buildDomainHB is buildDomain with an explicit heartbeat in nanoseconds.
-func buildDomainHB(nodes int, orbPort uint16, hbNanos int64) (*core.Domain, error) {
-	names := make([]string, 0, nodes+1)
-	for i := 1; i <= nodes; i++ {
-		names = append(names, fmt.Sprintf("n%d", i))
-	}
-	names = append(names, "client")
-	tp, err := optionalTransport(names)
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.NewDomain(core.Options{
-		Nodes:         names,
-		Net:           netConfig(),
-		Transport:     tp,
-		Heartbeat:     time.Duration(hbNanos),
-		ORBPort:       orbPort,
-		CallTimeout:   20 * time.Second,
-		RetryInterval: 5 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WaitReady(10 * time.Second); err != nil {
-		d.Stop()
-		return nil, err
-	}
-	workers := names[:nodes]
-	if err := d.RegisterFactory(EchoType, func() orb.Servant { return NewEchoServant() }, workers...); err != nil {
-		d.Stop()
-		return nil, err
-	}
-	return d, nil
-}
-
 // createEcho places an echo group with the given style and replica count.
 func createEcho(d *core.Domain, style replication.Style, replicas int) (uint64, error) {
 	_, gid, err := d.Create("echo", EchoType, &ftcorba.Properties{
@@ -331,31 +319,6 @@ func payloadOf(n int) []byte {
 		b[i] = byte(i)
 	}
 	return b
-}
-
-// All runs every experiment at the given scale (used by cmd/ftbench).
-func All(scale Scale) ([]*Table, error) {
-	runs := []func(Scale) (*Table, error){
-		E1LatencyByStyle,
-		E2ReplicationDegree,
-		E2PrimeSharding,
-		E3Failover,
-		E4StateTransfer,
-		E5DuplicateSuppression,
-		E6CheckpointInterval,
-		E7PartitionRemerge,
-		E8Approaches,
-		T1Totem,
-	}
-	var tables []*Table
-	for _, run := range runs {
-		t, err := run(scale)
-		if err != nil {
-			return tables, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }
 
 // ByID maps experiment ids to runners.

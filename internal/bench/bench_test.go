@@ -154,7 +154,7 @@ func TestT1Smoke(t *testing.T) {
 }
 
 func TestSLOSmoke(t *testing.T) {
-	tab, recs, err := SLOWorkloadSeeded(smokeScale, 1, t.Logf)
+	tab, err := SLOWorkloadSeeded(smokeScale, 1, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,24 +166,26 @@ func TestSLOSmoke(t *testing.T) {
 		t.Fatalf("unexpected row count %d:\n%v", len(tab.Rows), tab.Rows)
 	}
 	checkTable(t, tab, len(tab.Rows))
-	if len(recs) != 2 || recs[0].Name != "slo/calm" || recs[1].Name != "slo/chaos" {
-		t.Fatalf("records: %+v", recs)
-	}
-	for _, r := range recs {
-		if r.Iters == 0 || r.NsPerOp <= 0 {
-			t.Fatalf("degenerate record %+v", r)
-		}
-		for _, key := range []string{"p50_us", "p99_us", "p999_us", "goodput_ops", "errors"} {
-			if _, ok := r.Extra[key]; !ok {
-				t.Fatalf("record %s missing %s: %+v", r.Name, key, r.Extra)
+	row := func(phase string) []string {
+		for _, r := range tab.Rows {
+			if r[0] == phase && r[1] == "all" {
+				return r
 			}
 		}
+		t.Fatalf("no %s/all row:\n%v", phase, tab.Rows)
+		return nil
 	}
-	if recs[0].Extra["errors"] != 0 {
-		t.Fatalf("calm phase had %v errors", recs[0].Extra["errors"])
+	calm, chaos := row("calm"), row("chaos")
+	for _, r := range [][]string{calm, chaos} {
+		if r[2] == "0" || r[7] == "-" || r[8] == "-" {
+			t.Fatalf("degenerate %s row: %v", r[0], r)
+		}
 	}
-	if _, ok := recs[1].Extra["blackout_p99_ms"]; !ok {
-		t.Fatalf("chaos record missing blackout_p99_ms: %+v", recs[1].Extra)
+	if calm[8] != "0" {
+		t.Fatalf("calm phase had %s errors", calm[8])
+	}
+	if chaos[9] == "-" {
+		t.Fatalf("chaos row has no blackout p99: %v", chaos)
 	}
 }
 
@@ -206,7 +208,7 @@ func TestTablePrinting(t *testing.T) {
 }
 
 func TestByIDComplete(t *testing.T) {
-	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "t1", "slo"} {
+	for _, id := range []string{"e1", "e2", "e2p", "e3", "e4", "e5", "e6", "e7", "e8", "t1", "slo", "e2mp", "dr", "fd", "lf"} {
 		if ByID[id] == nil {
 			t.Errorf("ByID missing %s", id)
 		}

@@ -88,15 +88,17 @@ type drGroup struct {
 	eoViolations  int64
 }
 
-// DRRecovery runs the disaster-recovery experiment (ByID "dr").
-func DRRecovery(scale Scale) (*Table, error) {
-	t, _, err := DRRecoveryRecords(scale)
-	return t, err
-}
+// drRTOBound is the full-scale ceiling on the slowest group's RTO: the
+// 10.09 ms this measurement read when the bound was set, plus 400 %,
+// rounded down. Promotion time is wall clock on a shared core; the wide
+// margin catches a stall in the promote path (an order of magnitude)
+// without tripping on scheduler noise.
+const drRTOBound = 50.4 // ms
 
-// DRRecoveryRecords runs the experiment and also returns snapshot records
-// (rpo_ops, rto_ms, eo_violations) for the regression pipeline.
-func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
+// DRRecovery runs the disaster-recovery experiment (ByID "dr"). It fails
+// on any lost acknowledged operation or exactly-once violation at every
+// scale, and at full scale on an RTO past drRTOBound.
+func DRRecovery(scale Scale) (*Table, error) {
 	styles := []replication.Style{replication.ColdPassive, replication.WarmPassive, replication.Active}
 	groupsPerStyle, opsPerGroup := 4, 150
 	switch {
@@ -123,14 +125,14 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 		DRStore:       store,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer primary.Stop()
 	if err := primary.WaitReady(10 * time.Second); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := primary.RegisterFactory(drCounterType, func() orb.Servant { return &drCounter{} }, workers...); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	groups := make([]*drGroup, 0, len(styles)*groupsPerStyle)
@@ -143,14 +145,14 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 				MembershipStyle:       ftcorba.MembershipApplication,
 			})
 			if err != nil {
-				return nil, nil, fmt.Errorf("dr: create %v group: %w", style, err)
+				return nil, fmt.Errorf("dr: create %v group: %w", style, err)
 			}
 			if err := primary.WaitGroupReady(gid, 2, 10*time.Second); err != nil {
-				return nil, nil, fmt.Errorf("dr: group %d: %w", gid, err)
+				return nil, fmt.Errorf("dr: group %d: %w", gid, err)
 			}
 			p, err := primary.Proxy("client", gid)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			groups = append(groups, &drGroup{gid: gid, style: style, proxy: p})
 		}
@@ -169,11 +171,11 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer standby.Stop()
 	if err := standby.Domain().WaitReady(10 * time.Second); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Drive load across all groups; once half the target operations have
@@ -231,24 +233,24 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 	<-killed
 	res, err := standby.Promote()
 	if err != nil {
-		return nil, nil, fmt.Errorf("dr: promote: %w", err)
+		return nil, fmt.Errorf("dr: promote: %w", err)
 	}
 	for _, g := range groups {
 		if res.Groups[g.gid] == "" {
-			return nil, nil, fmt.Errorf("dr: group %d not promoted (skipped: %v)", g.gid, res.Skipped)
+			return nil, fmt.Errorf("dr: group %d not promoted (skipped: %v)", g.gid, res.Skipped)
 		}
 	}
 	if err := standby.WaitPromoted(res, 30*time.Second); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, g := range groups {
 		p, err := standby.Proxy("s1", g.gid)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out, err := p.Invoke("read")
 		if err != nil {
-			return nil, nil, fmt.Errorf("dr: standby read group %d: %w", g.gid, err)
+			return nil, fmt.Errorf("dr: standby read group %d: %w", g.gid, err)
 		}
 		g.rto = time.Since(tKill)
 		g.recovered = out[1].AsLongLong()
@@ -262,7 +264,7 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 	derr := driverErr
 	driverErrMu.Unlock()
 	if derr != nil {
-		return nil, nil, derr
+		return nil, derr
 	}
 
 	// Continued service with exactly-once: each bump must advance the op
@@ -273,7 +275,7 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 		for i := 0; i < postOps; i++ {
 			out, err := g.proxy.Invoke("bump", cdr.Long(1))
 			if err != nil {
-				return nil, nil, fmt.Errorf("dr: post-promotion bump group %d: %w", g.gid, err)
+				return nil, fmt.Errorf("dr: post-promotion bump group %d: %w", g.gid, err)
 			}
 			want++
 			if out[1].AsLongLong() != want {
@@ -339,18 +341,12 @@ func DRRecoveryRecords(scale Scale) (*Table, []Record, error) {
 		"rto is operator-initiated promotion (no failure-detection delay): crash → Promote → first successful standby invocation",
 	)
 
-	if totalRPO > 0 || totalEO > 0 {
-		return tab, nil, fmt.Errorf("dr: invariant violated: rpo=%d ops lost, %d exactly-once violations", totalRPO, totalEO)
+	bounds := []bound{
+		{metric: "RPO", got: float64(totalRPO), unit: " ops"},
+		{metric: "exactly-once violations", got: float64(totalEO)},
 	}
-	recs := []Record{{
-		Name:    "dr/failover",
-		Iters:   totalAcked,
-		NsPerOp: float64(rtoMax.Nanoseconds()),
-		Extra: map[string]float64{
-			"rpo_ops":       float64(totalRPO),
-			"rto_ms":        float64(rtoMax) / 1e6,
-			"eo_violations": float64(totalEO),
-		},
-	}}
-	return tab, recs, nil
+	if scale.Invocations >= FullScale.Invocations {
+		bounds = append(bounds, bound{metric: "max RTO", got: float64(rtoMax) / 1e6, limit: drRTOBound, unit: "ms"})
+	}
+	return tab, checkBounds("dr", bounds...)
 }

@@ -42,17 +42,6 @@ func RunSharded(w ShardedWorkload) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Warmup: touch every group once so reply-group joins and executor
-	// spin-up are off the clock.
-	for _, gid := range gids {
-		p, err := d.Proxy("client", gid)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := p.Invoke("echo", cdr.OctetSeq(payloadOf(256))); err != nil {
-			return 0, err
-		}
-	}
 	return driveSharded(d, gids, w.Clients, w.PerClient)
 }
 
@@ -85,6 +74,7 @@ func newShardedDomain(w ShardedWorkload) (*core.Domain, error) {
 	return d, nil
 }
 
+// createShardedGroups creates the workload's groups and touches each once.
 func createShardedGroups(d *core.Domain, w ShardedWorkload) ([]uint64, error) {
 	gids := make([]uint64, 0, w.Groups)
 	for g := 0; g < w.Groups; g++ {
@@ -104,6 +94,17 @@ func createShardedGroups(d *core.Domain, w ShardedWorkload) ([]uint64, error) {
 			return nil, err
 		}
 		gids = append(gids, gid)
+	}
+	// Warmup: touch every group once so reply-group joins and executor
+	// spin-up are off the clock.
+	for _, gid := range gids {
+		p, err := d.Proxy("client", gid)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.Invoke("echo", cdr.OctetSeq(payloadOf(256))); err != nil {
+			return nil, err
+		}
 	}
 	return gids, nil
 }

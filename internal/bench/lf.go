@@ -27,28 +27,28 @@ type lfResult struct {
 	lfRead  summary // LF read under the lease, no totem entry
 }
 
-// lfReadP50Bound is the full-scale acceptance bound on the leased read's
-// median at replication degree 3.
-const lfReadP50Bound = 100.0 // µs
+// Full-scale acceptance bounds at replication degree 3, rounded down. The
+// read p99 is 151.1 µs (its value when the bound was set) plus 150 %:
+// local RPC moves it by multiples, and reads that lose the lease and fall
+// back onto the ordered path jump ~10x. The blackout is 212.0 ms plus
+// 100 %: it is dominated by the successor's lease fence (150 ms lease +
+// 20 ms guard), so a doubling means the handover itself stalled.
+const (
+	lfReadP50Bound  = 100.0 // µs
+	lfReadP99Bound  = 377.7 // µs
+	lfBlackoutBound = 423.9 // ms
+)
 
 // LFLatency runs the leader-follower latency experiment (ByID "lf").
 func LFLatency(scale Scale) (*Table, error) {
-	t, _, err := LFLatencyRecords(scale)
-	return t, err
-}
-
-// LFLatencyRecords runs the sweep and returns snapshot records
-// (read p50/p99, write p50 vs ACTIVE, failover blackout) for the
-// regression pipeline.
-func LFLatencyRecords(scale Scale) (*Table, []Record, error) {
 	res, err := lfRunCell(scale)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lf: %w", err)
+		return nil, fmt.Errorf("lf: %w", err)
 	}
 
 	blackout, err := lfFailoverBlackout()
 	if err != nil {
-		return nil, nil, fmt.Errorf("lf: failover: %w", err)
+		return nil, fmt.Errorf("lf: failover: %w", err)
 	}
 
 	writeRatio := res.lfW.p50 / res.activeW.p50
@@ -70,42 +70,14 @@ func LFLatencyRecords(scale Scale) (*Table, []Record, error) {
 		fmt.Sprintf("leader-crash write blackout (crash to first answered write at the successor) = %.1fms", float64(blackout)/1e6),
 	)
 
-	if scale.Invocations >= FullScale.Invocations {
-		if res.lfRead.p50 > lfReadP50Bound {
-			return tab, nil, fmt.Errorf("lf: leased read p50 %.1fus exceeds %.0fus bound",
-				res.lfRead.p50, lfReadP50Bound)
-		}
+	if scale.Invocations < FullScale.Invocations {
+		return tab, nil
 	}
-
-	recs := []Record{
-		{
-			Name:    "lf/read",
-			Iters:   int64(scale.Invocations),
-			NsPerOp: res.lfRead.p50 * 1e3,
-			Extra: map[string]float64{
-				"read_p50_us": res.lfRead.p50,
-				"read_p99_us": res.lfRead.p99,
-			},
-		},
-		{
-			Name:    "lf/write",
-			Iters:   int64(scale.Invocations),
-			NsPerOp: res.lfW.p50 * 1e3,
-			Extra: map[string]float64{
-				"write_p50_us":  res.lfW.p50,
-				"write_p99_us":  res.lfW.p99,
-				"active_p50_us": res.activeW.p50,
-				"vs_active":     writeRatio,
-			},
-		},
-		{
-			Name:    "lf/failover",
-			Iters:   1,
-			NsPerOp: float64(blackout.Nanoseconds()),
-			Extra:   map[string]float64{"blackout_ms": float64(blackout) / 1e6},
-		},
-	}
-	return tab, recs, nil
+	return tab, checkBounds("lf",
+		bound{metric: "leased read p50", got: res.lfRead.p50, limit: lfReadP50Bound, unit: "µs"},
+		bound{metric: "leased read p99", got: res.lfRead.p99, limit: lfReadP99Bound, unit: "µs"},
+		bound{metric: "leader-crash blackout", got: float64(blackout) / 1e6, limit: lfBlackoutBound, unit: "ms"},
+	)
 }
 
 // lfBuildDomain is a 3-worker domain with an ACTIVE echo group and an LF

@@ -19,19 +19,18 @@ import (
 // population, Poisson+burst arrivals, and coordinated-omission-corrected
 // latency accounting.
 
-// Record mirrors cmd/benchjson's snapshot shape, so ftbench can upsert SLO
-// percentiles into BENCH_*.json and cmd/benchcmp can gate them like any
-// benchmark metric.
-type Record struct {
-	Name    string             `json:"name"`
-	Iters   int64              `json:"iters"`
-	NsPerOp float64            `json:"ns_op"`
-	Extra   map[string]float64 `json:"extra,omitempty"`
-}
-
-// sloProfile sizes the two phases for a scale tier.
+// sloProfile sizes the two phases for a scale tier, with the bounds the
+// tier checks on its own result (zero disables one).
 type sloProfile struct {
 	calm, chaotic slo.Config
+	// calmP999Max bounds the calm phase's p999: a tail sanity check for
+	// the seconds-long smoke tier.
+	calmP999Max time.Duration
+	// calmP99Max and chaosP99Max bound each phase's p99.
+	calmP99Max, chaosP99Max time.Duration
+	// minGoodput is the fraction of each phase's offered Rate that must be
+	// acknowledged per second.
+	minGoodput float64
 }
 
 // sloStyles cycles groups across the styles whose latency profiles the
@@ -69,6 +68,9 @@ func sloProfileFor(scale Scale, seed int64) sloProfile {
 			Rate: 300, Duration: 4 * time.Second,
 			Chaos: &slo.ChaosPlan{Kinds: sloChaosKinds(1), Episodes: 2},
 		}
+		// Smoke reads a calm p999 of a few ms; 500 ms leaves two orders of
+		// magnitude for a loaded host.
+		p.calmP999Max = 500 * time.Millisecond
 	case scale.Invocations < FullScale.Invocations:
 		// Quick: the CI tier (ftbench -quick).
 		p.calm = slo.Config{
@@ -101,6 +103,12 @@ func sloProfileFor(scale Scale, seed int64) sloProfile {
 			Heartbeat: 10 * time.Millisecond,
 			Chaos:     &slo.ChaosPlan{Kinds: sloChaosKinds(2), Episodes: 6},
 		}
+		// Each phase's p99 when the bounds were set (calm 92.27 ms, chaos
+		// 51.38 ms) plus 20 %, rounded down, and goodput within 20 % of the
+		// offered rate.
+		p.calmP99Max = 110700 * time.Microsecond
+		p.chaosP99Max = 61600 * time.Microsecond
+		p.minGoodput = 0.8
 	}
 	p.calm.Seed = seed
 	p.calm.Styles = sloStyles
@@ -115,25 +123,24 @@ const smokeSLOCutoff = 8
 
 // SLOWorkload runs the SLO experiment (ByID "slo").
 func SLOWorkload(scale Scale) (*Table, error) {
-	t, _, err := SLOWorkloadSeeded(scale, 1, nil)
-	return t, err
+	return SLOWorkloadSeeded(scale, 1, nil)
 }
 
-// SLOWorkloadSeeded runs both phases with an explicit seed and returns the
-// table plus snapshot records for the regression pipeline. progress, when
-// non-nil, receives live status lines.
-func SLOWorkloadSeeded(scale Scale, seed int64, progress func(string, ...any)) (*Table, []Record, error) {
+// SLOWorkloadSeeded runs both phases with an explicit seed and fails on a
+// result past the scale tier's bounds. progress, when non-nil, receives
+// live status lines.
+func SLOWorkloadSeeded(scale Scale, seed int64, progress func(string, ...any)) (*Table, error) {
 	p := sloProfileFor(scale, seed)
 	p.calm.Progress = progress
 	p.chaotic.Progress = progress
 
 	calm, err := slo.Run(p.calm)
 	if err != nil {
-		return nil, nil, fmt.Errorf("slo calm phase: %w", err)
+		return nil, fmt.Errorf("slo calm phase: %w", err)
 	}
 	chaotic, err := slo.Run(p.chaotic)
 	if err != nil {
-		return nil, nil, fmt.Errorf("slo chaos phase: %w", err)
+		return nil, fmt.Errorf("slo chaos phase: %w", err)
 	}
 
 	tab := &Table{
@@ -165,7 +172,7 @@ func SLOWorkloadSeeded(scale Scale, seed int64, progress func(string, ...any)) (
 	for _, style := range sloStyles {
 		addRow("calm", style.String(), calm.ByStyle[style.String()], -1, -1, nil)
 	}
-	addRow("chaos", "all", chaotic.All, chaotic.Goodput, chaotic.Errors, nil)
+	addRow("chaos", "all", chaotic.All, chaotic.Goodput, chaotic.Errors, mergedBlackout(chaotic, ""))
 	addRow("chaos", "calm-windows", chaotic.Calm, -1, -1, nil)
 	kinds := make([]string, 0, len(chaotic.ByKind))
 	for k := range chaotic.ByKind {
@@ -193,11 +200,29 @@ func SLOWorkloadSeeded(scale Scale, seed int64, progress func(string, ...any)) (
 		"blackout p99 is over (episode, group) pairs: the longest per-group completion gap inside each episode window",
 	)
 
-	recs := []Record{
-		sloRecord("slo/calm", calm, nil),
-		sloRecord("slo/chaos", chaotic, mergedBlackout(chaotic, "")),
+	return tab, checkBounds("slo", p.bounds(calm, chaotic)...)
+}
+
+// bounds lists the profile's bounds that are set, against the two phases'
+// results.
+func (p sloProfile) bounds(calm, chaotic *slo.Result) []bound {
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	var bs []bound
+	ceil := func(metric string, got, max time.Duration) {
+		if max > 0 {
+			bs = append(bs, bound{metric: metric, got: ms(got), limit: ms(max), unit: "ms"})
+		}
 	}
-	return tab, recs, nil
+	ceil("calm p999", calm.All.Quantile(0.999), p.calmP999Max)
+	ceil("calm p99", calm.All.Quantile(0.99), p.calmP99Max)
+	ceil("chaos p99", chaotic.All.Quantile(0.99), p.chaosP99Max)
+	if p.minGoodput > 0 {
+		bs = append(bs,
+			bound{metric: "calm goodput", got: calm.Goodput, limit: p.minGoodput * p.calm.Rate, unit: " op/s", floor: true},
+			bound{metric: "chaos goodput", got: chaotic.Goodput, limit: p.minGoodput * p.chaotic.Rate, unit: " op/s", floor: true},
+		)
+	}
+	return bs
 }
 
 // mergedBlackout folds the per-kind blackout histograms whose key carries
@@ -220,27 +245,4 @@ func describeEpisodes(res *slo.Result) string {
 		parts = append(parts, fmt.Sprintf("%s@%s", ep.Kind, ep.Victim))
 	}
 	return strings.Join(parts, " ")
-}
-
-// sloRecord flattens one phase into a snapshot record. Percentiles land in
-// Extra under the unit names cmd/benchcmp's registry gates on.
-func sloRecord(name string, res *slo.Result, blackout *slo.Hist) Record {
-	s := res.All.Snap()
-	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
-	r := Record{
-		Name:    name,
-		Iters:   int64(res.Arrivals),
-		NsPerOp: float64(s.Mean),
-		Extra: map[string]float64{
-			"p50_us":      us(s.P50),
-			"p99_us":      us(s.P99),
-			"p999_us":     us(s.P999),
-			"goodput_ops": res.Goodput,
-			"errors":      float64(res.Errors),
-		},
-	}
-	if blackout != nil && blackout.Count() > 0 {
-		r.Extra["blackout_p99_ms"] = float64(blackout.Quantile(0.99)) / 1e6
-	}
-	return r
 }

@@ -330,3 +330,43 @@ func TestContextCountBoundedByBytesLeft(t *testing.T) {
 		t.Fatalf("a refused 24-byte reply allocated %d bytes", perRun)
 	}
 }
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
+// TestMarshalAllocs pins Marshal of a request to the frame it returns: a
+// 256-byte body with an FT_REQUEST context takes that one allocation, and a
+// 16 KiB body one more (the encoder's 512-byte seed buffer, which Grow
+// replaces with the frame). A copy of the finished frame would add one to
+// each.
+func TestMarshalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	small := &Request{
+		RequestID:     7,
+		ResponseFlags: ResponseExpected,
+		ObjectKey:     []byte("og/42"),
+		Operation:     "deposit",
+		Contexts: []ServiceContext{
+			{ID: SvcFTRequest, Data: FTRequest{ClientID: "c1", RetentionID: 9}.Encode()},
+		},
+		Body: make([]byte, 256),
+	}
+	large := &Request{
+		RequestID:     7,
+		ResponseFlags: ResponseExpected,
+		ObjectKey:     []byte("og/42"),
+		Operation:     "deposit",
+		Body:          make([]byte, 16<<10),
+	}
+	for _, tc := range []struct {
+		name   string
+		req    *Request
+		budget float64
+	}{{"256B+FT_REQUEST", small, 1}, {"16KiB", large, 2}} {
+		if got := testing.AllocsPerRun(200, func() { Marshal(tc.req) }); got > tc.budget {
+			t.Errorf("Marshal %s request: %.0f allocs, want ≤ %.0f", tc.name, got, tc.budget)
+		}
+	}
+}

@@ -52,10 +52,6 @@ type Config struct {
 	// in-memory log; deployments that need crash-restart recovery supply
 	// file-backed logs (wal.OpenFileLog) here.
 	LogFactory func(def GroupDef) wal.Log
-	// Clock supplies the local wall clock for lease accounting (default
-	// time.Now). Tests inject skewed clocks per engine here — the lease
-	// protocol never compares timestamps across nodes, only durations.
-	Clock func() time.Time
 	// DR, when set, is the disaster-recovery shipping target: every group
 	// ships its definition, checkpoints (with the duplicate-suppression
 	// window) and update records there (who ships what: style.go), so a
@@ -74,9 +70,6 @@ func (c *Config) fill() {
 	if c.LogFactory == nil {
 		c.LogFactory = func(GroupDef) wal.Log { return &wal.MemLog{} }
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 }
 
 // newIncarnation returns a random number naming one engine incarnation:
@@ -92,8 +85,9 @@ func newIncarnation() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// now reads the engine's (injectable) local clock.
-func (e *Engine) now() time.Time { return e.cfg.Clock() }
+// now reads the local clock for lease accounting, the one place a
+// virtual clock would plug in.
+func (e *Engine) now() time.Time { return time.Now() }
 
 // Stats counts engine-level replication events (experiments E5/E7 read
 // these).

@@ -12,8 +12,8 @@
 // episodes are applied to the live domain while the open-loop load runs,
 // and blackout windows are reported as percentiles over (episode, group)
 // pairs rather than as means. cmd/ftbench's "slo" experiment mode drives
-// it and exports the percentiles into the BENCH_*.json / benchcmp
-// regression-gating pipeline.
+// it, prints the percentiles and checks them against the scale tier's
+// bounds (internal/bench/slo.go).
 package slo
 
 import (

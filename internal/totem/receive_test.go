@@ -118,6 +118,50 @@ func TestReceiveBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeOwnedAllocBudget pins the owned-frame decode: once the receive
+// path hands decodePacketIn a buffer it owns, a 16-message coalesced batch
+// must decode with the sub-message payloads and group names aliasing that
+// buffer — a handful of fixed allocations (packet struct, slice headers,
+// decoder) rather than one copy per sub-message. A regression that re-introduces
+// per-payload copies roughly doubles the count and fails here.
+func TestDecodeOwnedAllocBudget(t *testing.T) {
+	const batch = 16
+	db := &dataBatch{
+		Ring:     RingID{Epoch: 3, Coord: "n1"},
+		Sender:   "n2",
+		FirstSeq: 42,
+	}
+	for i := 0; i < batch; i++ {
+		db.Groups = append(db.Groups, "og/7")
+		db.Payloads = append(db.Payloads, make([]byte, 256))
+	}
+	raw := mustEncodePacket(t, db)
+
+	owned := testing.AllocsPerRun(200, func() {
+		if _, err := decodePacketIn(raw, true, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Fixed costs only: packet struct, decoder, interned-group slice
+	// header, payload slice-of-slices header. 8 leaves slack for
+	// compiler-version drift without admitting per-message copies
+	// (which would add ≥2·batch = 32).
+	if owned > 8 {
+		t.Fatalf("owned decodePacketIn of a %d-message batch: %.0f allocs/op, want ≤ 8", batch, owned)
+	}
+
+	// The copying decode (shared-buffer contract) is the upper bound the
+	// owned path must stay well under.
+	copying := testing.AllocsPerRun(200, func() {
+		if _, err := decodePacketIn(raw, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if owned >= copying {
+		t.Fatalf("owned decode (%.0f allocs) not cheaper than copying decode (%.0f)", owned, copying)
+	}
+}
+
 // openPeers binds the ring's port on each of the named peers, so what the
 // ring sends them is copied into the fabric's lanes instead of dropped.
 func openPeers(t testing.TB, r *Ring, f *netsim.Fabric, peers ...string) []*netsim.DGram {
