@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check race bench test build vet chaos totem-soak fuzz-smoke slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke
+.PHONY: check race bench test build vet chaos totem-soak fuzz-smoke slo-smoke mp-smoke dr-smoke fd-smoke lf-smoke ftperf-smoke
 
 ## check: vet + build + full test suite (the tier-1 gate)
 check: vet build test
@@ -124,3 +124,11 @@ lf-smoke:
 ## end-to-end without the full measurement run
 mp-smoke:
 	$(GO) run ./cmd/ftbench -e e2mp -smoke
+
+## ftperf-smoke: build the repo benchmark from this checkout and run each
+## of its two workloads for 3 s with per-layer tracing (~15 s after the
+## build); fails on the benchmark's non-zero exit: an error in set-up or
+## in a crash/heal cycle, or a correctness violation
+ftperf-smoke:
+	bash ftperf/run.sh --workload active3_busy --seed 1 --seconds 3 --trace 1
+	bash ftperf/run.sh --workload warm3_failover --seed 1 --seconds 3 --trace 1

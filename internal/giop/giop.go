@@ -251,12 +251,11 @@ func (*CloseConnection) encodeBody(*cdr.Encoder) {}
 func (*MessageError) encodeBody(*cdr.Encoder)    {}
 
 // Marshal encodes a complete single-frame GIOP message. The frame is
-// marshalled directly into a single buffer whose size field is patched in
-// place — no build-then-copy pass — and ownership of the buffer passes to
-// the caller.
+// marshalled directly into a single buffer, sized up front, whose size
+// field is patched in place — no build-then-copy pass — and ownership of
+// the buffer passes to the caller.
 func Marshal(m Message) []byte {
-	e := cdr.GetEncoder(cdr.BigEndian)
-	e.Grow(HeaderLen + sizeHint(m))
+	e := cdr.GetEncoderSized(cdr.BigEndian, HeaderLen+sizeHint(m))
 	writeHeader(e, m.msgType(), 0, false)
 	m.encodeBody(e)
 	buf := e.TakeBytes()

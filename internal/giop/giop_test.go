@@ -335,10 +335,10 @@ func TestContextCountBoundedByBytesLeft(t *testing.T) {
 var raceEnabled bool
 
 // TestMarshalAllocs pins Marshal of a request to the frame it returns: a
-// 256-byte body with an FT_REQUEST context takes that one allocation, and a
-// 16 KiB body one more (the encoder's 512-byte seed buffer, which Grow
-// replaces with the frame). A copy of the finished frame would add one to
-// each.
+// 256-byte body with an FT_REQUEST context and a 16 KiB body each take that
+// one allocation, since the encoder is sized for the frame up front. A
+// copy of the finished frame, or a seed buffer replaced by a larger one,
+// would add one to each.
 func TestMarshalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the program's")
@@ -364,7 +364,7 @@ func TestMarshalAllocs(t *testing.T) {
 		name   string
 		req    *Request
 		budget float64
-	}{{"256B+FT_REQUEST", small, 1}, {"16KiB", large, 2}} {
+	}{{"256B+FT_REQUEST", small, 1}, {"16KiB", large, 1}} {
 		if got := testing.AllocsPerRun(200, func() { Marshal(tc.req) }); got > tc.budget {
 			t.Errorf("Marshal %s request: %.0f allocs, want ≤ %.0f", tc.name, got, tc.budget)
 		}

@@ -34,8 +34,8 @@ import (
 //     should copy it.
 //   - Det and Caller are valid only during Dispatch: the replication
 //     engine builds them, with the Invocation itself, in one record per
-//     execution, and a nested invocation must be issued before Dispatch
-//     returns.
+//     replica, which it reuses for the replica's next execution, and a
+//     nested invocation must be issued before Dispatch returns.
 //
 // Results a servant returns may alias its arguments: they are marshalled
 // before the invocation's storage is dropped.

@@ -16,12 +16,14 @@ var raceEnabled bool
 // fourth node, eight concurrent callers, a 256-byte octet-sequence
 // argument): every replica's execution, the client call, every ring's
 // frames and tokens, and whatever the background loops allocate meanwhile.
-// Measured at 35 per invocation on a 2-vCPU host, idle or beside a
+// Measured at 9.3 per invocation on a 2-vCPU host, idle or beside a
 // CPU-bound test run; the budget adds a quarter for scheduling noise (how
-// many token hops and heartbeats an invocation spans). Encoding each body
-// twice and allocating the invocation, its deterministic context, its
-// nested-call context and a queue per token visit separately cost 61.
-const activeInvocationAllocBudget = 44
+// many token hops and heartbeats an invocation spans). Allocating each
+// decoded message, dedup record, execution record, reply record and call
+// record on its own cost 28; encoding each body twice and allocating the
+// invocation, its deterministic context, its nested-call context and a
+// queue per token visit separately cost 61.
+const activeInvocationAllocBudget = 12
 
 // TestActiveInvocationAllocs pins the allocation cost of the ACTIVE
 // invocation path end to end.

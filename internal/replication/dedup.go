@@ -37,12 +37,17 @@ const rootClientPrefix = "c:"
 
 func isRootClient(id string) bool { return strings.HasPrefix(id, rootClientPrefix) }
 
-// opRecord is one duplicate-suppression entry.
+// opRecord is one duplicate-suppression entry. Records are carved from
+// chunks (carve) and never reused, so a record, and the reply it logs,
+// stays valid after the table drops it.
 type opRecord struct {
 	deliveredInv  bool // the invocation itself was delivered here before
 	answered      bool // a reply for the operation has been delivered
 	executedLocal bool // this replica executed the operation
 	reply         *msgReply
+	// own is the reply this replica's execution produced; reply points at
+	// it when that reply was the first (replica.run).
+	own msgReply
 
 	key          opKey
 	prev, next   *opRecord    // every record, oldest first
@@ -81,7 +86,8 @@ type dedupTable struct {
 	clients        map[string]*clientTrack
 	idleHead       *clientTrack // idle longest
 	idleTail       *clientTrack
-	pass           uint64 // window passes so far
+	pass           uint64     // window passes so far
+	spare          []opRecord // the chunk new records are carved from
 }
 
 func newDedupTable() dedupTable {
@@ -121,7 +127,8 @@ func (d *dedupTable) record(k opKey) *opRecord {
 	if rec, ok := d.recs[k]; ok {
 		return rec
 	}
-	rec := &opRecord{key: k}
+	rec := carve(&d.spare)
+	rec.key = k
 	d.recs[k] = rec
 	rec.prev = d.newest
 	if d.newest != nil {

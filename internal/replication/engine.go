@@ -153,6 +153,7 @@ type Engine struct {
 	hosted      map[uint64]*replica
 	byInv       map[string]*replica // hosted, keyed by invocation group name
 	pending     map[opKey]*pendingCall
+	freeCalls   []*pendingCall // answered single-reply calls (recycleCall)
 	replyJoined map[uint64]bool
 	shardPin    map[uint64]int // explicit gid→shard placements (0-based)
 	ringMembers []string

@@ -200,7 +200,7 @@ func (r *replica) lfServeRead(m *msgLfSubmit) {
 		return
 	}
 
-	x := execute(r.servant, r.def.ID, lfMsgID(leaseEpoch, applied), m.Operation, m.Args, nil)
+	x := execute(&r.exec, r.servant, r.def.ID, lfMsgID(leaseEpoch, applied), m.Operation, m.Args, nil)
 	r.eng.stat.lfReads.Add(1)
 	status, body := outcomeToWire(x.results, x.err)
 	r.lfSendReply(m.From, m.Key, status, body, applied)
@@ -260,7 +260,7 @@ func (r *replica) lfAssign(key opKey, done uint64, op string, args []byte, onewa
 // know, so timestamps and nested-call identifiers agree everywhere.
 func (r *replica) lfExecute(m *msgLfOrder, rec *opRecord) *msgReply {
 	id := lfMsgID(m.Epoch, m.Seq)
-	x := execute(r.servant, r.def.ID, id, m.Operation, m.Args, r.eng)
+	x := execute(&r.exec, r.servant, r.def.ID, id, m.Operation, m.Args, r.eng)
 	r.eng.stat.executions.Add(1)
 
 	rep := &msgReply{

@@ -321,6 +321,7 @@ func (p *Proxy) lfCall(key opKey, done uint64, op string, args []byte) ([]cdr.Va
 			if !ok {
 				return nil, ErrEngineStopped, true
 			}
+			p.eng.recycleCall(pc)
 			if rep.Status == replyRedirect {
 				next := string(rep.Body)
 				if next == "" || next == target {
@@ -386,12 +387,27 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 	if err != nil {
 		return nil, err
 	}
-	defer p.eng.unregisterCall(key)
+	rep, err := p.await(pc, op, payload)
+	if err != nil {
+		p.eng.unregisterCall(key)
+		return nil, err
+	}
+	p.eng.recycleCall(pc)
+	if p.lf {
+		// Ordered-path replies on LF groups carry lfMsgID(epoch, seq);
+		// keep the session token moving so follower reads stay
+		// read-your-writes after a fallback write.
+		p.lfBump(rep.ExecMsgID & lfSeqMask)
+	}
+	return wireToOutcome(rep.Status, rep.Body)
+}
 
+// await multicasts the invocation payload and waits for the reply pc
+// receives, retransmitting with backoff until the call's deadline.
+func (p *Proxy) await(pc *pendingCall, op string, payload []byte) (*msgReply, error) {
 	if err := p.eng.ringFor(p.gid).Multicast(p.names.inv, payload); err != nil {
 		return nil, err
 	}
-
 	deadline := getTimer(p.timeout)
 	defer putTimer(deadline)
 	retry := getTimer(p.backoffAfter(0))
@@ -402,13 +418,7 @@ func (p *Proxy) call(op string, args []cdr.Value, oneway bool) ([]cdr.Value, err
 			if !ok {
 				return nil, ErrEngineStopped
 			}
-			if p.lf {
-				// Ordered-path replies on LF groups carry lfMsgID(epoch,
-				// seq); keep the session token moving so follower reads
-				// stay read-your-writes after a fallback write.
-				p.lfBump(rep.ExecMsgID & lfSeqMask)
-			}
-			return wireToOutcome(rep.Status, rep.Body)
+			return rep, nil
 		case <-retry.C:
 			// Retransmit with the same operation identifier: the group
 			// suppresses the duplicate and re-sends the logged reply if the

@@ -94,7 +94,7 @@ func applyRecord(def GroupDef, servant orb.Servant, rec wal.Record) (*msgInvocat
 		return nil, ok && upd.ApplyUpdate(rec.Data) == nil
 	}
 	inv, ok := loggedInvocation(rec)
-	if !ok || !execute(servant, def.ID, rec.MsgID, inv.Operation, inv.Args, nil).dispatched {
+	if !ok || !execute(new(execution), servant, def.ID, rec.MsgID, inv.Operation, inv.Args, nil).dispatched {
 		return nil, false
 	}
 	return inv, true

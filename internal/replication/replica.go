@@ -112,6 +112,7 @@ type replica struct {
 	lfBlockUntil time.Time // new-leader write fence
 
 	// Executor-owned state.
+	exec       execution    // the record every execution here reuses (execute)
 	buffer     []task       // tasks held in order while syncing
 	pendingOps []task       // invocations delivered, not yet covered (passive backups)
 	fulfill    []fulfillRec // operations performed while secondary
@@ -372,10 +373,10 @@ func (r *replica) refuseEvicted(m *msgInvocation) {
 // run executes one invocation on the local servant and multicasts the
 // reply (unless suppressed).
 func (r *replica) run(msgID uint64, m *msgInvocation, rec *opRecord) {
-	x := execute(r.servant, r.def.ID, msgID, m.Operation, m.Args, r.eng)
+	x := execute(&r.exec, r.servant, r.def.ID, msgID, m.Operation, m.Args, r.eng)
 	r.eng.stat.executions.Add(1)
 
-	rep := &msgReply{
+	rep := msgReply{
 		GroupID:   r.def.ID,
 		Key:       m.Key,
 		Node:      r.eng.cfg.Node,
@@ -408,7 +409,7 @@ func (r *replica) run(msgID uint64, m *msgInvocation, rec *opRecord) {
 	}
 	// The outcome is encoded once, straight into the reply's wire payload;
 	// rep.Body then points into it.
-	payload, keyLen := encodeExecReply(rep, x.results, x.err)
+	payload, keyLen := encodeExecReply(&rep, x.results, x.err)
 
 	r.mu.Lock()
 	r.lastExec = msgID
@@ -416,7 +417,8 @@ func (r *replica) run(msgID uint64, m *msgInvocation, rec *opRecord) {
 	send := !rec.answered || r.rules.reply == replyAlways
 	if !rec.answered {
 		rec.answered = true
-		rec.reply = rep
+		rec.own = rep
+		rec.reply = &rec.own
 	}
 	r.mu.Unlock()
 

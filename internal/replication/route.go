@@ -12,7 +12,8 @@ import (
 )
 
 // pendingCall is a client call waiting for its reply. Only a voting call
-// (votesNeeded > 1) collects votes, keyed by replying node.
+// (votesNeeded > 1) collects votes, keyed by replying node. A single-reply
+// record is recycled once its caller has received the reply (recycleCall).
 type pendingCall struct {
 	votesNeeded int
 	votes       map[string]*msgReply
@@ -74,15 +75,17 @@ func (e *Engine) ensureReplyJoined(gid uint64) {
 // section on either waits on a channel, a ring, a servant, the WAL or the
 // DR store. completeCall's send cannot block (the channel has room for the
 // call's one reply), nor can fault.Notifier.Push. After Stop it drops
-// everything.
+// everything. The ring's invocations and replies decode into an arena of
+// its own, which only this loop touches.
 func (e *Engine) deliverer(shard int) func(totem.Delivery) {
+	a := new(arena)
 	return func(d totem.Delivery) {
 		if e.halted() {
 			return
 		}
 		switch v := d.Event.(type) {
 		case nil:
-			e.onDeliver(&d.Deliver)
+			e.onDeliver(&d.Deliver, a)
 		case totem.GroupView:
 			e.onGroupView(v)
 		case totem.ViewChange:
@@ -107,8 +110,8 @@ func (e *Engine) halted() bool {
 	}
 }
 
-func (e *Engine) onDeliver(d *totem.Deliver) {
-	m, err := decodeWire(d.Payload)
+func (e *Engine) onDeliver(d *totem.Deliver, a *arena) {
+	m, err := decodeWireIn(d.Payload, a)
 	if err != nil {
 		return // foreign traffic on our groups: drop
 	}
@@ -223,20 +226,39 @@ func majorityReply(votes map[string]*msgReply) (*msgReply, int) {
 }
 
 func (e *Engine) registerCall(key opKey, votes int) (*pendingCall, error) {
-	if votes < 1 {
-		votes = 1
-	}
-	p := &pendingCall{votesNeeded: votes, ch: make(chan *msgReply, 1)}
-	if votes > 1 {
-		p.votes = make(map[string]*msgReply, votes)
-	}
+	votes = max(votes, 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.stopped {
 		return nil, ErrEngineStopped
 	}
+	var p *pendingCall
+	if n := len(e.freeCalls); votes == 1 && n > 0 {
+		p = e.freeCalls[n-1]
+		e.freeCalls = e.freeCalls[:n-1]
+	} else {
+		p = &pendingCall{votesNeeded: votes, ch: make(chan *msgReply, 1)}
+		if votes > 1 {
+			p.votes = make(map[string]*msgReply, votes)
+		}
+	}
 	e.pending[key] = p
 	return p, nil
+}
+
+// recycleCall puts a single-reply call record on the free list once its
+// caller has received the call's one reply. Nothing else can reach it
+// then: completeCall removed it from pending before sending, and Stop
+// closes only what is pending. A call that timed out or was stopped is
+// never recycled, since a reply may still land in its channel, nor is a
+// voting call, whose votes keep the replies.
+func (e *Engine) recycleCall(p *pendingCall) {
+	if p.votesNeeded != 1 {
+		return
+	}
+	e.mu.Lock()
+	e.freeCalls = append(e.freeCalls, p)
+	e.mu.Unlock()
 }
 
 func (e *Engine) unregisterCall(key opKey) {

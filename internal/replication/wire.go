@@ -232,7 +232,55 @@ func outcomeToWire(results []cdr.Value, err error) (uint32, []byte) {
 	return o.status, body
 }
 
-func decodeWire(b []byte) (any, error) {
+// chunkLen is how many values carve takes from one allocation.
+const chunkLen = 32
+
+// carve returns the next unused value of *chunk, zeroed, allocating a
+// fresh chunk of chunkLen values when it is spent. A value is handed out
+// once and never again: whoever keeps it keeps it valid, and the collector
+// frees a chunk once none of its values is referenced.
+func carve[T any](chunk *[]T) *T {
+	if len(*chunk) == 0 {
+		*chunk = make([]T, chunkLen)
+	}
+	v := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return v
+}
+
+// arena holds the chunks one ring's delivery routing decodes its
+// invocations and replies into (decodeWireIn), so an ordered delivery
+// allocates no message of its own. A decoded message may outlive its
+// delivery — in a syncing replica's buffer, a passive backup's
+// pendingOps, a dedup record's reply or a held LF write — and carve never
+// hands its slot out again. An arena belongs to one goroutine: the ring's
+// protocol loop. A nil arena allocates each message on its own.
+type arena struct {
+	invs []msgInvocation
+	reps []msgReply
+}
+
+func (a *arena) invocation() *msgInvocation {
+	if a == nil {
+		return new(msgInvocation)
+	}
+	return carve(&a.invs)
+}
+
+func (a *arena) reply() *msgReply {
+	if a == nil {
+		return new(msgReply)
+	}
+	return carve(&a.reps)
+}
+
+// decodeWire decodes b into messages of their own, for the callers that
+// own no arena: WAL replay, and the direct lane, which may run on a
+// sender's goroutine.
+func decodeWire(b []byte) (any, error) { return decodeWireIn(b, nil) }
+
+// decodeWireIn decodes b, taking invocations and replies from a.
+func decodeWireIn(b []byte, a *arena) (any, error) {
 	// Callers hand decodeWire buffers they own and never modify — a totem
 	// delivery (copied off the transport once by the ring) or a WAL
 	// record — so Args/Body/Covered may alias b instead of copying. Frames
@@ -248,7 +296,9 @@ func decodeWire(b []byte) (any, error) {
 	var m any
 	switch wireKind(t) {
 	case wireInvocation:
-		m = &msgInvocation{
+		v := a.invocation()
+		m = v
+		*v = msgInvocation{
 			GroupID:     r.U64(),
 			Key:         readOpKey(&r),
 			Operation:   r.Str(),
@@ -258,7 +308,9 @@ func decodeWire(b []byte) (any, error) {
 			Done:        r.U64(),
 		}
 	case wireReply:
-		m = &msgReply{
+		v := a.reply()
+		m = v
+		*v = msgReply{
 			GroupID:    r.U64(),
 			Key:        readOpKey(&r),
 			Status:     r.U32(),
